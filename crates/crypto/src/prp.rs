@@ -29,10 +29,14 @@ use crate::hmac::{HmacKeySchedule, HmacSha256};
 const ROUNDS: usize = 8;
 
 /// Largest `half_bits` for which [`FeistelSchedule`] tabulates the round
-/// functions: 8 rounds × 2^16 entries × 8 bytes = 4 MiB. That covers
-/// domains up to 2^32 blocks (a 64 TiB file at 16-byte blocks); larger
-/// domains fall back to midstate HMACs.
+/// functions: 8 rounds × 2^16 entries × 2 bytes = 1 MiB. Round outputs
+/// are masked to `half_bits` bits, so a `u16` entry holds them exactly.
+/// That covers domains up to 2^32 blocks (a 64 TiB file at 16-byte
+/// blocks); larger domains fall back to midstate HMACs.
 const TABLE_HALF_BITS_MAX: u32 = 16;
+
+/// Cycle walks [`PrpSchedule::permute_range`] runs in lockstep.
+const LANES: usize = 8;
 
 /// Balanced Feistel permutation over `[0, 2^(2*half_bits))`.
 ///
@@ -130,11 +134,12 @@ impl FeistelPrp {
 /// `F_i(x) = HMAC_k(i ‖ x)` only ever sees `x < 2^half_bits` — for any
 /// realistic file the whole round-function domain is a few thousand
 /// points. The schedule evaluates each `(round, x)` pair **once** into a
-/// flat table, so one HMAC invocation covers every block whose Feistel
-/// walk passes through that point and `permute` itself is eight table
-/// loads and XORs. Domains too large to tabulate (`half_bits >` 16) keep
-/// per-call HMACs but reuse precomputed key-pad midstates
-/// ([`HmacKeySchedule`]), halving the compressions.
+/// flat `u16` table (≤ 1 MiB; 64 KiB for a 64 MiB file), so one HMAC
+/// invocation covers every block whose Feistel walk passes through that
+/// point and `permute` itself is eight table loads and XORs. Domains too
+/// large to tabulate (`half_bits >` 16) keep per-call HMACs but reuse
+/// precomputed key-pad midstates ([`HmacKeySchedule`]), halving the
+/// compressions.
 ///
 /// Outputs are bit-identical to the plain [`FeistelPrp`] — the schedule
 /// is a cache, not a different construction; `crate::prp` tests pin the
@@ -145,7 +150,7 @@ pub struct FeistelSchedule {
     hmac: HmacKeySchedule,
     /// Flat round table, entry `(r << half_bits) | x`; `None` when the
     /// domain is too large to tabulate.
-    table: Option<Vec<u64>>,
+    table: Option<Vec<u16>>,
 }
 
 impl std::fmt::Debug for FeistelSchedule {
@@ -169,14 +174,18 @@ impl FeistelSchedule {
 
     fn with_table_limit(key: &[u8; 32], half_bits: u32, table_max: u32) -> Self {
         assert!((1..=32).contains(&half_bits), "half_bits must be in 1..=32");
+        assert!(
+            table_max <= TABLE_HALF_BITS_MAX,
+            "round table entries are u16"
+        );
         let hmac = HmacKeySchedule::new(key);
         let mask = half_mask(half_bits);
         let table = (half_bits <= table_max).then(|| {
             let size = 1usize << half_bits;
-            let mut t = vec![0u64; ROUNDS * size];
+            let mut t = vec![0u16; ROUNDS * size];
             for (r, round) in t.chunks_exact_mut(size).enumerate() {
                 for (x, slot) in round.iter_mut().enumerate() {
-                    *slot = hmac_round(&hmac, r as u32, x as u64, mask);
+                    *slot = hmac_round(&hmac, r as u32, x as u64, mask) as u16;
                 }
             }
             t
@@ -190,8 +199,27 @@ impl FeistelSchedule {
 
     fn round(&self, round_idx: u32, half: u64) -> u64 {
         match &self.table {
-            Some(t) => t[((round_idx as usize) << self.half_bits) | half as usize],
+            Some(t) => u64::from(t[((round_idx as usize) << self.half_bits) | half as usize]),
             None => hmac_round(&self.hmac, round_idx, half, half_mask(self.half_bits)),
+        }
+    }
+
+    /// [`FeistelSchedule::permute`] of [`LANES`] independent points
+    /// through the round table `table`. The lanes' loads do not depend
+    /// on each other, so they overlap instead of queueing behind one
+    /// another's latency.
+    fn permute_lanes(&self, table: &[u16], x: &mut [u64; LANES]) {
+        let hb = self.half_bits;
+        let mask = half_mask(hb);
+        let mut left = x.map(|v| (v >> hb) & mask);
+        let mut right = x.map(|v| v & mask);
+        for round in table.chunks_exact(1 << hb) {
+            for (l, r) in left.iter_mut().zip(right.iter_mut()) {
+                (*l, *r) = (*r, *l ^ u64::from(round[*r as usize]));
+            }
+        }
+        for ((v, l), r) in x.iter_mut().zip(left).zip(right) {
+            *v = (l << hb) | r;
         }
     }
 
@@ -318,7 +346,8 @@ impl DomainPrp {
 /// `[0, n)`, with the Feistel round functions tabulated per key (see
 /// [`FeistelSchedule`]). Cycle-walking visits points of the enclosing
 /// power-of-four domain, all of which the table covers, so every walk —
-/// however long — is table lookups only.
+/// however long — is table lookups only. [`PrpSchedule::permute_range`]
+/// permutes a whole run of consecutive points at once.
 ///
 /// `Send + Sync` and cheap to share: the POR encoder builds one per file
 /// and hands references to every worker.
@@ -370,6 +399,63 @@ impl PrpSchedule {
             x = self.feistel.inverse(x);
         }
         x
+    }
+
+    /// Forward permutation of the range `first..first + out.len()`:
+    /// writes `permute(first + i)` into `out[i]`.
+    ///
+    /// A tabulated schedule runs eight cycle walks in lockstep and
+    /// hands a lane the next input the moment its walk lands inside
+    /// `[0, n)`, so one long walk never holds the others up. The
+    /// untabulated fallback permutes point by point. Either way the
+    /// output equals per-point [`PrpSchedule::permute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past `n`.
+    pub fn permute_range(&self, first: u64, out: &mut [u64]) {
+        assert!(
+            first
+                .checked_add(out.len() as u64)
+                .is_some_and(|end| end <= self.n),
+            "range {first}..+{} outside domain [0, {})",
+            out.len(),
+            self.n
+        );
+        let Some(table) = &self.feistel.table else {
+            for (x, y) in (first..).zip(out.iter_mut()) {
+                *y = self.permute(x);
+            }
+            return;
+        };
+        const IDLE: usize = usize::MAX;
+        // Lane `l` is walking the image of input `first + slot[l]`.
+        let mut slot = [IDLE; LANES];
+        let mut walk = [0u64; LANES];
+        let mut next = 0;
+        loop {
+            let mut busy = false;
+            for (s, w) in slot.iter_mut().zip(walk.iter_mut()) {
+                if *s != IDLE {
+                    if *w >= self.n {
+                        busy = true;
+                        continue;
+                    }
+                    out[*s] = *w;
+                }
+                if next < out.len() {
+                    (*s, *w) = (next, first + next as u64);
+                    next += 1;
+                    busy = true;
+                } else {
+                    *s = IDLE;
+                }
+            }
+            if !busy {
+                return;
+            }
+            self.feistel.permute_lanes(table, &mut walk);
+        }
     }
 }
 
@@ -513,6 +599,124 @@ mod tests {
             assert_eq!(sched.inverse(y), x, "y {y}");
         }
         assert_eq!(sched.domain(), n);
+    }
+
+    // --- permute_range ≡ per-point permute -----------------------------------
+
+    /// Asserts `permute_range(first, len)` equals per-point `permute`.
+    fn assert_range_matches(sched: &PrpSchedule, first: u64, len: usize) {
+        let mut out = vec![u64::MAX; len];
+        sched.permute_range(first, &mut out);
+        for (x, y) in (first..).zip(&out) {
+            assert_eq!(*y, sched.permute(x), "n {} first {first} x {x}", sched.n);
+        }
+    }
+
+    /// Seeded LCG starts in `[0, n - len]`.
+    fn seeded_starts(n: u64, len: usize, count: u64) -> impl Iterator<Item = u64> {
+        let span = n - len as u64 + 1;
+        (0..count).map(move |i| {
+            i.wrapping_mul(6364136223846793005)
+                .wrapping_add((len as u64).wrapping_mul(1442695040888963407))
+                % span
+        })
+    }
+
+    #[test]
+    fn permute_range_covers_full_small_domains() {
+        // 5, 17 and 4097 sit just above a power of four, so their walks
+        // average 3–4 steps; 1000 walks rarely and 4096 never.
+        for n in [1u64, 2, 3, 5, 17, 1000, 4096, 4097] {
+            let key = [0x17u8; 32];
+            let sched = PrpSchedule::new(&key, n);
+            let mut out = vec![0u64; n as usize];
+            sched.permute_range(0, &mut out);
+            let prp = DomainPrp::new(&key, n);
+            for (x, y) in (0..n).zip(&out) {
+                assert_eq!(*y, prp.permute(x), "n {n} x {x}");
+            }
+            out.sort_unstable();
+            assert_eq!(out, (0..n).collect::<Vec<_>>(), "n {n}: not a bijection");
+        }
+    }
+
+    #[test]
+    fn permute_range_matches_every_length_and_domain_end() {
+        let n = 5000u64;
+        let sched = PrpSchedule::new(&[0x31u8; 32], n);
+        for len in 0..=300usize {
+            for first in seeded_starts(n, len, 3) {
+                assert_range_matches(&sched, first, len);
+            }
+            assert_range_matches(&sched, n - len as u64, len);
+        }
+    }
+
+    #[test]
+    fn permute_range_matches_on_paper_sized_domain() {
+        let n = 153_008_209u64;
+        let sched = PrpSchedule::new(&[0x29u8; 32], n);
+        for len in [1usize, 7, 255, 1024] {
+            for first in seeded_starts(n, len, 8) {
+                assert_range_matches(&sched, first, len);
+            }
+            assert_range_matches(&sched, n - len as u64, len);
+        }
+    }
+
+    #[test]
+    fn permute_range_untabulated_fallback_matches() {
+        let key = [0x42u8; 32];
+        for n in [5u64, 1000, 4097] {
+            let half_bits = DomainPrp::new(&key, n).feistel.half_bits;
+            let sched = PrpSchedule {
+                feistel: FeistelSchedule::with_table_limit(&key, half_bits, 0),
+                n,
+            };
+            assert!(sched.feistel.table.is_none());
+            let mut out = vec![0u64; n as usize];
+            sched.permute_range(0, &mut out);
+            let prp = DomainPrp::new(&key, n);
+            for (x, y) in (0..n).zip(&out) {
+                assert_eq!(*y, prp.permute(x), "n {n} x {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn u16_table_is_exact_at_half_bits_16() {
+        // The widest tabulated domain: every round output needs all 16
+        // bits, so the table must hold them without loss.
+        let key = [0x61u8; 32];
+        let sched = FeistelSchedule::new(&key, 16);
+        let table = sched.table.as_ref().expect("half_bits 16 is tabulated");
+        assert_eq!(table.len(), ROUNDS << 16);
+        assert!(table.iter().any(|&v| v >= 0x8000), "top bit never set");
+        let mask = half_mask(16);
+        for r in 0..ROUNDS as u32 {
+            for x in [0u64, 1, 0x7fff, 0x8000, 0xfffe, 0xffff] {
+                let entry = u64::from(table[((r as usize) << 16) | x as usize]);
+                assert_eq!(entry, hmac_round(&sched.hmac, r, x, mask), "r {r} x {x}");
+            }
+        }
+        let prp = FeistelPrp::new(&key, 16);
+        let domain = PrpSchedule {
+            feistel: sched,
+            n: 1 << 32,
+        };
+        for first in seeded_starts(1 << 32, 64, 4) {
+            let mut out = [0u64; 64];
+            domain.permute_range(first, &mut out);
+            for (x, y) in (first..).zip(out) {
+                assert_eq!(y, prp.permute(x), "x {x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside domain")]
+    fn permute_range_past_domain_panics() {
+        PrpSchedule::new(&[0u8; 32], 10).permute_range(5, &mut [0u64; 6]);
     }
 
     #[test]

@@ -14,10 +14,8 @@
 
 use crate::keys::PorKeys;
 use crate::params::PorParams;
-use crate::stream::{ArenaSink, SegmentSink, StreamingEncoder, TaggedArena};
-use geoproof_crypto::aes::Aes128Ctr;
+use crate::stream::{ArenaSink, ChunkCoder, SegmentSink, StreamingEncoder, TaggedArena};
 use geoproof_crypto::hmac::TruncatedMac;
-use geoproof_crypto::prp::DomainPrp;
 use geoproof_ecc::block_code::{Block, BlockCode, BLOCK_BYTES};
 
 /// Metadata the owner (and TPA) retain about an encoded file.
@@ -239,31 +237,14 @@ impl PorEncoder {
                 block_ok[idx] = ok;
             }
         }
-        // Un-permute and decrypt in one pass. The tabulated PRP schedule
-        // pays for itself after a few hundred blocks.
-        let prp = DomainPrp::new(keys.prp_key(), metadata.encoded_blocks).precompute();
-        let ctr = Aes128Ctr::new(keys.enc_key(), *b"geoproof");
-        let mut encoded: Vec<Block> = vec![[0u8; BLOCK_BYTES]; encoded_blocks];
-        let mut erased = vec![false; encoded_blocks];
-        for i in 0..encoded_blocks {
-            let dst = prp.permute(i as u64) as usize;
-            if block_ok[dst] {
-                let mut block = permuted[dst];
-                ctr.apply_keystream_at(&mut block, i as u64);
-                encoded[i] = block;
-            } else {
-                erased[i] = true;
-            }
-        }
-        // Chunk-wise RS decode with erasures.
+        // Chunk by chunk: un-permute, decrypt and RS-decode with the
+        // untrusted blocks as erasures.
+        let coder = ChunkCoder::new(self.code.clone(), keys, metadata.encoded_blocks);
         let chunks = encoded_blocks / p.rs_n;
         let mut blocks: Vec<Block> = Vec::with_capacity(chunks * p.rs_k);
         for c in 0..chunks {
-            let chunk = &encoded[c * p.rs_n..(c + 1) * p.rs_n];
-            let erasures: Vec<usize> = (0..p.rs_n).filter(|j| erased[c * p.rs_n + j]).collect();
-            let data = self
-                .code
-                .decode_chunk(chunk, &erasures)
+            let data = coder
+                .decode(c as u64, &permuted, &block_ok)
                 .map_err(|_| ExtractError::TooCorrupt { chunk: c })?;
             blocks.extend(data);
         }

@@ -9,8 +9,9 @@
 //! * input is fed in arbitrary-sized chunks and buffered only up to one
 //!   *wave* of Reed–Solomon chunks (one chunk when single-threaded,
 //!   [`WAVE_CHUNKS_PER_WORKER`] chunks per worker when parallel);
-//! * each chunk is RS-encoded, encrypted block-by-block (CTR counter =
-//!   global block index), and every ciphertext block is written straight
+//! * each chunk is RS-encoded, encrypted with one CTR call (counter =
+//!   global block index), and its block indices are permuted with one
+//!   batched PRP call; every ciphertext block is then written straight
 //!   into its *final* permuted position inside the destination
 //!   [`SegmentSink`] — no intermediate file-sized buffer exists;
 //! * a segment is MAC-tagged the moment its last block lands (the PRP
@@ -25,16 +26,16 @@
 //! index, and the PRP is a bijection — so every worker writes a disjoint
 //! set of block slots and the interleaving cannot change a single output
 //! byte. Per-file key schedules (the PRP round table, the HMAC pad
-//! midstates) are hoisted out of the per-block loop and shared read-only
-//! across workers. Output is **bit-identical** at every thread count;
+//! midstates) are built once and shared read-only across workers.
+//! Output is **bit-identical** at every thread count;
 //! `tests/golden` pins in the facade crate, `tests/stream_prop.rs`, and
 //! the differential battery in `tests/parallel_encode_prop.rs` enforce
 //! that.
 //!
 //! Working memory beyond the destination is **O(wave)** data plus a
 //! 2-byte fill counter per segment (≈ 2.4 % of the stored bytes at paper
-//! parameters) plus the per-file PRP round table (≤ 4 MiB, usually far
-//! less) — not O(file).
+//! parameters) plus the per-file PRP round table (≤ 1 MiB; 64 KiB for a
+//! 64 MiB file) — not O(file).
 //!
 //! See `docs/datapath.md` for the end-to-end zero-copy story
 //! (encode → upload → disk → challenge → transcript) and the parallel
@@ -48,6 +49,7 @@ use geoproof_crypto::aes::Aes128Ctr;
 use geoproof_crypto::hmac::{HmacKeySchedule, TruncatedMac};
 use geoproof_crypto::prp::PrpSchedule;
 use geoproof_ecc::block_code::{Block, BlockCode, BLOCK_BYTES};
+use geoproof_ecc::DecodeError;
 use geoproof_pool::{run_jobs, Job};
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -313,11 +315,7 @@ impl SinkView {
 /// position) depends on it.
 pub struct StreamingEncoder<S: SegmentSink> {
     layout: SegmentLayout,
-    code: BlockCode,
-    /// Per-file PRP key schedule: round functions tabulated once, shared
-    /// read-only by every worker.
-    prp: PrpSchedule,
-    ctr: Aes128Ctr,
+    coder: ChunkCoder,
     mac: TruncatedMac,
     /// Per-file MAC key schedule: HMAC pad midstates hoisted out of the
     /// per-segment seal.
@@ -382,9 +380,7 @@ impl<S: SegmentSink> StreamingEncoder<S> {
             chunk_bytes
         };
         StreamingEncoder {
-            code,
-            prp: PrpSchedule::new(keys.prp_key(), layout.encoded_blocks()),
-            ctr: Aes128Ctr::new(keys.enc_key(), *b"geoproof"),
+            coder: ChunkCoder::new(code, keys, layout.encoded_blocks()),
             mac: TruncatedMac::new(params.tag_bits),
             mac_sched: HmacKeySchedule::new(keys.mac_key()),
             file_id: file_id.to_owned(),
@@ -511,24 +507,19 @@ impl<S: SegmentSink> StreamingEncoder<S> {
         self.pending.clear();
     }
 
-    /// RS-encodes wave chunk `wave_index` (zero-padded to `rs_k`
-    /// blocks), encrypts each output block at its global CTR position,
-    /// and scatters the ciphertext through the PRP into the sink.
+    /// Runs wave chunk `wave_index` through [`ChunkCoder::encode`] and
+    /// writes each ciphertext block to its permuted position in the sink.
     fn process_chunk_sequential(&mut self, wave_index: u64) {
         let p = *self.layout.params();
         let chunk_bytes = p.rs_k * BLOCK_BYTES;
-        let encoded = {
-            let raw = wave_chunk_bytes(&self.pending, wave_index as usize, chunk_bytes);
-            self.code.encode_chunk(&build_blocks(p.rs_k, raw))
-        };
-        let base = (self.next_chunk + wave_index) * p.rs_n as u64;
-        for (j, mut block) in encoded.into_iter().enumerate() {
-            let index = base + j as u64;
-            self.ctr.apply_keystream_at(&mut block, index);
-            let dst = self.prp.permute(index);
+        let (ciphertext, dsts) = self.coder.encode(
+            self.next_chunk + wave_index,
+            wave_chunk_bytes(&self.pending, wave_index as usize, chunk_bytes),
+        );
+        for (block, dst) in ciphertext.chunks_exact(BLOCK_BYTES).zip(dsts) {
             let seg = dst / p.segment_blocks as u64;
             let offset = (dst % p.segment_blocks as u64) as usize * BLOCK_BYTES;
-            self.sink.segment_mut(seg)[offset..offset + BLOCK_BYTES].copy_from_slice(&block);
+            self.sink.segment_mut(seg)[offset..offset + BLOCK_BYTES].copy_from_slice(block);
             let landed = self.fill[seg as usize].fetch_add(1, Ordering::Relaxed) + 1;
             if landed == self.layout.blocks_in_segment(seg) {
                 self.seal_segment(seg);
@@ -536,19 +527,17 @@ impl<S: SegmentSink> StreamingEncoder<S> {
         }
     }
 
-    /// Fans `count` chunks out over the pool: each job RS-encodes,
-    /// encrypts and PRP-scatters a group of chunks through `view`,
-    /// sealing any segment whose last block it lands. Returns the
-    /// segments sealed this wave, ascending.
+    /// Fans `count` chunks out over the pool: each job runs a group of
+    /// chunks through [`ChunkCoder::encode`] and writes the ciphertext
+    /// through `view`, sealing any segment whose last block it lands.
+    /// Returns the segments sealed this wave, ascending.
     fn run_wave_parallel(&self, count: u64, view: SinkView) -> Vec<u64> {
         let p = *self.layout.params();
         let chunk_bytes = p.rs_k * BLOCK_BYTES;
         let body_bytes = self.layout.body_bytes();
         let first = self.next_chunk;
         let layout = &self.layout;
-        let code = &self.code;
-        let ctr = &self.ctr;
-        let prp = &self.prp;
+        let coder = &self.coder;
         let mac = &self.mac;
         let mac_sched = &self.mac_sched;
         let fill = &self.fill;
@@ -566,19 +555,15 @@ impl<S: SegmentSink> StreamingEncoder<S> {
                 Box::new(move || {
                     let mut local: Vec<u64> = Vec::new();
                     for i in lo..hi {
-                        let raw = wave_chunk_bytes(pending, i, chunk_bytes);
-                        let encoded = code.encode_chunk(&build_blocks(p.rs_k, raw));
-                        let base = (first + i as u64) * p.rs_n as u64;
-                        for (j, mut block) in encoded.into_iter().enumerate() {
-                            let index = base + j as u64;
-                            ctr.apply_keystream_at(&mut block, index);
-                            let dst = prp.permute(index);
+                        let (ciphertext, dsts) = coder
+                            .encode(first + i as u64, wave_chunk_bytes(pending, i, chunk_bytes));
+                        for (block, dst) in ciphertext.chunks_exact(BLOCK_BYTES).zip(dsts) {
                             let seg = dst / p.segment_blocks as u64;
                             let offset = (dst % p.segment_blocks as u64) as usize * BLOCK_BYTES;
                             // SAFETY: the PRP is a bijection — this wave
                             // writes each block slot exactly once, from
                             // exactly one worker.
-                            unsafe { view.write(seg, offset, &block) };
+                            unsafe { view.write(seg, offset, block) };
                             let landed = fill[seg as usize].fetch_add(1, Ordering::AcqRel) + 1;
                             if landed == layout.blocks_in_segment(seg) {
                                 // SAFETY: every writer incremented the fill
@@ -621,6 +606,76 @@ impl<S: SegmentSink> StreamingEncoder<S> {
         buf[body_bytes..].copy_from_slice(&tag);
         self.sink.complete(seg);
         self.sealed += 1;
+    }
+}
+
+/// Steps 2–4 of the setup, one Reed–Solomon chunk at a time, with the
+/// per-file key schedules they use (the tabulated PRP, the AES round
+/// keys) built once and shared read-only by every worker. The extractor
+/// runs the same steps backwards through [`ChunkCoder::decode`].
+pub(crate) struct ChunkCoder {
+    code: BlockCode,
+    prp: PrpSchedule,
+    ctr: Aes128Ctr,
+}
+
+impl ChunkCoder {
+    /// The coder for a file of `encoded_blocks` blocks after RS coding.
+    pub(crate) fn new(code: BlockCode, keys: &PorKeys, encoded_blocks: u64) -> Self {
+        ChunkCoder {
+            code,
+            prp: PrpSchedule::new(keys.prp_key(), encoded_blocks),
+            ctr: Aes128Ctr::new(keys.enc_key(), *b"geoproof"),
+        }
+    }
+
+    /// RS-encodes file chunk `chunk` from its raw bytes (zero-padded to
+    /// `rs_k` blocks), encrypts the `rs_n` output blocks with one CTR
+    /// call (counter = global block index), and permutes those indices
+    /// with one [`PrpSchedule::permute_range`] call. Returns the
+    /// ciphertext (the blocks back to back) and each block's position in
+    /// the stored file.
+    fn encode(&self, chunk: u64, raw: &[u8]) -> (Vec<u8>, Vec<u64>) {
+        let n = self.code.encoded_blocks();
+        let base = chunk * n as u64;
+        // `concat` flattens for the single CTR call; `as_flattened_mut`
+        // would avoid the copy but needs a newer Rust than the MSRV.
+        let mut ciphertext = self
+            .code
+            .encode_chunk(&build_blocks(self.code.data_blocks(), raw))
+            .concat();
+        self.ctr.apply_keystream_at(&mut ciphertext, base);
+        let mut dsts = vec![0u64; n];
+        self.prp.permute_range(base, &mut dsts);
+        (ciphertext, dsts)
+    }
+
+    /// Inverts [`ChunkCoder::encode`] for file chunk `chunk`: gathers its
+    /// blocks from their positions in `stored` (the permuted file),
+    /// decrypts them with one CTR call and RS-decodes them. Every block
+    /// whose `trusted` flag is false is an erasure, so its keystream
+    /// does not matter.
+    pub(crate) fn decode(
+        &self,
+        chunk: u64,
+        stored: &[Block],
+        trusted: &[bool],
+    ) -> Result<Vec<Block>, DecodeError> {
+        let n = self.code.encoded_blocks();
+        let base = chunk * n as u64;
+        let mut dsts = vec![0u64; n];
+        self.prp.permute_range(base, &mut dsts);
+        let mut bytes = Vec::with_capacity(n * BLOCK_BYTES);
+        for &d in &dsts {
+            bytes.extend_from_slice(&stored[d as usize]);
+        }
+        self.ctr.apply_keystream_at(&mut bytes, base);
+        let blocks: Vec<Block> = bytes
+            .chunks_exact(BLOCK_BYTES)
+            .map(|b| b.try_into().expect("block-sized chunk"))
+            .collect();
+        let erasures: Vec<usize> = (0..n).filter(|&j| !trusted[dsts[j] as usize]).collect();
+        self.code.decode_chunk(&blocks, &erasures)
     }
 }
 

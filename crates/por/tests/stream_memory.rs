@@ -10,6 +10,9 @@
 //! input in the `--ignored` (release-recommended) variant. The legacy
 //! batch pipeline peaked at ~5× the file size; a regression to that
 //! shape fails these bounds by orders of magnitude.
+//!
+//! The counter is process-global, so each measured span holds
+//! [`MEASURE`]: a sibling test's arena must not land inside it.
 
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
@@ -17,6 +20,10 @@ use geoproof_por::params::PorParams;
 use geoproof_por::stream::{ArenaSink, SegmentLayout, WAVE_CHUNKS_PER_WORKER};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Serialises the measured spans of concurrently running tests.
+static MEASURE: Mutex<()> = Mutex::new(());
 
 /// A `System` wrapper tracking live and peak allocation in bytes.
 struct CountingAlloc;
@@ -67,6 +74,8 @@ fn measure_streaming_encode(total: u64) -> (usize, usize) {
 
 /// [`measure_streaming_encode`] on `threads` pool workers.
 fn measure_streaming_encode_threads(total: u64, threads: usize) -> (usize, usize) {
+    // Declared first, so released last: after the arena is freed.
+    let _span = MEASURE.lock().unwrap_or_else(PoisonError::into_inner);
     let params = PorParams::test_small();
     let encoder = PorEncoder::new(params);
     let keys = PorKeys::derive(b"memory-pin", "mem");
@@ -106,8 +115,8 @@ fn measure_streaming_encode_threads(total: u64, threads: usize) -> (usize, usize
 
 /// Extra-memory bound: the RS chunk input buffer and encoded-chunk
 /// scratch, the per-segment u16 fill counters, and slack for small
-/// transients (keys, the tabulated PRP schedule — 32 KiB at this file
-/// size, ≤ 4 MiB ever — the RS multiply and nibble tables at 288 B per
+/// transients (keys, the tabulated PRP schedule — 8 KiB of `u16` at this
+/// file size, ≤ 1 MiB ever — the RS multiply and nibble tables at 288 B per
 /// parity symbol, and the 64 KiB feed buffer's accounting).
 fn expected_bound(total: u64) -> usize {
     expected_bound_threads(total, 1)
