@@ -7,6 +7,23 @@
 //! torn tail is an error. Recovery (truncating a torn tail) is a writer
 //! decision ([`crate::writer::LedgerWriter::open`]), never something a
 //! verifier does silently.
+//!
+//! Reading runs on every core. A cheap sequential framing pass reads
+//! only the length prefixes, finding each complete record and the torn
+//! tail; seal checks and body decodes then run per range of 1024
+//! records through [`geoproof_core::pool::run_ordered`], and the ranges
+//! are collected in chain order. Each record is checked against the
+//! **stored** seal of its predecessor rather than the seal recomputed
+//! for it, so no range waits on the one before. This accepts exactly
+//! the files the sequential chain walk accepts, with the same first
+//! error, by induction over the chain: if records `0..i` all pass,
+//! each one's stored seal equals the chain value the walk computed for
+//! it, so record `i` is checked against the same value in both readers
+//! and passes or fails alike. The first failing record is therefore the
+//! same in both; what either reader does with later records is never
+//! reported, because ranges are consumed in order and the first error
+//! stops the read. A bad record anywhere before a torn tail is that
+//! error — the tail is only reported when every complete record passes.
 
 use crate::chain::{genesis_hash, seal_hash, Digest};
 use crate::proof::{CheckpointBinding, InclusionProof};
@@ -16,6 +33,7 @@ use crate::record::{
 };
 use crate::{LedgerError, MAGIC, VERSION, VERSION_SEGMENTED};
 use bytes::Bytes;
+use geoproof_core::pool::run_ordered;
 use geoproof_por::merkle::MerkleTree;
 use std::path::Path;
 
@@ -288,16 +306,29 @@ pub(crate) struct Scan {
     pub torn_at: Option<u64>,
 }
 
+/// Records per range of seal checks and body decodes — one unit of
+/// parallel work in [`scan`].
+const SCAN_RANGE: usize = 1024;
+
+/// Threads the strict reader and the replay fan out over: every core
+/// the process may use.
+pub(crate) fn parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Parses `bytes` record by record, verifying the seal chain. Stops at
 /// a torn tail (reporting the last good boundary) but treats any
-/// complete-but-wrong record as a hard error.
+/// complete-but-wrong record as a hard error — the first one in chain
+/// order, exactly as a sequential walk reports it (see the module docs).
 pub(crate) fn scan(bytes: &Bytes) -> Result<Scan, LedgerError> {
     let header = Header::decode(bytes.as_ref())?;
     let header_len = header.len();
-    let mut head = genesis_hash(&bytes.as_ref()[..header_len]);
-    let mut records = Vec::new();
+    let genesis = genesis_hash(&bytes.as_ref()[..header_len]);
+
+    // Framing: where each complete record starts and how long its body
+    // is. Only the length prefixes are read.
+    let mut frames: Vec<(usize, usize)> = Vec::new();
     let mut pos = header_len;
-    let mut index = 0u64;
     let mut torn_at = None;
     while pos < bytes.len() {
         let remaining = bytes.len() - pos;
@@ -311,57 +342,89 @@ pub(crate) fn scan(bytes: &Bytes) -> Result<Scan, LedgerError> {
             torn_at = Some(pos as u64);
             break;
         }
-        let body = bytes.slice(pos + 4..pos + 4 + body_len);
-        let mut seal = [0u8; 32];
-        seal.copy_from_slice(&bytes[pos + 4 + body_len..pos + 4 + body_len + 32]);
-        let expect = seal_hash(&head, index, body_len as u32, &[&body]);
-        if expect != seal {
-            return Err(LedgerError::SealMismatch { index });
-        }
-        let entry = match body.first() {
-            Some(&TAG_EVIDENCE) => Entry::Evidence(
-                EvidenceRecord::decode(&body)
-                    .map_err(|what| LedgerError::Malformed { index, what })?,
-            ),
-            Some(&TAG_DYN_EVIDENCE) => Entry::DynEvidence(
-                DynEvidenceRecord::decode(&body)
-                    .map_err(|what| LedgerError::Malformed { index, what })?,
-            ),
-            Some(&TAG_DIGEST) => Entry::Digest(
-                DigestRecord::decode(&body)
-                    .map_err(|what| LedgerError::Malformed { index, what })?,
-            ),
-            Some(&TAG_POSITION) => Entry::Position(
-                PositionRecord::decode(&body)
-                    .map_err(|what| LedgerError::Malformed { index, what })?,
-            ),
-            Some(&TAG_CHECKPOINT) => Entry::Checkpoint(
-                Checkpoint::decode(&body).map_err(|what| LedgerError::Malformed { index, what })?,
-            ),
-            _ => {
-                return Err(LedgerError::Malformed {
-                    index,
-                    what: "unknown record tag",
-                })
-            }
-        };
-        records.push(Record {
-            index,
-            prev: head,
-            seal,
-            body,
-            entry,
-        });
-        head = seal;
+        frames.push((pos, body_len));
         pos += 4 + body_len + 32;
-        index += 1;
     }
+
+    // Seal checks and decodes, one range at a time on every core,
+    // collected in chain order; the first failing range's first error
+    // wins.
+    let ranges = frames.len().div_ceil(SCAN_RANGE);
+    let workers = if ranges > 1 { parallelism() } else { 1 };
+    let mut records = Vec::with_capacity(frames.len());
+    run_ordered(
+        workers,
+        ranges,
+        2 * workers,
+        |r| {
+            let span = r * SCAN_RANGE..((r + 1) * SCAN_RANGE).min(frames.len());
+            scan_range(bytes, &frames, span, &genesis)
+        },
+        |_, range| {
+            records.extend(range?);
+            Ok::<(), LedgerError>(())
+        },
+    )?;
+    let head = records.last().map_or(genesis, |r: &Record| r.seal);
     Ok(Scan {
         header,
         head,
         records,
         torn_at,
     })
+}
+
+/// Checks and decodes the framed records at chain indices `span`, each
+/// against the **stored** seal of its predecessor (the genesis hash for
+/// record 0). Stops at the span's first failure.
+fn scan_range(
+    bytes: &Bytes,
+    frames: &[(usize, usize)],
+    span: std::ops::Range<usize>,
+    genesis: &Digest,
+) -> Result<Vec<Record>, LedgerError> {
+    let seal_at = |(pos, body_len): (usize, usize)| -> Digest {
+        let at = pos + 4 + body_len;
+        bytes[at..at + 32].try_into().expect("32 bytes")
+    };
+    let mut prev = match span.start {
+        0 => *genesis,
+        first => seal_at(frames[first - 1]),
+    };
+    let mut records = Vec::with_capacity(span.len());
+    for (index, &(pos, body_len)) in (span.start as u64..).zip(&frames[span]) {
+        let body = bytes.slice(pos + 4..pos + 4 + body_len);
+        let seal = seal_at((pos, body_len));
+        if seal_hash(&prev, index, body_len as u32, &[&body]) != seal {
+            return Err(LedgerError::SealMismatch { index });
+        }
+        let malformed = |what| LedgerError::Malformed { index, what };
+        let entry = match body.first() {
+            Some(&TAG_EVIDENCE) => {
+                Entry::Evidence(EvidenceRecord::decode(&body).map_err(malformed)?)
+            }
+            Some(&TAG_DYN_EVIDENCE) => {
+                Entry::DynEvidence(DynEvidenceRecord::decode(&body).map_err(malformed)?)
+            }
+            Some(&TAG_DIGEST) => Entry::Digest(DigestRecord::decode(&body).map_err(malformed)?),
+            Some(&TAG_POSITION) => {
+                Entry::Position(PositionRecord::decode(&body).map_err(malformed)?)
+            }
+            Some(&TAG_CHECKPOINT) => {
+                Entry::Checkpoint(Checkpoint::decode(&body).map_err(malformed)?)
+            }
+            _ => return Err(malformed("unknown record tag")),
+        };
+        records.push(Record {
+            index,
+            prev,
+            seal,
+            body,
+            entry,
+        });
+        prev = seal;
+    }
+    Ok(records)
 }
 
 impl Ledger {

@@ -21,24 +21,44 @@
 //! one — a file truncated exactly at a record boundary is
 //! indistinguishable from a crash-recovered log, so the chain head
 //! ([`Ledger::head`]) must be compared out-of-band to rule that out.
+//!
+//! # How the work is split
+//!
+//! [`replay`] cuts the records into chunks of `BATCH_CHUNK` (1024) and
+//! runs them through [`geoproof_core::pool::run_ordered`] on every core.
+//! A chunk's pure work runs on whichever thread claims it: parsing
+//! device keys and transcripts (with a per-chunk key cache), settling
+//! every signature in one batch equation, and re-deriving each evidence
+//! verdict and position estimate. Everything that depends on chain
+//! state runs on the calling thread, chunk by chunk in record order:
+//! the `--master` MAC re-derivation (a [`SegmentMacCheck`] need not be
+//! `Sync`), accept/reject counts, the checkpoint Merkle accumulator,
+//! coverage and root, the digest chain, and raising a chunk's failure
+//! only after every record before it walked clean. So verdicts,
+//! counters and the first error are those of [`replay_sequential`],
+//! which walks the same chunks on one thread and checks one signature
+//! at a time. A ledger of at most one chunk runs on the calling thread
+//! alone.
 
-use crate::reader::{checkpoint_message_for, Entry, Header, Ledger, Record};
+use crate::reader::{checkpoint_message_for, parallelism, Entry, Header, Ledger, Record};
 use crate::record::{DigestOp, DynEvidenceRecord, EvidenceRecord, PositionRecord};
 use crate::{Digest, LedgerError};
 use geoproof_core::auditor::VerifyChecks;
 use geoproof_core::dynamic_audit::{judge_round, DynSignedTranscript};
 use geoproof_core::evidence::encode_report;
 use geoproof_core::messages::SignedTranscript;
+use geoproof_core::pool::run_ordered;
 use geoproof_crypto::schnorr::{batch_verify_each, BatchEntry, Signature, VerifyingKey};
 use geoproof_por::dynamic::DynamicDigest;
 use geoproof_por::merkle::MerkleAccumulator;
 use std::collections::HashMap;
 
-/// Records per signature batch. Large enough that the shared-base
-/// multi-scalar equation amortises well (the per-signature cost keeps
-/// falling up to a few hundred entries), small enough to bound peak
-/// memory: each in-flight record holds a parsed transcript plus its
-/// canonical signing bytes until the batch settles.
+/// Records per signature batch — and per unit of parallel work. Large
+/// enough that the shared-base multi-scalar equation amortises well (the
+/// per-signature cost keeps falling up to a few hundred entries), small
+/// enough to bound peak memory: each in-flight record holds a parsed
+/// transcript plus its canonical signing bytes until its chunk is
+/// walked, and at most `2 × cores` chunks are in flight at once.
 const BATCH_CHUNK: usize = 1024;
 
 /// Re-derives keyed segment MACs when the owner's secret is available —
@@ -237,7 +257,8 @@ pub fn replay_position_record(
 }
 
 /// Per-record work pre-parsed in the first pass over a chunk, carrying
-/// everything the verdict pass needs so nothing is decoded twice.
+/// everything the verdict checks and the in-order walk need so nothing
+/// is decoded twice.
 enum Prep {
     /// Static evidence: decoded device key, parsed transcript, index of
     /// its signature task in the chunk's batch.
@@ -255,7 +276,7 @@ enum Prep {
     /// Checkpoint: only its TPA-signature task index.
     Checkpoint { task: usize },
     /// Digest transition or position estimate — no signature involved;
-    /// the verdict pass reads the record itself.
+    /// the checks read the record itself.
     Plain,
 }
 
@@ -267,23 +288,110 @@ struct SigTask {
     signature: Signature,
 }
 
+/// One chunk with everything the chain state does not touch already
+/// settled — the output of [`settle_chunk`], the input of the in-order
+/// pass.
+struct Settled {
+    /// Parsed records, stopping right before the chunk's first failure.
+    preps: Vec<Prep>,
+    /// Signature verdicts, indexed by each prep's `task`.
+    sig_ok: Vec<bool>,
+    /// The chunk's first failure found off the chain state: structural
+    /// (device key, transcript), a re-derived evidence verdict, or a
+    /// re-derived position. Raised only after `preps` replay clean, so
+    /// the first error surfaced is the sequential walk's.
+    failure: Option<LedgerError>,
+}
+
+/// The pure half of replaying one chunk, safe to run on any thread:
+/// parse every record, settle every signature (one batch, or one at a
+/// time on the reference path), and re-derive each evidence verdict and
+/// position estimate. `sealed` is the chunk's first sealed ordinal.
+fn settle_chunk(
+    chunk: &[Record],
+    header: &Header,
+    tpa: &VerifyingKey,
+    sealed: u64,
+    batched: bool,
+) -> Settled {
+    let (mut preps, tasks, mut failure) = prepare_chunk(chunk, header, tpa, sealed);
+    let sig_ok: Vec<bool> = if batched {
+        let entries: Vec<BatchEntry<'_>> = tasks
+            .iter()
+            .map(|t| BatchEntry {
+                key: t.key,
+                message: &t.message,
+                signature: t.signature,
+            })
+            .collect();
+        batch_verify_each(&entries)
+    } else {
+        tasks
+            .iter()
+            .map(|t| t.key.verify(&t.message, &t.signature))
+            .collect()
+    };
+    let mut ordinal = sealed;
+    let first_bad = chunk
+        .iter()
+        .zip(&preps)
+        .enumerate()
+        .find_map(|(j, (record, prep))| {
+            let verdict = match (&record.entry, prep) {
+                (
+                    Entry::Evidence(e),
+                    Prep::Evidence {
+                        key,
+                        transcript,
+                        task,
+                    },
+                ) => check_evidence_verdict(e, ordinal, key, transcript, sig_ok[*task]),
+                (
+                    Entry::DynEvidence(e),
+                    Prep::Dyn {
+                        key,
+                        transcript,
+                        task,
+                    },
+                ) => check_dyn_verdict(e, ordinal, key, transcript, sig_ok[*task]),
+                (Entry::Position(p), Prep::Plain) => {
+                    replay_position_record(p, &record.body, record.index)
+                }
+                _ => Ok(()),
+            };
+            if record.entry.is_sealed_leaf() {
+                ordinal += 1;
+            }
+            verdict.err().map(|err| (j, err))
+        });
+    if let Some((j, err)) = first_bad {
+        preps.truncate(j);
+        failure = Some(err);
+    }
+    Settled {
+        preps,
+        sig_ok,
+        failure,
+    }
+}
+
 /// First pass over a chunk: parse every record and collect its
 /// signature work. Stops at the first *structural* failure (undecodable
 /// device key, malformed transcript) and hands the error back unraised —
-/// the verdict pass must finish the records before it first, so the
+/// the in-order pass must finish the records before it first, so the
 /// error surfaced is the same one the sequential walk would hit.
 ///
-/// `keys` memoises device-key decompression across the whole replay —
-/// a fleet reuses a handful of keys over thousands of records, and
-/// point decompression is a field exponentiation. `from_bytes` is pure,
-/// so the cache cannot change any outcome.
+/// Device-key decompression is memoised across the chunk — a fleet
+/// reuses a handful of keys over thousands of records, and point
+/// decompression is a field exponentiation. `from_bytes` is pure, so
+/// the cache cannot change any outcome.
 fn prepare_chunk(
     chunk: &[Record],
     header: &Header,
     tpa: &VerifyingKey,
     mut sealed: u64,
-    keys: &mut HashMap<[u8; 32], Option<VerifyingKey>>,
 ) -> (Vec<Prep>, Vec<SigTask>, Option<LedgerError>) {
+    let mut keys: HashMap<[u8; 32], Option<VerifyingKey>> = HashMap::new();
     let mut preps = Vec::with_capacity(chunk.len());
     let mut tasks = Vec::new();
     for record in chunk {
@@ -389,9 +497,10 @@ fn prepare_chunk(
 /// Replays the whole ledger (see the module docs for what is checked
 /// and what is trusted), settling signatures in batches of
 /// `BATCH_CHUNK` (1024) through one random-linear-combination equation per
-/// chunk. Verdicts, counters, and the first error raised are identical
-/// to [`replay_sequential`] — the batch layer only changes *how* each
-/// signature bit is computed, never what is done with it.
+/// chunk, with chunks settled on every core. Verdicts, counters, and the
+/// first error raised are identical to [`replay_sequential`] — batching
+/// and threads only change *how* and *where* each signature bit and
+/// verdict is computed, never what is done with it.
 ///
 /// # Errors
 ///
@@ -454,44 +563,30 @@ fn replay_impl(
     // that is what turns "the server served pre-update data" from a
     // claim into a provable fact.
     let mut current_digest: HashMap<&str, DynamicDigest> = HashMap::new();
-    let mut device_keys: HashMap<[u8; 32], Option<VerifyingKey>> = HashMap::new();
-    for chunk in ledger.records().chunks(BATCH_CHUNK) {
-        // Pass 1: parse, collect signature tasks, stash the first
-        // structural error (the prep list is truncated right before it).
-        let (preps, tasks, stashed) =
-            prepare_chunk(chunk, ledger.header(), tpa, sealed, &mut device_keys);
-        // Settle every signature in the chunk — transcript, dynamic, and
-        // checkpoint alike — in one batch, or one at a time on the
-        // reference path.
-        let sig_ok: Vec<bool> = if batched {
-            let entries: Vec<BatchEntry<'_>> = tasks
-                .iter()
-                .map(|t| BatchEntry {
-                    key: t.key,
-                    message: &t.message,
-                    signature: t.signature,
-                })
-                .collect();
-            batch_verify_each(&entries)
-        } else {
-            tasks
-                .iter()
-                .map(|t| t.key.verify(&t.message, &t.signature))
-                .collect()
-        };
-        // Pass 2: re-derive verdicts and walk the chain state in record
-        // order, injecting the precomputed signature bits.
-        for (record, prep) in chunk.iter().zip(&preps) {
+    let chunks: Vec<&[Record]> = ledger.records().chunks(BATCH_CHUNK).collect();
+    // Each chunk's first sealed ordinal, so any thread can settle it.
+    let mut bases = Vec::with_capacity(chunks.len());
+    let mut base = 0u64;
+    for chunk in &chunks {
+        bases.push(base);
+        base += chunk.iter().filter(|r| r.entry.is_sealed_leaf()).count() as u64;
+    }
+    let workers = if batched && chunks.len() > 1 {
+        parallelism()
+    } else {
+        1
+    };
+    // Chunks settle on every core; the chain state is walked here, on
+    // the caller, in record order.
+    let walk = |at: usize, settled: Settled| -> Result<(), LedgerError> {
+        let Settled {
+            preps,
+            sig_ok,
+            failure,
+        } = settled;
+        for (record, prep) in chunks[at].iter().zip(&preps) {
             match (&record.entry, prep) {
-                (
-                    Entry::Evidence(e),
-                    Prep::Evidence {
-                        key,
-                        transcript,
-                        task,
-                    },
-                ) => {
-                    check_evidence_verdict(e, sealed, key, transcript, sig_ok[*task])?;
+                (Entry::Evidence(e), Prep::Evidence { transcript, .. }) => {
                     if let Some(mac) = mac_check {
                         for (i, round) in transcript.rounds.iter().enumerate() {
                             let derived =
@@ -517,15 +612,7 @@ fn replay_impl(
                     sealed += 1;
                     evidence += 1;
                 }
-                (
-                    Entry::DynEvidence(e),
-                    Prep::Dyn {
-                        key,
-                        transcript,
-                        task,
-                    },
-                ) => {
-                    check_dyn_verdict(e, sealed, key, transcript, sig_ok[*task])?;
+                (Entry::DynEvidence(e), Prep::Dyn { transcript, .. }) => {
                     // The audited digest must be the chain's current one
                     // for this file. A ledger with no digest records for
                     // the file has no chain to hold the audit against (a
@@ -590,8 +677,7 @@ fn replay_impl(
                     sealed += 1;
                     digests += 1;
                 }
-                (Entry::Position(p), Prep::Plain) => {
-                    replay_position_record(p, &record.body, record.index)?;
+                (Entry::Position(_), Prep::Plain) => {
                     seals.push(&record.seal);
                     sealed += 1;
                     positions += 1;
@@ -621,12 +707,17 @@ fn replay_impl(
             }
         }
         // Only once every record before it has replayed clean may the
-        // stashed structural error surface — first-error ordering is
-        // then identical to the sequential walk.
-        if let Some(err) = stashed {
-            return Err(err);
-        }
-    }
+        // chunk's settled failure surface — first-error ordering is then
+        // identical to the sequential walk.
+        failure.map_or(Ok(()), Err)
+    };
+    run_ordered(
+        workers,
+        chunks.len(),
+        2 * workers,
+        |at| settle_chunk(chunks[at], ledger.header(), tpa, bases[at], batched),
+        walk,
+    )?;
     record_replay_metrics(accepted, rejected, replay_started.elapsed());
     Ok(ReplayOutcome {
         records: ledger.records().len() as u64,

@@ -5,7 +5,7 @@
 
 use geoproof_obs::{journal, span, Registry, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: u64 = 50_000;
@@ -86,12 +86,23 @@ fn histograms_conserve_under_concurrent_recording() {
 #[test]
 fn span_journal_drains_while_writers_append() {
     geoproof_obs::set_enabled(true);
+    const WRITERS: usize = 4;
     let stop = Arc::new(AtomicBool::new(false));
+    // Every writer publishes one span pair before the drains start;
+    // without this the 50 drains can finish before any writer thread is
+    // first scheduled, and `written` stays 0.
+    let published = Arc::new(Barrier::new(WRITERS + 1));
     let mut writers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..WRITERS {
         let stop = stop.clone();
+        let published = published.clone();
         writers.push(std::thread::spawn(move || {
-            let mut spans = 0u64;
+            {
+                let _outer = span("hammer_outer");
+                let _inner = span("hammer_inner");
+            }
+            let mut spans = 2u64;
+            published.wait();
             while !stop.load(Ordering::Relaxed) {
                 let _outer = span("hammer_outer");
                 let _inner = span("hammer_inner");
@@ -103,6 +114,7 @@ fn span_journal_drains_while_writers_append() {
     // Drain concurrently: every drained batch must be internally
     // consistent — ordinals ascend, kinds parse, names resolve, and
     // inner spans point at a live parent in the same batch or earlier.
+    published.wait();
     for _ in 0..50 {
         let events = journal().drain();
         assert!(events.len() <= journal().capacity());
