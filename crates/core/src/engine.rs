@@ -15,7 +15,7 @@
 //!   sequential [`crate::auditor::Auditor`] path;
 //! * a **work-stealing driver** ([`AuditEngine::run_sessions`]) that runs
 //!   many blocking sessions on a [`crate::pool`] worker pool — the mode
-//!   `geoproof serve --concurrent` clients exercise.
+//!   clients of the multiplexing `geoproof serve` exercise.
 //!
 //! The deterministic fleet simulation on top of this engine lives in
 //! [`crate::fleet`].

@@ -69,8 +69,7 @@ pub fn mm1_mean_wait(arrivals_per_sec: f64, service: SimDuration) -> Option<SimD
 
 /// Sessions a prover can serve concurrently before an honest round's
 /// worst-case latency (`service` per request plus linear queueing) exceeds
-/// `budget` — the capacity-planning number for `geoproof serve
-/// --concurrent`.
+/// `budget` — the capacity-planning number for `geoproof serve`.
 pub fn max_concurrent_within_budget(
     model: &ContentionModel,
     service: SimDuration,

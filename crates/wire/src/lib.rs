@@ -5,19 +5,21 @@
 //! * [`codec`] — length-prefixed frames for challenge/response and audit
 //!   control messages, with strict parsing (size caps, UTF-8 checks,
 //!   truncation detection);
-//! * [`tcp`] — a TCP prover server plus a wall-clock timing client, so
-//!   the timed challenge–response phase can run over a real socket
-//!   rather than the simulator;
-//! * [`mux`] — the multi-connection, session-multiplexing server behind
-//!   `geoproof serve --concurrent`: sharded session table, per-session
-//!   statistics, graceful shutdown that joins every connection.
+//! * [`tcp`] — the wall-clock timing client and the restartable frame
+//!   reader, so the timed challenge–response phase can run over a real
+//!   socket rather than the simulator;
+//! * [`mux`] — the prover server behind `geoproof serve`: many
+//!   connections, sessions multiplexed per connection, a sharded session
+//!   table, per-session statistics, graceful shutdown.
 //!
-//! Both servers run in one of two execution models sharing one
-//! protocol implementation: the classic **threaded** path (one thread
-//! per connection, blocking I/O) and the **reactor** path
-//! (`spawn_reactor*` constructors — every connection a non-blocking
-//! state machine on a single `geoproof_reactor` epoll thread, so
-//! concurrency is bounded by file descriptors rather than stacks).
+//! The server has one protocol implementation and two execution models:
+//! the **reactor** ([`MuxProverServer::spawn_reactor`] — every
+//! connection a non-blocking state machine on a single
+//! `geoproof_reactor` epoll thread, so concurrency is bounded by file
+//! descriptors rather than stacks), used wherever epoll exists, and the
+//! **threaded** model ([`MuxProverServer::spawn`] — one thread per
+//! connection, blocking I/O), the fallback where the reactor is
+//! unsupported and the differential suite's reference.
 //! See `crates/wire/docs/serving.md` for the architecture.
 //!
 //! # Examples
@@ -38,4 +40,4 @@ pub mod tcp;
 pub use codec::{read_frame, write_frame, CodecError, WireMessage, MAX_FRAME};
 pub use geoproof_reactor::raise_nofile_limit;
 pub use mux::{MuxProverServer, MuxStats, SessionKey, SessionStats, MAX_SESSIONS_PER_CONNECTION};
-pub use tcp::{ProverServer, SegmentStore, TcpChallenger};
+pub use tcp::{SegmentStore, TcpChallenger};

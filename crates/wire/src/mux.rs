@@ -1,16 +1,22 @@
-//! Multi-connection prover server with session multiplexing.
+//! The prover server: multi-connection, session-multiplexing.
 //!
-//! [`crate::tcp::ProverServer`] answers one stream of challenges and
-//! forgets its connections at shutdown. `MuxProverServer` is the
-//! production-shaped variant behind `geoproof serve --concurrent`:
+//! `MuxProverServer` is the one server behind `geoproof serve`:
 //!
 //! * many simultaneous connections, each able to interleave challenges
 //!   for several audit sessions (a session = one `(connection, file)`
 //!   pair, opened implicitly or via a `StartAudit` frame);
+//! * static (`Challenge`) and dynamic (`DynChallenge`/`Update`/`Append`)
+//!   files on the same socket;
 //! * a **sharded session table** (per-shard `parking_lot` mutexes keyed
 //!   by session), so hot sessions on different shards never contend;
-//! * graceful shutdown that joins every connection thread, and aggregate
-//!   statistics so operators can see load.
+//! * graceful shutdown, and aggregate statistics so operators can see
+//!   load.
+//!
+//! It runs in one of two execution models over the same `MuxService`:
+//! [`MuxProverServer::spawn_reactor`] (every connection a state machine
+//! on one epoll thread — see `reactor_serve`) wherever the reactor
+//! exists, and [`MuxProverServer::spawn`] (a thread per connection) as
+//! the fallback and the differential suite's reference.
 
 use crate::codec::{write_frame, WireMessage};
 use crate::tcp::{store_segments, IdleFrameReader, Polled, SegmentStore};
@@ -235,26 +241,50 @@ impl SessionTable {
     }
 }
 
-/// The session-multiplexing protocol semantics, shared verbatim
-/// between the threaded path ([`serve_mux_connection`]) and the
-/// reactor path ([`MuxProverServer::spawn_reactor`]). Every lookup,
-/// every session-table touch, every metric and every reply choice
-/// happens here — which is what pins the two execution models to
-/// byte-identical behaviour (the differential suite checks it).
+/// What one frame's handling asks of the connection.
+pub(crate) enum FrameOutcome {
+    /// Send this reply.
+    Reply(WireMessage),
+    /// Frame consumed, nothing to send (StartAudit, ignored replies).
+    Silent,
+    /// Polite end of connection (Bye).
+    Close,
+}
+
+/// The protocol semantics, shared verbatim between the threaded path
+/// ([`serve_mux_connection`]) and the reactor path
+/// ([`MuxProverServer::spawn_reactor`]). Every lookup, every
+/// session-table touch, every metric and every reply choice happens
+/// here — which is what pins the two execution models to byte-identical
+/// behaviour (the differential suite checks it).
 pub(crate) struct MuxService {
     store: SegmentStore,
     dynamic: DynamicRegistry,
-    sessions: Arc<SessionTable>,
-    challenges: Arc<AtomicU64>,
+    sessions: SessionTable,
+    /// Connections accepted; each accept takes the next id.
+    pub(crate) connections: AtomicU64,
+    challenges: AtomicU64,
 }
 
-impl crate::reactor_serve::FrameService for MuxService {
-    fn on_open(&self, _conn_id: u64) {
+impl MuxService {
+    /// Whether `msg` incurs the per-request service delay before being
+    /// handled (the simulated storage look-up: challenges do, control
+    /// frames don't). The threaded path sleeps; the reactor parks the
+    /// frame on a timer.
+    pub(crate) fn delayed(&self, msg: &WireMessage) -> bool {
+        matches!(
+            msg,
+            WireMessage::Challenge { .. } | WireMessage::DynChallenge { .. }
+        )
+    }
+
+    /// A connection was accepted (metrics hook).
+    pub(crate) fn on_open(&self) {
         mux_metrics().connections.inc();
     }
 
-    fn handle(&self, conn_id: u64, msg: WireMessage) -> crate::reactor_serve::FrameOutcome {
-        use crate::reactor_serve::FrameOutcome;
+    /// Handles one inbound frame.
+    pub(crate) fn handle(&self, conn_id: u64, msg: WireMessage) -> FrameOutcome {
         mux_metrics().frames.inc();
         match msg {
             WireMessage::StartAudit { file_id, k, .. } => {
@@ -348,9 +378,55 @@ impl crate::reactor_serve::FrameService for MuxService {
         }
     }
 
-    fn on_close(&self, conn_id: u64) {
-        // Connection over: release its session state.
+    /// A connection ended (for whatever reason); release its state.
+    pub(crate) fn on_close(&self, conn_id: u64) {
         self.sessions.evict_connection(conn_id);
+    }
+}
+
+/// How long the threaded accept loop parks between accept attempts.
+/// Short, because nothing signals the condvar when a connection arrives
+/// — only shutdown does.
+const ACCEPT_PARK: Duration = Duration::from_millis(2);
+
+/// Shutdown-interruptible park for the threaded accept loop.
+///
+/// A non-blocking listener has to retry `accept`; a plain `sleep`
+/// between attempts could not be interrupted by shutdown. Parking on a
+/// condvar keeps the retry cadence but lets [`AcceptPark::wake`]
+/// (called with the stop flag set) end the wait immediately.
+struct AcceptPark {
+    lock: std::sync::Mutex<()>,
+    cv: std::sync::Condvar,
+}
+
+impl AcceptPark {
+    fn new() -> Arc<AcceptPark> {
+        Arc::new(AcceptPark {
+            lock: std::sync::Mutex::new(()),
+            cv: std::sync::Condvar::new(),
+        })
+    }
+
+    /// Parks for [`ACCEPT_PARK`] unless `stop` is already set; a
+    /// concurrent [`AcceptPark::wake`] ends the park early. Checking
+    /// `stop` under the lock closes the set-flag/park race.
+    fn park_unless(&self, stop: &AtomicBool) {
+        let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        drop(
+            self.cv
+                .wait_timeout(guard, ACCEPT_PARK)
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+    }
+
+    /// Wakes a parked accept loop (the caller has set its stop flag).
+    fn wake(&self) {
+        drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
+        self.cv.notify_all();
     }
 }
 
@@ -360,13 +436,9 @@ pub struct MuxProverServer {
     stop: Arc<AtomicBool>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    sessions: Arc<SessionTable>,
-    connections: Arc<AtomicU64>,
-    challenges: Arc<AtomicU64>,
-    store: SegmentStore,
-    dynamic: DynamicRegistry,
-    /// Legacy path: wakes the parked accept loop at shutdown.
-    park: Option<Arc<crate::tcp::AcceptPark>>,
+    service: Arc<MuxService>,
+    /// Threaded path: wakes the parked accept loop at shutdown.
+    park: Option<Arc<AcceptPark>>,
     /// Reactor path: interrupts the event loop's poll at shutdown.
     waker: Option<geoproof_reactor::Waker>,
 }
@@ -380,58 +452,50 @@ impl std::fmt::Debug for MuxProverServer {
 }
 
 impl MuxProverServer {
-    /// Binds to an ephemeral localhost port and starts accepting.
+    /// Binds an ephemeral localhost port; the caller starts the loop.
+    fn bind(store: SegmentStore) -> std::io::Result<(TcpListener, MuxProverServer)> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let server = MuxProverServer {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            accept_handle: None,
+            conn_handles: Arc::new(Mutex::new(Vec::new())),
+            service: Arc::new(MuxService {
+                store,
+                dynamic: DynamicRegistry::new(),
+                sessions: SessionTable::default(),
+                connections: AtomicU64::new(0),
+                challenges: AtomicU64::new(0),
+            }),
+            park: None,
+            waker: None,
+        };
+        Ok((listener, server))
+    }
+
+    /// Binds to an ephemeral localhost port and starts accepting on the
+    /// threaded model: one thread per connection, blocking reads.
     ///
-    /// `service_delay` is added per challenge, as in
-    /// [`crate::tcp::ProverServer::spawn`].
+    /// `service_delay` is added per challenge, emulating storage latency
+    /// so wall-clock experiments can contrast disk classes.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn spawn(store: SegmentStore, service_delay: Duration) -> std::io::Result<MuxProverServer> {
-        Self::spawn_with_dynamic(store, DynamicRegistry::new(), service_delay)
-    }
-
-    /// Like [`MuxProverServer::spawn`], also serving the dynamic flow
-    /// (`DynChallenge`/`Update`/`Append`) from `dynamic`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn spawn_with_dynamic(
-        store: SegmentStore,
-        dynamic: DynamicRegistry,
-        service_delay: Duration,
-    ) -> std::io::Result<MuxProverServer> {
-        use crate::reactor_serve::FrameService;
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
+        let (listener, mut server) = Self::bind(store)?;
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let park = crate::tcp::AcceptPark::new();
-        let sessions = Arc::new(SessionTable::default());
-        let connections = Arc::new(AtomicU64::new(0));
-        let challenges = Arc::new(AtomicU64::new(0));
-        let conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let service = Arc::new(MuxService {
-            store: store.clone(),
-            dynamic: dynamic.clone(),
-            sessions: sessions.clone(),
-            challenges: challenges.clone(),
-        });
-
-        let accept_stop = stop.clone();
+        let park = AcceptPark::new();
+        let accept_stop = server.stop.clone();
         let accept_park = park.clone();
-        let accept_connections = connections.clone();
-        let accept_conns = conn_handles.clone();
-        let accept_service = service.clone();
-        let accept_handle = std::thread::spawn(move || {
+        let accept_conns = server.conn_handles.clone();
+        let accept_service = server.service.clone();
+        server.accept_handle = Some(std::thread::spawn(move || {
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        let conn_id = accept_connections.fetch_add(1, Ordering::Relaxed);
-                        accept_service.on_open(conn_id);
+                        let conn_id = accept_service.connections.fetch_add(1, Ordering::Relaxed);
+                        accept_service.on_open();
                         let stop = accept_stop.clone();
                         let service = accept_service.clone();
                         let handle = std::thread::spawn(move || {
@@ -457,86 +521,38 @@ impl MuxProverServer {
                     Err(_) => break,
                 }
             }
-        });
-
-        Ok(MuxProverServer {
-            addr,
-            stop,
-            accept_handle: Some(accept_handle),
-            conn_handles,
-            sessions,
-            connections,
-            challenges,
-            store,
-            dynamic,
-            park: Some(park),
-            waker: None,
-        })
+        }));
+        server.park = Some(park);
+        Ok(server)
     }
 
     /// Event-driven variant of [`MuxProverServer::spawn`]: same
     /// protocol, same session table, same statistics — the frame
-    /// handling is literally the same code
-    /// (`reactor_serve::FrameService`) — but connections are
-    /// non-blocking state machines on one epoll reactor thread instead
-    /// of a thread each, so tens of thousands of concurrent audits fit
-    /// in O(connections) heap. Service delay runs on reactor timers.
+    /// handling is literally the same code (`MuxService`) — but
+    /// connections are non-blocking state machines on one epoll reactor
+    /// thread instead of a thread each, so tens of thousands of
+    /// concurrent audits fit in O(connections) heap. Service delay runs
+    /// on reactor timers.
     ///
     /// # Errors
     ///
     /// Propagates socket errors; [`std::io::ErrorKind::Unsupported`] on
-    /// targets without the epoll backend (use the threaded path there).
+    /// targets without the epoll backend (use [`MuxProverServer::spawn`]
+    /// there).
     pub fn spawn_reactor(
         store: SegmentStore,
         service_delay: Duration,
     ) -> std::io::Result<MuxProverServer> {
-        Self::spawn_reactor_with_dynamic(store, DynamicRegistry::new(), service_delay)
-    }
-
-    /// Like [`MuxProverServer::spawn_reactor`], also serving the
-    /// dynamic flow from `dynamic`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors; [`std::io::ErrorKind::Unsupported`] on
-    /// targets without the epoll backend.
-    pub fn spawn_reactor_with_dynamic(
-        store: SegmentStore,
-        dynamic: DynamicRegistry,
-        service_delay: Duration,
-    ) -> std::io::Result<MuxProverServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let sessions = Arc::new(SessionTable::default());
-        let connections = Arc::new(AtomicU64::new(0));
-        let challenges = Arc::new(AtomicU64::new(0));
-        let service = Arc::new(MuxService {
-            store: store.clone(),
-            dynamic: dynamic.clone(),
-            sessions: sessions.clone(),
-            challenges: challenges.clone(),
-        });
+        let (listener, mut server) = Self::bind(store)?;
         let (waker, handle) = crate::reactor_serve::spawn_reactor_loop(
             listener,
-            service,
+            server.service.clone(),
             service_delay,
-            stop.clone(),
-            connections.clone(),
+            server.stop.clone(),
         )?;
-        Ok(MuxProverServer {
-            addr,
-            stop,
-            accept_handle: Some(handle),
-            conn_handles: Arc::new(Mutex::new(Vec::new())),
-            sessions,
-            connections,
-            challenges,
-            store,
-            dynamic,
-            park: None,
-            waker: Some(waker),
-        })
+        server.accept_handle = Some(handle);
+        server.waker = Some(waker);
+        Ok(server)
     }
 
     /// The server's socket address.
@@ -546,14 +562,18 @@ impl MuxProverServer {
 
     /// Replaces a file's segments.
     pub fn put_file(&self, file_id: &str, segments: Vec<Vec<u8>>) {
-        self.store
+        self.service
+            .store
             .lock()
             .insert(file_id.to_owned(), store_segments(segments));
     }
 
     /// Replaces a file's segments with already-shared views (zero-copy).
     pub fn put_shared(&self, file_id: &str, segments: Vec<Bytes>) {
-        self.store.lock().insert(file_id.to_owned(), segments);
+        self.service
+            .store
+            .lock()
+            .insert(file_id.to_owned(), segments);
     }
 
     /// Registers (or replaces) a dynamic file from already-tagged
@@ -565,7 +585,7 @@ impl MuxProverServer {
     ///
     /// Panics on an empty segment list.
     pub fn put_dynamic(&self, file_id: &str, tagged: Vec<Bytes>) -> DynamicDigest {
-        self.dynamic.insert(file_id, tagged)
+        self.service.dynamic.insert(file_id, tagged)
     }
 
     /// Registers (or replaces) a dynamic file whose updates/appends must
@@ -580,13 +600,15 @@ impl MuxProverServer {
         tagged: Vec<Bytes>,
         owner: geoproof_crypto::schnorr::VerifyingKey,
     ) -> DynamicDigest {
-        self.dynamic.insert_with_owner(file_id, tagged, owner)
+        self.service
+            .dynamic
+            .insert_with_owner(file_id, tagged, owner)
     }
 
     /// A handle on the dynamic-file registry this server serves
-    /// (adversarial tests corrupt through it; the CLI preloads it).
+    /// (adversarial tests corrupt through it).
     pub fn dynamic(&self) -> DynamicRegistry {
-        self.dynamic.clone()
+        self.service.dynamic.clone()
     }
 
     /// Aggregate statistics (monotone — see [`MuxStats`]).
@@ -597,13 +619,14 @@ impl MuxProverServer {
     /// accept; any observer now releases them.
     pub fn stats(&self) -> MuxStats {
         reap_finished(&self.conn_handles);
+        let s = &self.service;
         MuxStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            sessions: self.sessions.opened.load(Ordering::Relaxed),
-            challenges: self.challenges.load(Ordering::Relaxed),
-            hits: self.sessions.total_hits(),
-            sessions_complete: self.sessions.retired_complete.load(Ordering::Relaxed),
-            sessions_incomplete: self.sessions.retired_incomplete.load(Ordering::Relaxed),
+            connections: s.connections.load(Ordering::Relaxed),
+            sessions: s.sessions.opened.load(Ordering::Relaxed),
+            challenges: s.challenges.load(Ordering::Relaxed),
+            hits: s.sessions.total_hits(),
+            sessions_complete: s.sessions.retired_complete.load(Ordering::Relaxed),
+            sessions_incomplete: s.sessions.retired_incomplete.load(Ordering::Relaxed),
         }
     }
 
@@ -612,7 +635,7 @@ impl MuxProverServer {
     /// it closes (their totals stay in [`MuxProverServer::stats`]), so
     /// this stays bounded by current concurrency, not server lifetime.
     pub fn sessions(&self) -> Vec<(SessionKey, SessionStats)> {
-        self.sessions.snapshot()
+        self.service.sessions.snapshot()
     }
 
     /// Stops accepting, then joins the accept loop **and every
@@ -666,7 +689,6 @@ fn serve_mux_connection(
     service_delay: Duration,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    use crate::reactor_serve::{FrameOutcome, FrameService};
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut writer = stream.try_clone()?;
@@ -676,7 +698,8 @@ fn serve_mux_connection(
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let msg = match frames.poll(&mut reader, &stop) {
+        // Blocking reads: a short read's `Idle` is just one more turn.
+        let msg = match frames.poll_et(&mut reader, &stop, &mut false) {
             Ok(Polled::Frame(m)) => m,
             Ok(Polled::Idle) => continue,
             Ok(Polled::Closed) | Err(_) => return Ok(()),
@@ -993,8 +1016,11 @@ mod tests {
         assert!(seg.is_none());
         let (seg, _) = c.challenge("f", 1).unwrap();
         assert!(seg.is_some());
+        // An out-of-range index on a real file is a miss, not an error.
+        let (seg, _) = c.challenge("f", 99).unwrap();
+        assert!(seg.is_none());
         for _ in 0..100 {
-            if server.stats().challenges == 2 {
+            if server.stats().challenges == 3 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -1004,10 +1030,10 @@ mod tests {
         let sessions = server.sessions();
         assert!(sessions.iter().all(|(k, _)| k.file_id != "ghost"));
         let real = sessions.iter().find(|(k, _)| k.file_id == "f").unwrap();
-        assert_eq!(real.1.challenges, 1);
+        assert_eq!(real.1.challenges, 2);
         assert_eq!(real.1.hits, 1);
         assert_eq!(server.stats().sessions, 1);
-        assert_eq!(server.stats().challenges, 2, "misses still count globally");
+        assert_eq!(server.stats().challenges, 3, "misses still count globally");
         c.bye().unwrap();
     }
 

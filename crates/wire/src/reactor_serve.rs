@@ -1,14 +1,13 @@
 //! Event-driven serving core: connection state machines on the epoll
 //! reactor.
 //!
-//! The threaded servers in [`crate::tcp`] and [`crate::mux`] spend one
-//! OS thread per connection; this module serves the same protocol from
-//! **one** event-loop thread, so concurrency is bounded by file
-//! descriptors and heap, not stacks. The protocol semantics live behind
-//! one seam — [`FrameService`] — implemented once per server flavour
-//! and shared verbatim by both the threaded and reactor paths, which is
-//! what makes the differential suite's "verdicts byte-identical"
-//! guarantee hold by construction rather than by parallel maintenance.
+//! The threaded model in [`crate::mux`] spends one OS thread per
+//! connection; this module serves the same protocol from **one**
+//! event-loop thread, so concurrency is bounded by file descriptors and
+//! heap, not stacks. Every frame goes through the same
+//! [`MuxService`] methods the threaded loop calls, which is what makes
+//! the differential suite's "replies byte-identical" guarantee hold by
+//! construction rather than by parallel maintenance.
 //!
 //! ## Connection state machine
 //!
@@ -41,13 +40,14 @@
 //! reading its responses, which is either a stall or a hostile sink.
 
 use crate::codec::WireMessage;
+use crate::mux::{FrameOutcome, MuxService};
 use crate::tcp::{IdleFrameReader, Polled};
 use bytes::Bytes;
 use geoproof_reactor::{Events, Interest, Reactor, Token, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,44 +76,6 @@ fn reactor_metrics() -> &'static ReactorMetrics {
         connections: geoproof_obs::gauge("reactor_connections"),
         backlog_drops: geoproof_obs::counter("reactor_conns_dropped_total{reason=\"backlog\"}"),
     })
-}
-
-/// What one frame's handling asks of the connection.
-pub(crate) enum FrameOutcome {
-    /// Send this reply.
-    Reply(WireMessage),
-    /// Frame consumed, nothing to send (StartAudit, ignored replies).
-    Silent,
-    /// Polite end of connection (Bye).
-    Close,
-}
-
-/// The protocol seam shared by the threaded and reactor paths: one
-/// implementation per server flavour ([`crate::mux`]'s session-tracking
-/// service, [`crate::tcp`]'s plain store service). Everything a frame
-/// does — lookups, session bookkeeping, metrics, reply choice — happens
-/// in [`FrameService::handle`], so the two execution models cannot
-/// drift apart semantically.
-pub(crate) trait FrameService: Send + Sync + 'static {
-    /// Whether `msg` incurs the per-request service delay before being
-    /// handled (the simulated storage look-up: challenges do, control
-    /// frames don't). The threaded path sleeps; the reactor parks the
-    /// frame on a timer.
-    fn delayed(&self, msg: &WireMessage) -> bool {
-        matches!(
-            msg,
-            WireMessage::Challenge { .. } | WireMessage::DynChallenge { .. }
-        )
-    }
-
-    /// A connection was accepted (metrics hook).
-    fn on_open(&self, _conn_id: u64) {}
-
-    /// Handles one inbound frame.
-    fn handle(&self, conn_id: u64, msg: WireMessage) -> FrameOutcome;
-
-    /// A connection ended (for whatever reason); release its state.
-    fn on_close(&self, _conn_id: u64) {}
 }
 
 const LISTENER: Token = Token(0);
@@ -196,14 +158,13 @@ enum Fate {
 ///
 /// Returns the waker (stored by the server handle: `shutdown` sets
 /// `stop` then wakes, and the loop exits at its next dispatch point)
-/// and the join handle. `connections` is the shared accept counter the
-/// server's stats read — ids double as epoll tokens.
-pub(crate) fn spawn_reactor_loop<S: FrameService>(
+/// and the join handle. Connection ids come from the service's accept
+/// counter (the one the server's stats read) and double as epoll tokens.
+pub(crate) fn spawn_reactor_loop(
     listener: TcpListener,
-    service: Arc<S>,
+    service: Arc<MuxService>,
     service_delay: Duration,
     stop: Arc<AtomicBool>,
-    connections: Arc<AtomicU64>,
 ) -> std::io::Result<(Waker, std::thread::JoinHandle<()>)> {
     listener.set_nonblocking(true)?;
     let mut reactor = Reactor::new()?;
@@ -233,7 +194,7 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
                 for i in 0..events.io().len() {
                     let ev = events.io()[i];
                     if ev.token == LISTENER {
-                        accept_all(&listener, &mut reactor, &mut conns, &*service, &connections);
+                        accept_all(&listener, &mut reactor, &mut conns, &service);
                         continue;
                     }
                     let id = ev.token.0 - 1;
@@ -248,10 +209,10 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
                         fate = on_writable(conn, &mut reactor, id);
                     }
                     if matches!(fate, Fate::Alive) && ev.readable && !conn.closing {
-                        fate = pump(conn, id, &mut reactor, &*service, service_delay, &stop);
+                        fate = pump(conn, id, &mut reactor, &service, service_delay, &stop);
                     }
                     if matches!(fate, Fate::Gone) {
-                        drop_conn(&mut conns, id, &mut reactor, &*service);
+                        drop_conn(&mut conns, id, &mut reactor, &service);
                     }
                 }
                 for i in 0..events.timers().len() {
@@ -264,31 +225,30 @@ pub(crate) fn spawn_reactor_loop<S: FrameService>(
                     // dispatch it, then resume pumping buffered frames.
                     let mut fate = Fate::Alive;
                     if let Some(msg) = conn.parked.take() {
-                        fate = dispatch(conn, id, msg, &*service, &mut reactor);
+                        fate = dispatch(conn, id, msg, &service, &mut reactor);
                     }
                     if matches!(fate, Fate::Alive) && !conn.closing {
-                        fate = pump(conn, id, &mut reactor, &*service, service_delay, &stop);
+                        fate = pump(conn, id, &mut reactor, &service, service_delay, &stop);
                     }
                     if matches!(fate, Fate::Gone) {
-                        drop_conn(&mut conns, id, &mut reactor, &*service);
+                        drop_conn(&mut conns, id, &mut reactor, &service);
                     }
                 }
             }
             // Shutdown: every remaining connection releases its state.
             let ids: Vec<u64> = conns.keys().copied().collect();
             for id in ids {
-                drop_conn(&mut conns, id, &mut reactor, &*service);
+                drop_conn(&mut conns, id, &mut reactor, &service);
             }
         })?;
     Ok((waker, handle))
 }
 
-fn accept_all<S: FrameService>(
+fn accept_all(
     listener: &TcpListener,
     reactor: &mut Reactor,
     conns: &mut HashMap<u64, Conn>,
-    service: &S,
-    connections: &Arc<AtomicU64>,
+    service: &MuxService,
 ) {
     loop {
         match listener.accept() {
@@ -296,7 +256,7 @@ fn accept_all<S: FrameService>(
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
-                let conn_id = connections.fetch_add(1, Ordering::Relaxed);
+                let conn_id = service.connections.fetch_add(1, Ordering::Relaxed);
                 if reactor
                     .register(
                         &stream,
@@ -307,7 +267,7 @@ fn accept_all<S: FrameService>(
                 {
                     continue;
                 }
-                service.on_open(conn_id);
+                service.on_open();
                 if geoproof_obs::enabled() {
                     reactor_metrics().connections.inc();
                 }
@@ -339,11 +299,11 @@ fn accept_all<S: FrameService>(
 }
 
 /// Drains inbound frames until `WouldBlock`, a parked delay, or death.
-fn pump<S: FrameService>(
+fn pump(
     conn: &mut Conn,
     id: u64,
     reactor: &mut Reactor,
-    service: &S,
+    service: &MuxService,
     service_delay: Duration,
     stop: &AtomicBool,
 ) -> Fate {
@@ -383,11 +343,11 @@ fn pump<S: FrameService>(
 }
 
 /// Hands one frame to the service and routes its outcome.
-fn dispatch<S: FrameService>(
+fn dispatch(
     conn: &mut Conn,
     id: u64,
     msg: WireMessage,
-    service: &S,
+    service: &MuxService,
     reactor: &mut Reactor,
 ) -> Fate {
     match service.handle(id, msg) {
@@ -459,12 +419,7 @@ fn set_write_interest(conn: &mut Conn, reactor: &mut Reactor, id: u64, on: bool)
     }
 }
 
-fn drop_conn<S: FrameService>(
-    conns: &mut HashMap<u64, Conn>,
-    id: u64,
-    reactor: &mut Reactor,
-    service: &S,
-) {
+fn drop_conn(conns: &mut HashMap<u64, Conn>, id: u64, reactor: &mut Reactor, service: &MuxService) {
     if let Some(conn) = conns.remove(&id) {
         reactor.cancel_timer(conn_token(id));
         let _ = reactor.deregister(&conn.stream);

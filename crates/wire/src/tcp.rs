@@ -1,22 +1,24 @@
-//! Real TCP challenge–response: a prover server and a timing client.
+//! Real TCP challenge–response: the timing client and the frame reader
+//! the prover server is built on.
 //!
 //! Everything else in the workspace runs on simulated time; this module
 //! runs the verifier↔prover link over an actual socket with wall-clock
-//! timing, demonstrating the protocol outside the simulator (the role the
-//! repro hint assigns to a "challenge-response server"). Threads plus
-//! blocking I/O keep it dependency-free.
+//! timing, demonstrating the protocol outside the simulator. The prover
+//! side is [`crate::mux::MuxProverServer`]; this module holds what both
+//! sides share — the segment store type, the restartable frame reader —
+//! plus the blocking [`TcpChallenger`] that times each round.
 
 use crate::codec::{read_frame, write_frame, CodecError, WireMessage, MAX_FRAME};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shared segment store served by a [`ProverServer`]: per file, a list
+/// Shared segment store served by a [`crate::mux::MuxProverServer`]: per file, a list
 /// of refcounted segment views (typically all slices of one storage
 /// arena). Serving a challenge clones a `Bytes` — a refcount bump, not
 /// a payload copy.
@@ -28,205 +30,6 @@ pub fn store_segments(segments: Vec<Vec<u8>>) -> Vec<Bytes> {
     segments.into_iter().map(Bytes::from).collect()
 }
 
-/// How long a legacy accept loop parks between accept attempts. Short,
-/// because nothing signals the condvar when a connection arrives — only
-/// shutdown does.
-const ACCEPT_PARK: Duration = Duration::from_millis(2);
-
-/// Shutdown-interruptible park for the legacy (threaded) accept loops.
-///
-/// A non-blocking listener has to retry `accept`; the loops used to
-/// plain-`sleep(2ms)` between attempts, which a shutdown could not
-/// interrupt — worst case it waited out the whole sleep, and the pattern
-/// read as a busy-wait. Parking on a condvar keeps the identical retry
-/// cadence but lets [`AcceptPark::wake`] (called with the stop flag set)
-/// end the wait immediately.
-pub(crate) struct AcceptPark {
-    lock: std::sync::Mutex<()>,
-    cv: std::sync::Condvar,
-}
-
-impl AcceptPark {
-    pub(crate) fn new() -> Arc<AcceptPark> {
-        Arc::new(AcceptPark {
-            lock: std::sync::Mutex::new(()),
-            cv: std::sync::Condvar::new(),
-        })
-    }
-
-    /// Parks for [`ACCEPT_PARK`] unless `stop` is already set; a
-    /// concurrent [`AcceptPark::wake`] ends the park early. Checking
-    /// `stop` under the lock closes the set-flag/park race.
-    pub(crate) fn park_unless(&self, stop: &AtomicBool) {
-        let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        drop(
-            self.cv
-                .wait_timeout(guard, ACCEPT_PARK)
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-    }
-
-    /// Wakes a parked accept loop (the caller has set its stop flag).
-    pub(crate) fn wake(&self) {
-        drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
-        self.cv.notify_all();
-    }
-}
-
-/// A TCP prover: answers `Challenge` frames with `Response` frames.
-pub struct ProverServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    store: SegmentStore,
-    /// Artificial per-request service delay (simulates disk look-up).
-    service_delay: Duration,
-    /// Legacy path: wakes the parked accept loop at shutdown.
-    park: Option<Arc<AcceptPark>>,
-    /// Reactor path: interrupts the event loop's poll at shutdown.
-    waker: Option<geoproof_reactor::Waker>,
-}
-
-impl std::fmt::Debug for ProverServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProverServer")
-            .field("addr", &self.addr)
-            .field("service_delay", &self.service_delay)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ProverServer {
-    /// Binds to an ephemeral localhost port and starts serving.
-    ///
-    /// `service_delay` is added per request, emulating storage latency so
-    /// wall-clock experiments can contrast disk classes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn spawn(store: SegmentStore, service_delay: Duration) -> std::io::Result<ProverServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let park = AcceptPark::new();
-        let stop_flag = stop.clone();
-        let accept_park = park.clone();
-        let store_ref = store.clone();
-        listener.set_nonblocking(true)?;
-        let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let store = store_ref.clone();
-                        let stop = stop_flag.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(stream, store, service_delay, stop);
-                        });
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        accept_park.park_unless(&stop_flag);
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(ProverServer {
-            addr,
-            stop,
-            handle: Some(handle),
-            store,
-            service_delay,
-            park: Some(park),
-            waker: None,
-        })
-    }
-
-    /// Event-driven variant of [`ProverServer::spawn`]: identical
-    /// protocol behaviour (the frame handling is literally shared —
-    /// see `reactor_serve::FrameService`), but every
-    /// connection is a state machine on one epoll reactor thread
-    /// instead of a thread of its own, so concurrency is bounded by
-    /// file descriptors, not stacks. The service delay runs on reactor
-    /// timers rather than `thread::sleep`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors; [`std::io::ErrorKind::Unsupported`]
-    /// on targets without the epoll backend (use the threaded path
-    /// there).
-    pub fn spawn_reactor(
-        store: SegmentStore,
-        service_delay: Duration,
-    ) -> std::io::Result<ProverServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let service = Arc::new(PlainService {
-            store: store.clone(),
-        });
-        let (waker, handle) = crate::reactor_serve::spawn_reactor_loop(
-            listener,
-            service,
-            service_delay,
-            stop.clone(),
-            Arc::new(std::sync::atomic::AtomicU64::new(0)),
-        )?;
-        Ok(ProverServer {
-            addr,
-            stop,
-            handle: Some(handle),
-            store,
-            service_delay,
-            park: None,
-            waker: Some(waker),
-        })
-    }
-
-    /// The server's socket address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Replaces a file's segments.
-    pub fn put_file(&self, file_id: &str, segments: Vec<Vec<u8>>) {
-        self.store
-            .lock()
-            .insert(file_id.to_owned(), store_segments(segments));
-    }
-
-    /// Replaces a file's segments with already-shared views (zero-copy).
-    pub fn put_shared(&self, file_id: &str, segments: Vec<Bytes>) {
-        self.store.lock().insert(file_id.to_owned(), segments);
-    }
-
-    /// Stops the accept loop (open connections close as clients hang
-    /// up; on the reactor path the event loop drops them at exit). The
-    /// parked/blocked loop is woken immediately rather than waiting out
-    /// a poll interval.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(park) = &self.park {
-            park.wake();
-        }
-        if let Some(waker) = &self.waker {
-            let _ = waker.wake();
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ProverServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Bytes appended to the frame buffer per socket read.
 const READ_CHUNK: usize = 4096;
 
@@ -235,8 +38,8 @@ const READ_CHUNK: usize = 4096;
 pub(crate) enum Polled {
     /// A complete frame arrived.
     Frame(WireMessage),
-    /// The read timed out with no complete frame; buffered partial bytes
-    /// are retained for the next poll.
+    /// No complete frame yet (the socket is drained for now, or the read
+    /// timed out); buffered partial bytes are retained for the next poll.
     Idle,
     /// The peer closed the connection.
     Closed,
@@ -263,71 +66,23 @@ impl IdleFrameReader {
         }
     }
 
-    /// Polls for one frame; `Idle` on timeout, `Closed` on EOF.
+    /// Polls for one frame; `Idle` when no complete frame is buffered
+    /// and the socket has nothing more to give right now, `Closed` on
+    /// EOF.
+    ///
+    /// A short read (`n < READ_CHUNK`) proves the socket buffer was
+    /// empty at that instant, so once the buffered bytes hold no
+    /// complete frame it returns `Idle` without issuing another read —
+    /// saving the `EAGAIN` syscall that drain-to-`WouldBlock` pays on
+    /// every wakeup. Under edge-triggered epoll, bytes arriving after
+    /// the short read raise a fresh readiness edge, so `*sock_drained`
+    /// lives for one readiness edge (one pump) and starts `false`. A
+    /// blocking reader with a read timeout passes a fresh `false` on
+    /// every call: a short-read `Idle` is then just one more loop turn.
     ///
     /// `stop` is checked between reads so a server shutting down is never
     /// held hostage by a client dribbling bytes faster than the read
     /// timeout but slower than a frame (slow loris).
-    pub(crate) fn poll<R: Read>(
-        &mut self,
-        reader: &mut R,
-        stop: &AtomicBool,
-    ) -> std::io::Result<Polled> {
-        loop {
-            // A complete frame already buffered?
-            if self.buf.len() >= 4 {
-                let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        CodecError::FrameTooLarge(len),
-                    ));
-                }
-                if self.buf.len() >= 4 + len {
-                    // Split the frame off and decode against the shared
-                    // buffer: a segment payload in the frame is sliced,
-                    // not copied.
-                    let frame = self.buf.split_to(4 + len).freeze();
-                    let msg = WireMessage::decode_shared(&frame.slice(4..))
-                        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                    return Ok(Polled::Frame(msg));
-                }
-            }
-            if stop.load(Ordering::Relaxed) {
-                return Ok(Polled::Idle);
-            }
-            // Need more bytes: read straight into the buffer's spare
-            // capacity (resize up, read into the tail, truncate back to
-            // what arrived) — no stack staging buffer, no second copy.
-            let old = self.buf.len();
-            self.buf.resize(old + READ_CHUNK, 0);
-            let read = reader.read(&mut self.buf[old..]);
-            self.buf.truncate(old + read.as_ref().map_or(0, |&n| n));
-            match read {
-                Ok(0) => return Ok(Polled::Closed),
-                Ok(_) => {}
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(Polled::Idle);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Edge-triggered variant of [`poll`][Self::poll] for the reactor.
-    ///
-    /// Identical framing, but a short read (`n < READ_CHUNK`) proves the
-    /// socket buffer was empty at that instant, so once the buffered
-    /// bytes hold no complete frame it returns `Idle` without issuing
-    /// another read — saving the `EAGAIN` syscall that drain-to-
-    /// `WouldBlock` pays on every wakeup. Correct only under
-    /// edge-triggered epoll, where bytes arriving after the short read
-    /// raise a fresh readiness edge; `*sock_drained` must live for one
-    /// readiness edge (one pump) and start `false`.
     pub(crate) fn poll_et<R: Read>(
         &mut self,
         reader: &mut R,
@@ -373,67 +128,6 @@ impl IdleFrameReader {
                 }
                 Err(e) => return Err(e),
             }
-        }
-    }
-}
-
-/// The plain prover's protocol semantics, shared verbatim between the
-/// threaded path ([`serve_connection`]) and the reactor path
-/// ([`ProverServer::spawn_reactor`]): answer challenges from the store,
-/// close on `Bye`, ignore audit-control frames.
-pub(crate) struct PlainService {
-    pub(crate) store: SegmentStore,
-}
-
-impl crate::reactor_serve::FrameService for PlainService {
-    fn handle(&self, _conn_id: u64, msg: WireMessage) -> crate::reactor_serve::FrameOutcome {
-        use crate::reactor_serve::FrameOutcome;
-        match msg {
-            WireMessage::Challenge { file_id, index } => {
-                let segment = self
-                    .store
-                    .lock()
-                    .get(&file_id)
-                    .and_then(|segs| segs.get(index as usize))
-                    .cloned();
-                FrameOutcome::Reply(WireMessage::Response { segment })
-            }
-            WireMessage::Bye => FrameOutcome::Close,
-            // A prover ignores audit-control frames.
-            _ => FrameOutcome::Silent,
-        }
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    store: SegmentStore,
-    service_delay: Duration,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    use crate::reactor_serve::{FrameOutcome, FrameService};
-    let service = PlainService { store };
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = stream;
-    let mut frames = IdleFrameReader::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let msg = match frames.poll(&mut reader, &stop) {
-            Ok(Polled::Frame(m)) => m,
-            Ok(Polled::Idle) => continue,
-            Ok(Polled::Closed) | Err(_) => return Ok(()), // disconnect
-        };
-        if !service_delay.is_zero() && service.delayed(&msg) {
-            std::thread::sleep(service_delay);
-        }
-        match service.handle(0, msg) {
-            FrameOutcome::Reply(reply) => write_frame(&mut writer, &reply)?,
-            FrameOutcome::Silent => {}
-            FrameOutcome::Close => return Ok(()),
         }
     }
 }
@@ -590,6 +284,7 @@ impl TcpChallenger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mux::MuxProverServer;
 
     fn store_with(file: &str, n: usize) -> SegmentStore {
         let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
@@ -602,7 +297,7 @@ mod tests {
 
     #[test]
     fn serves_segments_over_tcp() {
-        let server = ProverServer::spawn(store_with("f", 10), Duration::ZERO).expect("bind");
+        let server = MuxProverServer::spawn(store_with("f", 10), Duration::ZERO).expect("bind");
         let mut client = TcpChallenger::connect(server.addr()).expect("connect");
         for idx in [0u64, 5, 9] {
             let (seg, rtt) = client.challenge("f", idx).expect("challenge");
@@ -613,20 +308,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_segment_returns_none() {
-        let server = ProverServer::spawn(store_with("f", 3), Duration::ZERO).expect("bind");
-        let mut client = TcpChallenger::connect(server.addr()).expect("connect");
-        let (seg, _) = client.challenge("f", 99).unwrap();
-        assert!(seg.is_none());
-        let (seg, _) = client.challenge("ghost", 0).unwrap();
-        assert!(seg.is_none());
-    }
-
-    #[test]
     fn service_delay_shows_up_in_rtt() {
-        let fast = ProverServer::spawn(store_with("f", 3), Duration::ZERO).expect("bind");
+        let fast = MuxProverServer::spawn(store_with("f", 3), Duration::ZERO).expect("bind");
         let slow =
-            ProverServer::spawn(store_with("f", 3), Duration::from_millis(30)).expect("bind");
+            MuxProverServer::spawn(store_with("f", 3), Duration::from_millis(30)).expect("bind");
         let mut cf = TcpChallenger::connect(fast.addr()).unwrap();
         let mut cs = TcpChallenger::connect(slow.addr()).unwrap();
         let (_, rf) = cf.challenge("f", 0).unwrap();
@@ -638,73 +323,61 @@ mod tests {
     }
 
     #[test]
-    fn multiple_clients_share_one_server() {
-        let server = ProverServer::spawn(store_with("f", 5), Duration::ZERO).expect("bind");
-        let addr = server.addr();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let mut c = TcpChallenger::connect(addr).unwrap();
-                    for i in 0..5 {
-                        let (seg, _) = c.challenge("f", i).unwrap();
-                        assert!(seg.is_some());
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
     fn slow_dribbled_frame_does_not_desync_the_stream() {
-        // Regression: a frame split across the server's 200 ms read
-        // timeout used to lose its already-consumed bytes, desynchronising
-        // every later frame on the connection.
-        let server = ProverServer::spawn(store_with("f", 4), Duration::ZERO).expect("bind");
-        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-        raw.set_nodelay(true).unwrap();
-        let frame = WireMessage::Challenge {
-            file_id: "f".to_owned(),
-            index: 2,
-        }
-        .encode();
-        // Send the length prefix plus one payload byte, stall past the
-        // server's read timeout, then send the rest.
-        use std::io::Write;
-        raw.write_all(&frame[..5]).unwrap();
-        raw.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(350));
-        raw.write_all(&frame[5..]).unwrap();
-        raw.flush().unwrap();
-        let reply = read_frame(&mut raw).expect("reply after dribble");
-        assert_eq!(
-            reply,
-            WireMessage::Response {
-                segment: Some(vec![2u8; 83].into())
+        // Regression: a frame split across the server's read timeout used
+        // to lose its already-consumed bytes, desynchronising every later
+        // frame on the connection. Both execution models buffer partial
+        // frames in the same reader; pin it on each.
+        let threaded = MuxProverServer::spawn(store_with("f", 4), Duration::ZERO).expect("bind");
+        let reactor = match MuxProverServer::spawn_reactor(store_with("f", 4), Duration::ZERO) {
+            Ok(s) => Some(s),
+            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => None,
+            Err(e) => panic!("spawn_reactor: {e}"),
+        };
+        for server in std::iter::once(&threaded).chain(&reactor) {
+            let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+            raw.set_nodelay(true).unwrap();
+            let frame = WireMessage::Challenge {
+                file_id: "f".to_owned(),
+                index: 2,
             }
-        );
-        // The stream is still in sync: a second, normally-sent challenge
-        // round-trips too.
-        let frame2 = WireMessage::Challenge {
-            file_id: "f".to_owned(),
-            index: 0,
-        }
-        .encode();
-        raw.write_all(&frame2).unwrap();
-        let reply2 = read_frame(&mut raw).expect("second reply");
-        assert_eq!(
-            reply2,
-            WireMessage::Response {
-                segment: Some(vec![0u8; 83].into())
+            .encode();
+            // Send the length prefix plus one payload byte, stall past the
+            // threaded path's read timeout, then send the rest.
+            use std::io::Write;
+            raw.write_all(&frame[..5]).unwrap();
+            raw.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(350));
+            raw.write_all(&frame[5..]).unwrap();
+            raw.flush().unwrap();
+            let reply = read_frame(&mut raw).expect("reply after dribble");
+            assert_eq!(
+                reply,
+                WireMessage::Response {
+                    segment: Some(vec![2u8; 83].into())
+                }
+            );
+            // The stream is still in sync: a second, normally-sent
+            // challenge round-trips too.
+            let frame2 = WireMessage::Challenge {
+                file_id: "f".to_owned(),
+                index: 0,
             }
-        );
+            .encode();
+            raw.write_all(&frame2).unwrap();
+            let reply2 = read_frame(&mut raw).expect("second reply");
+            assert_eq!(
+                reply2,
+                WireMessage::Response {
+                    segment: Some(vec![0u8; 83].into())
+                }
+            );
+        }
     }
 
     #[test]
     fn put_file_updates_store() {
-        let server = ProverServer::spawn(store_with("f", 1), Duration::ZERO).expect("bind");
+        let server = MuxProverServer::spawn(store_with("f", 1), Duration::ZERO).expect("bind");
         server.put_file("g", vec![vec![0xaa; 10]]);
         let mut client = TcpChallenger::connect(server.addr()).unwrap();
         let (seg, _) = client.challenge("g", 0).unwrap();

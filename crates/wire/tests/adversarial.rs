@@ -10,7 +10,8 @@
 
 use bytes::Bytes;
 use geoproof_wire::codec::{read_frame, CodecError, WireMessage, MAX_FRAME};
-use geoproof_wire::tcp::{ProverServer, SegmentStore, TcpChallenger};
+use geoproof_wire::tcp::{SegmentStore, TcpChallenger};
+use geoproof_wire::MuxProverServer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
@@ -125,7 +126,7 @@ fn inner_length_beyond_the_buffer_is_truncated_not_panic() {
 
 #[test]
 fn live_server_survives_hostile_prefix_and_keeps_serving() {
-    let server = ProverServer::spawn(store_with("f", 4), Duration::ZERO).expect("bind");
+    let server = MuxProverServer::spawn(store_with("f", 4), Duration::ZERO).expect("bind");
 
     // Hostile connection: advertise MAX_FRAME + 1 and dribble garbage.
     {
@@ -152,7 +153,7 @@ fn live_server_survives_hostile_prefix_and_keeps_serving() {
 fn boundary_sized_frame_round_trips_through_a_live_server() {
     // The reader's buffered path must accept a frame whose total length
     // sits exactly at 4 + MAX_FRAME without tripping the limit check.
-    let server = ProverServer::spawn(store_with("f", 2), Duration::ZERO).expect("bind");
+    let server = MuxProverServer::spawn(store_with("f", 2), Duration::ZERO).expect("bind");
     let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
     // An unknown-tag frame of maximum size: the server errors the
     // connection (decode fails), but must not panic — and a new

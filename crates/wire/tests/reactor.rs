@@ -1,14 +1,14 @@
-//! The reactor serving path must behave exactly like the threaded path
-//! it replaces: same answers, same session accounting, same shutdown
+//! The reactor execution model must behave exactly like the threaded
+//! one: same answers, same session accounting, same shutdown
 //! guarantees. These tests mirror the threaded suites in
-//! `src/tcp.rs`/`src/mux.rs` against the `spawn_reactor*` constructors,
+//! `src/tcp.rs`/`src/mux.rs` against [`MuxProverServer::spawn_reactor`],
 //! plus reactor-only properties (slow-loris immunity, write-backlog
 //! cutoff).
 
 use bytes::Bytes;
 use geoproof_wire::codec::{read_frame, write_frame, WireMessage};
 use geoproof_wire::tcp::SegmentStore;
-use geoproof_wire::{MuxProverServer, ProverServer, TcpChallenger, MAX_SESSIONS_PER_CONNECTION};
+use geoproof_wire::{MuxProverServer, TcpChallenger, MAX_SESSIONS_PER_CONNECTION};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,8 +32,8 @@ fn unsupported(e: &std::io::Error) -> bool {
 }
 
 #[test]
-fn plain_reactor_serves_segments_over_tcp() {
-    let server = match ProverServer::spawn_reactor(store_with(&[("f", 10)]), Duration::ZERO) {
+fn reactor_serves_segments_over_tcp() {
+    let server = match MuxProverServer::spawn_reactor(store_with(&[("f", 10)]), Duration::ZERO) {
         Ok(s) => s,
         Err(e) if unsupported(&e) => return,
         Err(e) => panic!("spawn_reactor: {e}"),
@@ -52,13 +52,13 @@ fn plain_reactor_serves_segments_over_tcp() {
 
 #[test]
 fn reactor_service_delay_runs_on_timers_and_shows_in_rtt() {
-    let fast = match ProverServer::spawn_reactor(store_with(&[("f", 3)]), Duration::ZERO) {
+    let fast = match MuxProverServer::spawn_reactor(store_with(&[("f", 3)]), Duration::ZERO) {
         Ok(s) => s,
         Err(e) if unsupported(&e) => return,
         Err(e) => panic!("{e}"),
     };
     let slow =
-        ProverServer::spawn_reactor(store_with(&[("f", 3)]), Duration::from_millis(30)).unwrap();
+        MuxProverServer::spawn_reactor(store_with(&[("f", 3)]), Duration::from_millis(30)).unwrap();
     let mut cf = TcpChallenger::connect(fast.addr()).unwrap();
     let mut cs = TcpChallenger::connect(slow.addr()).unwrap();
     let (_, rf) = cf.challenge("f", 0).unwrap();

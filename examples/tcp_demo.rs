@@ -13,7 +13,8 @@
 use geoproof::por::encode::PorEncoder;
 use geoproof::por::keys::PorKeys;
 use geoproof::por::params::PorParams;
-use geoproof::wire::tcp::{ProverServer, SegmentStore, TcpChallenger};
+use geoproof::wire::tcp::{SegmentStore, TcpChallenger};
+use geoproof::wire::MuxProverServer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,8 +44,8 @@ fn main() -> std::io::Result<()> {
 
     // "Local" prover: no added delay. "Relay": +25 ms service time, the
     // WAN + remote-lookup cost of a ~1000 km relay.
-    let local = ProverServer::spawn(make_store(), Duration::ZERO)?;
-    let relay = ProverServer::spawn(make_store(), Duration::from_millis(25))?;
+    let local = MuxProverServer::spawn(make_store(), Duration::ZERO)?;
+    let relay = MuxProverServer::spawn(make_store(), Duration::from_millis(25))?;
 
     let budget = Duration::from_millis(16); // the paper's Δt_max
     for (label, addr) in [

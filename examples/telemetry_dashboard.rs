@@ -5,7 +5,7 @@
 //! session-latency quantiles, and the ledger append rate.
 //!
 //! The same numbers are scrapeable live from a real deployment:
-//! `geoproof serve --concurrent --metrics-addr 127.0.0.1:9100` exposes
+//! `geoproof serve <store-dir> --metrics-addr 127.0.0.1:9100` exposes
 //! them at `GET /metrics`, and `geoproof stats 127.0.0.1:9100 --watch`
 //! renders this screen continuously. See
 //! `crates/obs/docs/observability.md` for the full metric catalogue.

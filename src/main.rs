@@ -6,8 +6,8 @@
 //! geoproof encode-dynamic <input-file> <store-dir> --fid <id> --master <secret>
 //! geoproof update  <host:port> <store-dir> --index N --data <file> --master <secret>
 //! geoproof append  <host:port> <store-dir> --data <file> --master <secret>
-//! geoproof serve   <store-dir> [--delay-ms N] [--concurrent] [--threaded]
-//!                  [--schedule <policy>] [--metrics-addr <ip:port>]
+//! geoproof serve   <store-dir> [--delay-ms N] [--schedule <policy>]
+//!                  [--metrics-addr <ip:port>]
 //! geoproof audit   <host:port> <store-dir> --master <secret> [--dynamic] [--k N]
 //! geoproof stats   <ip:port> [--watch]
 //! geoproof info    <store-dir>
@@ -20,11 +20,11 @@
 //! (`segments.bin` + `metadata.txt`) is written sequentially from the
 //! arena. `serve` memory-maps nothing exotic: it reads `segments.bin`
 //! into one shared buffer and serves zero-copy `Bytes` slices of it
-//! (`--concurrent` switches to the multi-connection session-
-//! multiplexing server with per-session statistics). Serving runs on
-//! the epoll **reactor** by default — every connection a non-blocking
-//! state machine on one event-loop thread; `--threaded` keeps the
-//! classic thread-per-connection path for differential testing.
+//! from the multi-connection, session-multiplexing server (static and
+//! dynamic stores alike, with per-session statistics). Serving runs on
+//! the epoll **reactor** — every connection a non-blocking state
+//! machine on one event-loop thread — and falls back to a thread per
+//! connection only where the platform has no reactor.
 //! `--schedule <policy>` additionally runs the continuous audit
 //! scheduler: every hosted file is enrolled as a prover and re-audited
 //! over loopback TCP on the policy's cadence, REJECTs fast-tracked
@@ -58,7 +58,7 @@ use geoproof::por::params::PorParams;
 use geoproof::por::stream::{default_encode_threads, ArenaSink, TaggedArena};
 use geoproof::tcp_audit::WallClockVerifier;
 use geoproof::wire::mux::MuxProverServer;
-use geoproof::wire::tcp::{ProverServer, SegmentStore};
+use geoproof::wire::tcp::SegmentStore;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -90,8 +90,8 @@ const USAGE: &str = "usage:
                    [--ledger <path>]
   geoproof append  <host:port> <store-dir> --data <file> --master <secret>
                    [--ledger <path>]
-  geoproof serve   <store-dir> [--delay-ms N] [--concurrent] [--threaded]
-                   [--schedule <policy>] [--metrics-addr <ip:port>]
+  geoproof serve   <store-dir> [--delay-ms N] [--schedule <policy>]
+                   [--metrics-addr <ip:port>]
                    (policy: cadence=30s,jitter=0.2,reject-cadence=5s,
                     reject-rounds=3,max-in-flight=64,rate=200)
   geoproof audit   <host:port> <store-dir> --master <secret> [--dynamic] [--k N]
@@ -754,17 +754,11 @@ fn spawn_schedule_loop(
 }
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    let store_dir = positional(args, 0)?;
+    let store_dir = Path::new(positional(args, 0)?);
     let delay_ms: u64 = flag(args, "--delay-ms")
         .map(|v| v.parse().map_err(|e| format!("bad --delay-ms: {e}")))
         .transpose()?
         .unwrap_or(0);
-    let concurrent = args.iter().any(|a| a == "--concurrent");
-    // The epoll reactor is the default execution model; --threaded
-    // keeps the classic thread-per-connection path around for
-    // differential testing (same protocol code either way).
-    let threaded = args.iter().any(|a| a == "--threaded");
-    let model = if threaded { "threaded" } else { "reactor" };
     let schedule = flag(args, "--schedule")
         .map(|s| geoproof::core::SchedulePolicy::parse(&s))
         .transpose()
@@ -774,8 +768,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     // The scrape listener binds before the prover socket so the banner
     // order is fixed (metrics line first, serving line second — both
     // parseable by `split(" on ")`). Binding also enables the global
-    // registry, so every serving branch below records its hot-path
-    // metrics. The handle must outlive the serve loops.
+    // registry, so the server records its hot-path metrics. The handle
+    // must outlive the serve loop.
     let _metrics = match flag(args, "--metrics-addr") {
         Some(addr) => {
             let server = geoproof::obs::expose::ScrapeServer::bind(&addr)
@@ -786,92 +780,53 @@ fn cmd_serve(args: &[String]) -> CliResult {
         None => None,
     };
 
-    // A dynamic store dir (dyn-meta.txt present) is served by the
-    // session-multiplexing server with the dynamic registry attached —
-    // updates and appends arrive over the same socket audits use.
-    if Path::new(store_dir).join("dyn-meta.txt").exists() {
-        let (tagged, meta) = read_dyn_store(Path::new(store_dir))?;
+    // The epoll reactor wherever the platform has it; the
+    // thread-per-connection model otherwise (same protocol code).
+    let empty = || -> SegmentStore { Arc::new(Mutex::new(HashMap::new())) };
+    let (server, model) = match MuxProverServer::spawn_reactor(empty(), delay) {
+        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+            (MuxProverServer::spawn(empty(), delay), "threaded")
+        }
+        spawned => (spawned, "reactor"),
+    };
+    let server = server.map_err(|e| format!("bind: {e}"))?;
+
+    // A dynamic store dir (dyn-meta.txt present) is registered with its
+    // owner's key — updates and appends arrive over the same socket
+    // audits use; a static one is served as zero-copy segment views.
+    let (file_id, segments, dynamic, detail) = if store_dir.join("dyn-meta.txt").exists() {
+        let (tagged, meta) = read_dyn_store(store_dir)?;
         let owner_key = geoproof::crypto::schnorr::VerifyingKey::from_bytes(&meta.owner_pub)
             .ok_or("owner_pub in dyn-meta.txt is not a valid curve point")?;
-        let registry = geoproof::storage::DynamicRegistry::new();
-        let digest = registry.insert_with_owner(&meta.file_id, tagged, owner_key);
-        let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
-        let server = if threaded {
-            MuxProverServer::spawn_with_dynamic(store, registry, delay)
-        } else {
-            MuxProverServer::spawn_reactor_with_dynamic(store, registry, delay)
-        }
-        .map_err(|e| format!("bind: {e}"))?;
-        println!(
-            "serving {} ({} dynamic segments, digest root {}) on {} (dynamic mode, {model}, \
-             service delay {delay_ms} ms); Ctrl-C to stop",
-            meta.file_id,
+        let digest = server.put_dynamic_with_owner(&meta.file_id, tagged, owner_key);
+        let detail = format!(
+            "{} dynamic segments, digest root {}",
             digest.segments,
-            hex(&digest.root[..8]),
-            server.addr()
+            hex(&digest.root[..8])
         );
-        if let Some(policy) = schedule {
-            let files = vec![(meta.file_id.clone(), digest.segments, true)];
-            spawn_schedule_loop(policy, server.addr(), files);
-        }
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(60));
-            let stats = server.stats();
-            println!(
-                "[stats] connections {} | sessions {} | challenges {}",
-                stats.connections, stats.sessions, stats.challenges
-            );
-        }
-    }
-
-    let (segments, md) = read_store(Path::new(store_dir))?;
-    let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
-    store.lock().insert(md.file_id.clone(), segments);
-    let schedule_files = vec![(md.file_id.clone(), md.segments, false)];
-    // Both servers bind an ephemeral port and report it.
-    if concurrent {
-        let server = if threaded {
-            MuxProverServer::spawn(store, delay)
-        } else {
-            MuxProverServer::spawn_reactor(store, delay)
-        }
-        .map_err(|e| format!("bind: {e}"))?;
-        println!(
-            "serving {} ({} segments) on {} (concurrent mode, {model}, service delay \
-             {delay_ms} ms); Ctrl-C to stop",
-            md.file_id,
-            md.segments,
-            server.addr()
-        );
-        if let Some(policy) = schedule {
-            spawn_schedule_loop(policy, server.addr(), schedule_files);
-        }
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(60));
-            let stats = server.stats();
-            println!(
-                "[stats] connections {} | sessions {} | challenges {}",
-                stats.connections, stats.sessions, stats.challenges
-            );
-        }
-    }
-    let server = if threaded {
-        ProverServer::spawn(store, delay)
+        (meta.file_id, digest.segments, true, detail)
     } else {
-        ProverServer::spawn_reactor(store, delay)
-    }
-    .map_err(|e| format!("bind: {e}"))?;
+        let (segments, md) = read_store(store_dir)?;
+        server.put_shared(&md.file_id, segments);
+        let detail = format!("{} segments", md.segments);
+        (md.file_id, md.segments, false, detail)
+    };
+    let mode = if dynamic { "dynamic mode, " } else { "" };
     println!(
-        "serving {} ({} segments) on {} ({model}, service delay {delay_ms} ms); Ctrl-C to stop",
-        md.file_id,
-        md.segments,
+        "serving {file_id} ({detail}) on {} ({mode}{model}, service delay {delay_ms} ms); \
+         Ctrl-C to stop",
         server.addr()
     );
     if let Some(policy) = schedule {
-        spawn_schedule_loop(policy, server.addr(), schedule_files);
+        spawn_schedule_loop(policy, server.addr(), vec![(file_id, segments, dynamic)]);
     }
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+        std::thread::sleep(std::time::Duration::from_secs(60));
+        let stats = server.stats();
+        println!(
+            "[stats] connections {} | sessions {} | challenges {}",
+            stats.connections, stats.sessions, stats.challenges
+        );
     }
 }
 
@@ -1126,8 +1081,8 @@ fn cmd_audit_multi_vantage(args: &[String]) -> CliResult {
 
     // Each vantage is its own verifier device: own key, own GPS fix at
     // its ring coordinates, own challenge subset, own timed TCP session.
-    // Sessions run concurrently (serve with --concurrent so the prover
-    // multiplexes them) — the whole point is N simultaneous Δt views.
+    // Sessions run concurrently (the prover multiplexes them) — the
+    // whole point is N simultaneous Δt views.
     let timing = geoproof::core::policy::TimingPolicy {
         max_network: SimDuration::from_millis_f64(budget_ms / 2.0),
         max_lookup: SimDuration::from_millis_f64(budget_ms / 2.0),

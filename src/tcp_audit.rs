@@ -2,7 +2,7 @@
 //!
 //! Bridges `geoproof-core` (roles, transcripts, verification) and
 //! `geoproof-wire` (framing, sockets): a [`WallClockVerifier`] runs the
-//! Fig. 5 challenge loop against a [`geoproof_wire::tcp::ProverServer`],
+//! Fig. 5 challenge loop against a [`geoproof_wire::MuxProverServer`],
 //! timing each round with `std::time::Instant`, and emits the same
 //! [`SignedTranscript`] the simulated verifier produces — so the
 //! *identical* TPA verification path judges real-network runs.
@@ -154,14 +154,15 @@ mod tests {
     use geoproof_por::keys::PorKeys;
     use geoproof_por::params::PorParams;
     use geoproof_sim::time::Km;
-    use geoproof_wire::tcp::{ProverServer, SegmentStore};
+    use geoproof_wire::tcp::SegmentStore;
+    use geoproof_wire::MuxProverServer;
     use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::sync::Arc;
     use std::time::Duration;
 
     struct TcpRig {
-        _server: ProverServer,
+        _server: MuxProverServer,
         addr: SocketAddr,
         verifier: WallClockVerifier,
         auditor: Auditor,
@@ -177,7 +178,7 @@ mod tests {
 
         let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
         store.lock().insert("tf".to_owned(), tagged.segments());
-        let server = ProverServer::spawn(store, service_delay).expect("bind");
+        let server = MuxProverServer::spawn(store, service_delay).expect("bind");
         let addr = server.addr();
 
         let mut rng = ChaChaRng::from_u64_seed(1);

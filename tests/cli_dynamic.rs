@@ -4,7 +4,8 @@
 //! server, a silently corrupted store, and a slow (relaying) server all
 //! REJECT — and finally the evidence ledger replays every dynamic
 //! verdict plus the digest chain offline from the TPA public key alone,
-//! with a single flipped bit failing verification.
+//! with a single flipped bit failing verification. A dynamic audit
+//! aimed at a static store's server must REJECT promptly, not hang.
 
 use bytes::Bytes;
 use geoproof::core::dynamic_audit::DynSignedTranscript;
@@ -12,12 +13,13 @@ use geoproof::ledger::{Entry, Ledger};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_geoproof");
 const MASTER: &str = "cli-dyn-master";
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gp-cli-dynamic-{}", std::process::id()));
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gp-cli-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("tempdir");
     dir
@@ -40,7 +42,7 @@ fn run(args: &[&str], expect_success: bool) -> String {
 }
 
 /// A `geoproof serve` child killed on drop; parses the bound address
-/// from its banner.
+/// from its banner, which must name the store's kind.
 struct Server {
     child: Child,
     addr: String,
@@ -62,7 +64,8 @@ impl Server {
             .next()
             .expect("serve banner")
             .expect("read serve banner");
-        assert!(first.contains("dynamic mode"), "not dynamic: {first}");
+        let dynamic = store.join("dyn-meta.txt").exists();
+        assert_eq!(first.contains("dynamic mode"), dynamic, "{first}");
         let addr = first
             .split(" on ")
             .nth(1)
@@ -89,7 +92,7 @@ fn copy_store(from: &Path, to: &Path) {
 
 #[test]
 fn cli_dynamic_audits_updates_and_ledger_replay_end_to_end() {
-    let dir = tmpdir();
+    let dir = tmpdir("dynamic");
     let input = dir.join("input.bin");
     let data: Vec<u8> = (0..30_000u32).map(|i| (i % 241) as u8).collect();
     std::fs::write(&input, &data).expect("write input");
@@ -340,5 +343,68 @@ fn cli_dynamic_audits_updates_and_ledger_replay_end_to_end() {
         false,
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn dynamic_audit_of_a_static_serve_rejects_instead_of_hanging() {
+    // Regression: a server holding only a static store used to ignore
+    // `DynChallenge` frames, so the auditor blocked on a reply that never
+    // came. The prover now answers `DynResponse { segment: None }` and
+    // the audit completes — as a REJECT.
+    let dir = tmpdir("dyn-vs-static");
+    let input = dir.join("input.bin");
+    std::fs::write(&input, vec![0x5au8; 8_000]).expect("write input");
+    let static_store = dir.join("store");
+    let dyn_store = dir.join("dynstore");
+    for (cmd, store) in [("encode", &static_store), ("encode-dynamic", &dyn_store)] {
+        run(
+            &[
+                cmd,
+                input.to_str().unwrap(),
+                store.to_str().unwrap(),
+                "--fid",
+                "mixed-up",
+                "--master",
+                MASTER,
+            ],
+            true,
+        );
+    }
+    let server = Server::spawn(&static_store, &[]);
+
+    let mut audit = Command::new(BIN)
+        .args([
+            "audit",
+            &server.addr,
+            dyn_store.to_str().unwrap(),
+            "--dynamic",
+            "--master",
+            MASTER,
+            "--k",
+            "4",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn audit");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = audit.try_wait().expect("poll audit") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            audit.kill().ok();
+            audit.wait().ok();
+            panic!("audit --dynamic against a static serve hung past 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let out = audit.wait_with_output().expect("audit output");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!status.success(), "{stdout}");
+    assert!(stdout.contains("verdict: REJECT"), "{stdout}");
+
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -35,7 +35,7 @@ fn run(args: &[&str], expect_success: bool) -> String {
     stdout
 }
 
-/// A `geoproof serve --concurrent --metrics-addr` child killed on
+/// A `geoproof serve --metrics-addr` child killed on
 /// drop; parses the metrics address from the first banner line and the
 /// prover address from the second.
 struct Server {
@@ -49,7 +49,6 @@ impl Server {
         let mut child = Command::new(BIN)
             .arg("serve")
             .arg(store)
-            .arg("--concurrent")
             .args(["--metrics-addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -60,7 +59,7 @@ impl Server {
         let mut banner = || {
             let line = lines.next().expect("banner line").expect("read banner");
             // "metrics on <addr> (GET /metrics, POST /ingest)" /
-            // "serving <fid> (<n> segments) on <addr> (concurrent mode ...)"
+            // "serving <fid> (<n> segments) on <addr> (reactor, ...)"
             line.split(" on ")
                 .nth(1)
                 .and_then(|s| s.split_whitespace().next())
@@ -177,7 +176,8 @@ fn scraped_registry_agrees_with_audits_run() {
     assert_eq!(h.count, 4, "one session latency per audit\n{text}");
     assert!(h.sum > 0.0);
 
-    // The serve process recorded its side of the same four audits.
+    // A flagless `serve` of a static store runs the session mux: the
+    // serve process recorded its side of the same four audits.
     assert_eq!(m.value("mux_connections_total"), Some(4.0), "{text}");
     assert_eq!(m.value("mux_sessions_opened_total"), Some(4.0), "{text}");
     assert_eq!(

@@ -1,7 +1,7 @@
-//! Differential pin: the epoll reactor serving path and the classic
-//! thread-per-connection path must be **byte-identical** on the wire.
+//! Differential pin: the prover server's epoll reactor model and its
+//! thread-per-connection model must be **byte-identical** on the wire.
 //!
-//! Both paths share one protocol implementation (`FrameService` in
+//! Both models drive one protocol implementation (`MuxService` in
 //! `geoproof-wire`), so divergence would mean the reactor's state
 //! machine corrupted, reordered, or dropped something the threaded
 //! loop would have served. Two layers of pinning:
@@ -30,7 +30,7 @@ use geoproof::sim::time::{Km, SimDuration};
 use geoproof::tcp_audit::WallClockVerifier;
 use geoproof::wire::codec::WireMessage;
 use geoproof::wire::tcp::SegmentStore;
-use geoproof::wire::{MuxProverServer, ProverServer};
+use geoproof::wire::MuxProverServer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -123,26 +123,6 @@ fn mux_reply_frames_are_byte_identical_across_paths() {
     for (i, (ra, rb)) in a.iter().zip(&b).enumerate() {
         assert_eq!(ra, rb, "probe {i}: reactor and threaded replies diverge");
     }
-}
-
-#[test]
-fn plain_server_reply_frames_are_byte_identical_across_paths() {
-    let (store, n, _, _) = encoded_store();
-    let reactor = match ProverServer::spawn_reactor(store.clone(), Duration::ZERO) {
-        Ok(s) => s,
-        Err(e) if unsupported(&e) => return,
-        Err(e) => panic!("spawn_reactor: {e}"),
-    };
-    let threaded = ProverServer::spawn(store, Duration::ZERO).expect("spawn threaded");
-    let probes = vec![
-        challenge(FILE, 0),
-        challenge(FILE, n - 1),
-        challenge(FILE, u64::MAX), // out of range
-        challenge("ghost", 7),
-    ];
-    let a = raw_replies(reactor.addr(), &probes);
-    let b = raw_replies(threaded.addr(), &probes);
-    assert_eq!(a, b, "plain-server replies diverge between paths");
 }
 
 #[test]
