@@ -1,12 +1,14 @@
 //! # geoproof-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md §4 for the index) plus Criterion micro-benchmarks. This
-//! library holds the shared report-formatting helpers so every experiment
-//! prints aligned, diff-friendly tables.
+//! DESIGN.md §4 for the index). This library holds the shared
+//! report-formatting helpers so every experiment prints aligned,
+//! diff-friendly tables.
 //!
 //! Run an experiment with e.g.
-//! `cargo run -p geoproof-bench --bin exp_table1`.
+//! `cargo run -p geoproof-bench --bin exp_table1`. Performance is
+//! measured by the standalone `benchmark/` package at the repo root,
+//! not here.
 
 /// A plain-text table printer producing aligned monospace output.
 ///
@@ -90,179 +92,6 @@ pub fn banner(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===\n");
 }
 
-// --- committed benchmark snapshots -------------------------------------------
-
-/// A scalar JSON value for [`BenchSnapshot`] fields — a minimal
-/// renderer so every committed `BENCH_*.json` at the repo root comes
-/// out of one writer with one key layout, without a serde dependency.
-#[derive(Clone, Debug)]
-pub enum Json {
-    Bool(bool),
-    U64(u64),
-    /// Fixed-precision float: `F64(1.236, 2)` renders `1.24`.
-    F64(f64, usize),
-    Str(String),
-    /// Pre-rendered JSON spliced verbatim (e.g. an obs registry dump).
-    Raw(String),
-}
-
-impl Json {
-    fn render(&self) -> String {
-        match self {
-            Json::Bool(b) => b.to_string(),
-            Json::U64(v) => v.to_string(),
-            Json::F64(v, decimals) => format!("{v:.decimals$}"),
-            Json::Str(s) => json_string(s),
-            Json::Raw(s) => s.clone(),
-        }
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The one writer behind every committed `BENCH_*.json`: a fixed key
-/// layout — `bench`, `params`, `host_cores`, context fields, the
-/// baseline pin, a `runs` array with explicit `run_order`, then result
-/// fields — so snapshots from different benches diff uniformly and CI
-/// can consume them all the same way.
-///
-/// # Examples
-///
-/// ```
-/// use geoproof_bench::{BenchSnapshot, Json};
-///
-/// let rendered = BenchSnapshot::new("demo", "demo_bench", "n=1")
-///     .baseline("baseline_ops_per_s", Json::U64(100), "seed pin")
-///     .run(vec![("ops_per_s".into(), Json::U64(500))])
-///     .result("speedup_vs_baseline", Json::F64(5.0, 1))
-///     .render();
-/// assert!(rendered.contains("\"run_order\": 0"));
-/// assert!(rendered.contains("\"speedup_vs_baseline\": 5.0"));
-/// ```
-#[derive(Clone, Debug)]
-pub struct BenchSnapshot {
-    file_stem: String,
-    head: Vec<(String, Json)>,
-    runs: Vec<Vec<(String, Json)>>,
-    tail: Vec<(String, Json)>,
-}
-
-impl BenchSnapshot {
-    /// Starts a snapshot destined for `BENCH_<file_stem>.json`, seeded
-    /// with the bench name, its parameter description, and the host's
-    /// core count (throughput numbers are meaningless without it).
-    pub fn new(file_stem: &str, bench: &str, params: &str) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        BenchSnapshot {
-            file_stem: file_stem.to_owned(),
-            head: vec![
-                ("bench".to_owned(), Json::Str(bench.to_owned())),
-                ("params".to_owned(), Json::Str(params.to_owned())),
-                ("host_cores".to_owned(), Json::U64(cores as u64)),
-            ],
-            runs: Vec::new(),
-            tail: Vec::new(),
-        }
-    }
-
-    /// A context field (workload shape, input size) — rendered before
-    /// the baseline and runs.
-    #[must_use]
-    pub fn context(mut self, key: &str, value: Json) -> Self {
-        self.head.push((key.to_owned(), value));
-        self
-    }
-
-    /// The baseline pin this snapshot's speedups are measured against,
-    /// with a note naming where the pin came from.
-    #[must_use]
-    pub fn baseline(mut self, key: &str, value: Json, note: &str) -> Self {
-        self.head.push((key.to_owned(), value));
-        self.head
-            .push(("baseline_note".to_owned(), Json::Str(note.to_owned())));
-        self
-    }
-
-    /// Appends one measured run; `run_order` is assigned from the call
-    /// sequence so the file records what ran before what (warm-up and
-    /// cache effects are real).
-    #[must_use]
-    pub fn run(mut self, fields: Vec<(String, Json)>) -> Self {
-        let mut row = vec![("run_order".to_owned(), Json::U64(self.runs.len() as u64))];
-        row.extend(fields);
-        self.runs.push(row);
-        self
-    }
-
-    /// A result field — rendered after the runs array.
-    #[must_use]
-    pub fn result(mut self, key: &str, value: Json) -> Self {
-        self.tail.push((key.to_owned(), value));
-        self
-    }
-
-    /// Attaches the observability registry as a `metrics` field, so a
-    /// committed snapshot carries the hot-path counters and histogram
-    /// quantiles recorded during the measured runs.
-    #[must_use]
-    pub fn metrics(self, registry: &geoproof_obs::Snapshot) -> Self {
-        self.result("metrics", Json::Raw(registry.to_json()))
-    }
-
-    /// Renders the snapshot (trailing newline included).
-    pub fn render(&self) -> String {
-        let mut fields: Vec<String> = Vec::new();
-        for (k, v) in &self.head {
-            fields.push(format!("  {}: {}", json_string(k), v.render()));
-        }
-        if !self.runs.is_empty() {
-            let rows: Vec<String> = self
-                .runs
-                .iter()
-                .map(|row| {
-                    let cells: Vec<String> = row
-                        .iter()
-                        .map(|(k, v)| format!("{}: {}", json_string(k), v.render()))
-                        .collect();
-                    format!("    {{ {} }}", cells.join(", "))
-                })
-                .collect();
-            fields.push(format!("  \"runs\": [\n{}\n  ]", rows.join(",\n")));
-        }
-        for (k, v) in &self.tail {
-            fields.push(format!("  {}: {}", json_string(k), v.render()));
-        }
-        format!("{{\n{}\n}}\n", fields.join(",\n"))
-    }
-
-    /// Writes `BENCH_<file_stem>.json` at the repo root and returns the
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written — a bench snapshot that
-    /// silently vanishes is worse than a loud failure.
-    pub fn write(&self) -> std::path::PathBuf {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("../../BENCH_{}.json", self.file_stem));
-        std::fs::write(&path, self.render()).expect("write BENCH snapshot");
-        path
-    }
-}
-
 /// Formats a float with fixed precision, trimming "-0.000".
 pub fn fmt_f64(v: f64, decimals: usize) -> String {
     let s = format!("{v:.decimals$}");
@@ -299,59 +128,5 @@ mod tests {
     fn fmt_f64_trims_negative_zero() {
         assert_eq!(fmt_f64(-0.0001, 3), "0.000");
         assert_eq!(fmt_f64(1.23456, 2), "1.23");
-    }
-
-    #[test]
-    fn snapshot_layout_is_stable() {
-        let rendered = BenchSnapshot::new("layout", "layout_bench", "p=1")
-            .context("input_mib", Json::U64(8))
-            .baseline("baseline_mib_per_s", Json::F64(0.37, 2), "seed pin")
-            .run(vec![
-                ("threads".to_owned(), Json::U64(1)),
-                ("mib_per_s".to_owned(), Json::F64(47.3, 2)),
-            ])
-            .run(vec![("threads".to_owned(), Json::U64(2))])
-            .result("outcomes_identical", Json::Bool(true))
-            .render();
-        let keys: Vec<usize> = [
-            "\"bench\"",
-            "\"params\"",
-            "\"host_cores\"",
-            "\"input_mib\"",
-            "\"baseline_mib_per_s\"",
-            "\"baseline_note\"",
-            "\"runs\"",
-            "\"outcomes_identical\"",
-        ]
-        .iter()
-        .map(|k| rendered.find(k).unwrap_or_else(|| panic!("missing {k}")))
-        .collect();
-        assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "key order\n{rendered}"
-        );
-        assert!(rendered.contains("{ \"run_order\": 0, \"threads\": 1, \"mib_per_s\": 47.30 }"));
-        assert!(rendered.contains("{ \"run_order\": 1, \"threads\": 2 }"));
-        assert!(rendered.ends_with("}\n"));
-    }
-
-    #[test]
-    fn snapshot_strings_escape() {
-        let rendered = BenchSnapshot::new("esc", "esc", "a \"quoted\" \\ thing").render();
-        assert!(rendered.contains("a \\\"quoted\\\" \\\\ thing"));
-    }
-
-    #[test]
-    fn snapshot_metrics_field_embeds_registry_json() {
-        let registry = geoproof_obs::Registry::new();
-        geoproof_obs::set_enabled(true);
-        registry.counter("snap_ops_total").add(3);
-        let rendered = BenchSnapshot::new("m", "m", "")
-            .metrics(&registry.snapshot())
-            .render();
-        assert!(
-            rendered.contains("\"metrics\": {\"snap_ops_total\": 3}"),
-            "{rendered}"
-        );
     }
 }

@@ -748,27 +748,113 @@ mod tests {
         assert!(s.pop_due(first).len() == 1);
     }
 
-    #[test]
-    fn a_hundred_thousand_provers_schedule_and_drain() {
-        // The bench drives ≥100k provers through this; keep a scaled
-        // sanity version in the unit suite. Jitter off and exactly one
-        // cadence of virtual time: every prover's staggered first audit
-        // comes due exactly once, and every reschedule (pop time +
-        // cadence) lands beyond the horizon.
-        let s = AuditScheduler::new(policy("cadence=10s,jitter=0,max-in-flight=0"));
+    /// Registers `n` provers at t = 0 and runs `ticks` ticks of virtual
+    /// time, completing every popped audit on the tick that popped it.
+    /// `rejects(prover, round)` picks the audits that REJECT. The audit
+    /// after each REJECT must be popped within the fast track's reach,
+    /// `reject_cadence × (1 + jitter)` plus one tick, and every REJECT
+    /// whose reach ends inside the run must have been followed up.
+    /// Returns each audited prover's audit count and the REJECT count.
+    fn drive_fleet(
+        policy: SchedulePolicy,
+        n: usize,
+        tick: SimDuration,
+        ticks: usize,
+        rejects: impl Fn(&ProverId, u64) -> bool,
+    ) -> (HashMap<ProverId, u64>, usize) {
+        let reach = (policy.reject_cadence.as_nanos() as f64 * (1.0 + policy.jitter)) as u64
+            + tick.as_nanos();
+        let s = AuditScheduler::new(policy);
         let clock = SimClock::new();
-        for i in 0..20_000 {
+        for i in 0..n {
             s.register(&ProverId(format!("site-{i}")), sim_now(&clock));
         }
-        let mut audited = 0usize;
-        for _ in 0..20 {
-            clock.advance(SimDuration::from_millis(500));
-            for p in s.pop_due(sim_now(&clock)) {
-                s.complete(&p, true, sim_now(&clock));
-                audited += 1;
+        let mut audits: HashMap<ProverId, u64> = HashMap::new();
+        // Provers whose latest audit REJECTed, and when.
+        let mut rejected_at: HashMap<ProverId, u64> = HashMap::new();
+        let mut reject_count = 0;
+        for _ in 0..ticks {
+            clock.advance(tick);
+            let now = sim_now(&clock);
+            for p in s.pop_due(now) {
+                if let Some(at) = rejected_at.remove(&p) {
+                    assert!(
+                        now - at <= reach,
+                        "{p:?} REJECTed at {at} ns, next audited at {now} ns"
+                    );
+                }
+                let round = audits.entry(p.clone()).or_insert(0);
+                *round += 1;
+                let accepted = !rejects(&p, *round);
+                if !accepted {
+                    rejected_at.insert(p.clone(), now);
+                    reject_count += 1;
+                }
+                s.complete(&p, accepted, now);
             }
         }
-        assert_eq!(audited, 20_000, "a prover was skipped or double-run");
+        let end = sim_now(&clock);
+        for (p, at) in &rejected_at {
+            assert!(
+                at + reach > end,
+                "{p:?} REJECTed at {at} ns, not re-audited by {end} ns"
+            );
+        }
         assert_eq!(s.in_flight(), 0);
+        (audits, reject_count)
+    }
+
+    #[test]
+    fn a_hundred_thousand_provers_schedule_and_drain() {
+        // Fleet scale, kept to 20 000 provers so the debug-mode suite
+        // stays fast.
+        const PROVERS: usize = 20_000;
+
+        // Jitter off and exactly one cadence of virtual time: every
+        // prover's staggered first audit comes due exactly once, and
+        // every reschedule (pop time + cadence) lands beyond the horizon.
+        let (audits, _) = drive_fleet(
+            policy("cadence=10s,jitter=0,max-in-flight=0"),
+            PROVERS,
+            SimDuration::from_millis(500),
+            20,
+            |_, _| false,
+        );
+        assert_eq!(
+            audits.len(),
+            PROVERS,
+            "a registered prover was never audited"
+        );
+        assert!(audits.values().all(|&n| n == 1), "a prover was double-run");
+
+        // The continuous-assurance policy over three cadences, with
+        // ~2 % of audits REJECTed, chosen per (prover, round) by hash.
+        // Everyone is audited at least twice, and every REJECTed
+        // prover is re-audited on the 2 s fast track, not the 30 s
+        // cadence (`drive_fleet` checks each one).
+        let (audits, rejects) = drive_fleet(
+            policy("cadence=30s,jitter=0.2,reject-cadence=2s,reject-rounds=3,max-in-flight=0"),
+            PROVERS,
+            SimDuration::from_millis(250),
+            360,
+            |p, round| {
+                let mut key = p.0.as_bytes().to_vec();
+                key.extend_from_slice(&round.to_le_bytes());
+                fnv1a_64(&key) % 100 < 2
+            },
+        );
+        assert_eq!(
+            audits.len(),
+            PROVERS,
+            "a registered prover was never audited"
+        );
+        assert!(
+            audits.values().all(|&n| n >= 2),
+            "a prover got fewer than 2 audits over 3 cadences"
+        );
+        assert!(
+            rejects > 0,
+            "no audit REJECTed; the fast track went untested"
+        );
     }
 }

@@ -26,18 +26,15 @@
 //! Recording is **disabled by default**. Every record path starts with
 //! one relaxed [`enabled()`] load; while disabled, instrumented hot
 //! paths pay that single branch and nothing else — no allocation, no
-//! atomic RMW, no clock read (the counting-allocator suites in
-//! `geoproof-bench` and this crate's `tests/disabled_alloc.rs` pin the
-//! zero-allocation half of that claim). While *enabled*, recording is
-//! lock-free atomics only — still allocation-free — so a scraped
-//! production server never stalls a data-path thread. Registration
-//! (first use of a metric name) allocates and may take a shard write
-//! lock; instrumented code therefore registers once and caches the
-//! returned [`std::sync::Arc`] handle.
-//!
-//! With the `noop` cargo feature, [`enabled()`] is a constant `false`
-//! and the optimizer deletes the recording paths outright — the
-//! "compiled out" arm of the CI overhead guard.
+//! atomic RMW, no clock read (this crate's `tests/disabled_alloc.rs`
+//! pins the zero-allocation half of that claim). While *enabled*,
+//! recording is lock-free atomics only — still allocation-free — so a
+//! scraped production server never stalls a data-path thread; the
+//! repo's benchmark reports that cost on a complete audit as
+//! `obs.enabled_overhead_frac`. Registration (first use of a metric
+//! name) allocates and may take a shard write lock; instrumented code
+//! therefore registers once and caches the returned
+//! [`std::sync::Arc`] handle.
 //!
 //! ## Naming scheme
 //!
@@ -69,13 +66,9 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
 
-/// Whether recording is currently on. A constant `false` under the
-/// `noop` feature, so recording compiles out entirely.
+/// Whether recording is currently on.
 #[inline(always)]
 pub fn enabled() -> bool {
-    if cfg!(feature = "noop") {
-        return false;
-    }
     ENABLED.load(Ordering::Relaxed)
 }
 

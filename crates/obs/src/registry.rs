@@ -272,46 +272,6 @@ impl Snapshot {
     pub fn render_prometheus(&self) -> String {
         crate::expose::render_prometheus(self)
     }
-
-    /// Renders the snapshot as one flat JSON object — the shape
-    /// `geoproof-bench` embeds under a `"metrics"` key in
-    /// `BENCH_*.json`. Counters and gauges map to integers; histograms
-    /// to `{count, sum, p50, p99}` objects.
-    pub fn to_json(&self) -> String {
-        let mut fields = Vec::new();
-        for (name, v) in &self.counters {
-            fields.push(format!("{}: {v}", json_escape(name)));
-        }
-        for (name, v) in &self.gauges {
-            fields.push(format!("{}: {v}", json_escape(name)));
-        }
-        for (name, h) in &self.histograms {
-            fields.push(format!(
-                "{}: {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}}}",
-                json_escape(name),
-                h.count,
-                h.sum,
-                h.quantile(0.50),
-                h.quantile(0.99),
-            ));
-        }
-        format!("{{{}}}", fields.join(", "))
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! the default — counter increments, histogram records, and span
 //! guards allocate **zero** bytes; and even with recording *on*, the
 //! steady-state record paths stay allocation-free once handles exist.
-//! Same counting-allocator harness as `geoproof-bench`'s
-//! `segment_datapath` audit and the ledger's `append_alloc` pin.
+//! Same counting-allocator harness as the ledger's `append_alloc` pin.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -239,8 +239,7 @@ impl WireMessage {
         let tail_len = tail.as_ref().map_or(0, Bytes::len);
         // Head capacity deliberately excludes the tail: the tail is
         // written from its own buffer, so reserving for it here would be
-        // a payload-sized allocation per frame (the bench's allocation
-        // audit pins this).
+        // a payload-sized allocation per frame.
         let mut frame = BytesMut::with_capacity(4 + payload.len());
         frame.put_u32((payload.len() + tail_len) as u32);
         frame.extend_from_slice(&payload);

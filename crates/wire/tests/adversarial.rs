@@ -1,5 +1,5 @@
 //! Adversarial framing: hostile lengths at and beyond `MAX_FRAME`, and
-//! the zero-copy aliasing contract of the codec.
+//! the zero-copy aliasing contract of the codec and the serve path.
 //!
 //! A prover faces the open network, so the framing layer must treat
 //! length prefixes as attacker-controlled: a frame of exactly
@@ -9,7 +9,13 @@
 //! unaffected).
 
 use bytes::Bytes;
-use geoproof_wire::codec::{read_frame, CodecError, WireMessage, MAX_FRAME};
+use geoproof_por::encode::PorEncoder;
+use geoproof_por::keys::PorKeys;
+use geoproof_por::params::PorParams;
+use geoproof_storage::arena::SegmentArena;
+use geoproof_storage::hdd::{HddModel, WD_2500JD};
+use geoproof_storage::server::{FileId, StorageServer};
+use geoproof_wire::codec::{read_frame, write_frame, CodecError, WireMessage, MAX_FRAME};
 use geoproof_wire::tcp::{SegmentStore, TcpChallenger};
 use geoproof_wire::MuxProverServer;
 use parking_lot::Mutex;
@@ -210,4 +216,51 @@ fn encode_parts_does_not_copy_the_segment() {
     let mut whole = head.to_vec();
     whole.extend_from_slice(&tail);
     assert_eq!(whole, msg.encode().to_vec());
+
+    // The serve path end to end: a segment read out of a PoR-encoded
+    // storage arena reaches the writer as the arena's own bytes.
+    let keys = PorKeys::derive(b"master", "dp");
+    let data: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
+    let tagged = PorEncoder::new(PorParams::test_small()).encode_arena(&data, &keys, "dp");
+    let mut server = StorageServer::new(HddModel::deterministic(WD_2500JD), 6);
+    server.put_arena(
+        FileId::from("dp"),
+        SegmentArena::from_contiguous(
+            tagged.bytes().clone(),
+            tagged.stride(),
+            tagged.segment_count() as usize,
+        ),
+    );
+    let msg = WireMessage::Response {
+        segment: server.read_segment(&FileId::from("dp"), 2).data,
+    };
+    let mut out = SliceRecorder::default();
+    write_frame(&mut out, &msg).expect("recorder never fails");
+    assert_eq!(out.bytes, msg.encode().to_vec());
+    let &(payload_ptr, payload_len) = out.slices.last().expect("a payload write");
+    assert_eq!(
+        payload_ptr,
+        tagged.segment(2).as_ptr(),
+        "write_frame copied the segment instead of writing the arena's bytes"
+    );
+    assert_eq!(payload_len, tagged.stride());
+}
+
+/// A `Write` that records where each slice it is handed lives.
+#[derive(Default)]
+struct SliceRecorder {
+    slices: Vec<(*const u8, usize)>,
+    bytes: Vec<u8>,
+}
+
+impl Write for SliceRecorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.slices.push((buf.as_ptr(), buf.len()));
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
