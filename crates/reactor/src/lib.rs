@@ -19,7 +19,7 @@
 //! there is no `libc` crate in the tree. On non-Linux targets the crate
 //! compiles but every operation returns
 //! [`std::io::ErrorKind::Unsupported`]; callers (the wire servers)
-//! treat that as "reactor unavailable, use the threaded path".
+//! treat that as "reactor unavailable, use the blocking server".
 //!
 //! ## Shape
 //!

@@ -5,22 +5,23 @@
 //! * [`codec`] — length-prefixed frames for challenge/response and audit
 //!   control messages, with strict parsing (size caps, UTF-8 checks,
 //!   truncation detection);
-//! * [`tcp`] — the wall-clock timing client and the restartable frame
-//!   reader, so the timed challenge–response phase can run over a real
-//!   socket rather than the simulator;
+//! * [`tcp`] — the wall-clock timing client and the segment store type,
+//!   so the timed challenge–response phase can run over a real socket
+//!   rather than the simulator;
 //! * [`mux`] — the prover server behind `geoproof serve`: many
 //!   connections, sessions multiplexed per connection, a sharded session
 //!   table, per-session statistics, graceful shutdown.
 //!
-//! The server has one protocol implementation and two execution models:
-//! the **reactor** ([`MuxProverServer::spawn_reactor`] — every
-//! connection a non-blocking state machine on a single
-//! `geoproof_reactor` epoll thread, so concurrency is bounded by file
-//! descriptors rather than stacks), used wherever epoll exists, and the
-//! **threaded** model ([`MuxProverServer::spawn`] — one thread per
-//! connection, blocking I/O), the fallback where the reactor is
-//! unsupported and the differential suite's reference.
-//! See `crates/wire/docs/serving.md` for the architecture.
+//! Each server connection is one socket-free state machine (`conn`):
+//! bytes and timer fires in; bytes to write, a park request and close
+//! out. It parses frames, calls the protocol, parks service delays,
+//! flushes before a Bye closes and caps the write backlog. Two shells
+//! drive it: the **epoll shell** ([`MuxProverServer::spawn_reactor`] —
+//! every connection on one `geoproof_reactor` thread, so concurrency is
+//! bounded by file descriptors rather than stacks), used wherever epoll
+//! exists, and the **blocking shell** ([`MuxProverServer::spawn`] — a
+//! thread per connection with timed reads and writes), the fallback
+//! elsewhere. See `crates/wire/docs/serving.md` for the architecture.
 //!
 //! # Examples
 //!
@@ -33,6 +34,7 @@
 //! ```
 
 pub mod codec;
+mod conn;
 pub mod mux;
 mod reactor_serve;
 pub mod tcp;

@@ -12,14 +12,16 @@
 //! * graceful shutdown, and aggregate statistics so operators can see
 //!   load.
 //!
-//! It runs in one of two execution models over the same `MuxService`:
-//! [`MuxProverServer::spawn_reactor`] (every connection a state machine
-//! on one epoll thread — see `reactor_serve`) wherever the reactor
-//! exists, and [`MuxProverServer::spawn`] (a thread per connection) as
-//! the fallback and the differential suite's reference.
+//! Every connection is one `conn::Conn` machine over the shared
+//! `MuxService`. Two shells drive the machines:
+//! [`MuxProverServer::spawn_reactor`] (all of them on one epoll thread —
+//! see `reactor_serve`) wherever the reactor exists, and
+//! [`MuxProverServer::spawn`] (a blocking thread per connection, in this
+//! module) elsewhere.
 
-use crate::codec::{write_frame, WireMessage};
-use crate::tcp::{store_segments, IdleFrameReader, Polled, SegmentStore};
+use crate::codec::WireMessage;
+use crate::conn::{Conn, Step};
+use crate::tcp::{store_segments, SegmentStore};
 use bytes::Bytes;
 use geoproof_crypto::fnv::Fnv1a;
 use geoproof_por::dynamic::DynamicDigest;
@@ -251,36 +253,45 @@ pub(crate) enum FrameOutcome {
     Close,
 }
 
-/// The protocol semantics, shared verbatim between the threaded path
-/// ([`serve_mux_connection`]) and the reactor path
-/// ([`MuxProverServer::spawn_reactor`]). Every lookup, every
-/// session-table touch, every metric and every reply choice happens
-/// here — which is what pins the two execution models to byte-identical
-/// behaviour (the differential suite checks it).
+/// The protocol semantics: every lookup, every session-table touch,
+/// every metric and every reply choice. Its one caller is the
+/// connection machine (`conn::Conn`), whichever shell drives it.
 pub(crate) struct MuxService {
     store: SegmentStore,
-    dynamic: DynamicRegistry,
+    pub(crate) dynamic: DynamicRegistry,
     sessions: SessionTable,
     /// Connections accepted; each accept takes the next id.
-    pub(crate) connections: AtomicU64,
+    connections: AtomicU64,
     challenges: AtomicU64,
+    /// Per-challenge service delay (the simulated storage look-up).
+    delay: Duration,
 }
 
 impl MuxService {
-    /// Whether `msg` incurs the per-request service delay before being
-    /// handled (the simulated storage look-up: challenges do, control
-    /// frames don't). The threaded path sleeps; the reactor parks the
-    /// frame on a timer.
-    pub(crate) fn delayed(&self, msg: &WireMessage) -> bool {
-        matches!(
-            msg,
-            WireMessage::Challenge { .. } | WireMessage::DynChallenge { .. }
-        )
+    pub(crate) fn new(store: SegmentStore, delay: Duration) -> MuxService {
+        MuxService {
+            store,
+            dynamic: DynamicRegistry::new(),
+            sessions: SessionTable::default(),
+            connections: AtomicU64::new(0),
+            challenges: AtomicU64::new(0),
+            delay,
+        }
     }
 
-    /// A connection was accepted (metrics hook).
-    pub(crate) fn on_open(&self) {
+    /// How long `msg` is held before it is handled: the service delay
+    /// for challenges, nothing for control frames.
+    pub(crate) fn delay_for(&self, msg: &WireMessage) -> Duration {
+        match msg {
+            WireMessage::Challenge { .. } | WireMessage::DynChallenge { .. } => self.delay,
+            _ => Duration::ZERO,
+        }
+    }
+
+    /// A connection was accepted: returns its id.
+    pub(crate) fn open(&self) -> u64 {
         mux_metrics().connections.inc();
+        self.connections.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Handles one inbound frame.
@@ -384,12 +395,12 @@ impl MuxService {
     }
 }
 
-/// How long the threaded accept loop parks between accept attempts.
+/// How long the blocking accept loop parks between accept attempts.
 /// Short, because nothing signals the condvar when a connection arrives
 /// — only shutdown does.
 const ACCEPT_PARK: Duration = Duration::from_millis(2);
 
-/// Shutdown-interruptible park for the threaded accept loop.
+/// Shutdown-interruptible park for the blocking accept loop.
 ///
 /// A non-blocking listener has to retry `accept`; a plain `sleep`
 /// between attempts could not be interrupted by shutdown. Parking on a
@@ -437,9 +448,9 @@ pub struct MuxProverServer {
     accept_handle: Option<std::thread::JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     service: Arc<MuxService>,
-    /// Threaded path: wakes the parked accept loop at shutdown.
+    /// Blocking shell: wakes the parked accept loop at shutdown.
     park: Option<Arc<AcceptPark>>,
-    /// Reactor path: interrupts the event loop's poll at shutdown.
+    /// Epoll shell: interrupts the event loop's poll at shutdown.
     waker: Option<geoproof_reactor::Waker>,
 }
 
@@ -453,28 +464,25 @@ impl std::fmt::Debug for MuxProverServer {
 
 impl MuxProverServer {
     /// Binds an ephemeral localhost port; the caller starts the loop.
-    fn bind(store: SegmentStore) -> std::io::Result<(TcpListener, MuxProverServer)> {
+    fn bind(
+        store: SegmentStore,
+        service_delay: Duration,
+    ) -> std::io::Result<(TcpListener, MuxProverServer)> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let server = MuxProverServer {
             addr: listener.local_addr()?,
             stop: Arc::new(AtomicBool::new(false)),
             accept_handle: None,
             conn_handles: Arc::new(Mutex::new(Vec::new())),
-            service: Arc::new(MuxService {
-                store,
-                dynamic: DynamicRegistry::new(),
-                sessions: SessionTable::default(),
-                connections: AtomicU64::new(0),
-                challenges: AtomicU64::new(0),
-            }),
+            service: Arc::new(MuxService::new(store, service_delay)),
             park: None,
             waker: None,
         };
         Ok((listener, server))
     }
 
-    /// Binds to an ephemeral localhost port and starts accepting on the
-    /// threaded model: one thread per connection, blocking reads.
+    /// Binds to an ephemeral localhost port and serves from the blocking
+    /// shell: one thread per connection, blocking reads and writes.
     ///
     /// `service_delay` is added per challenge, emulating storage latency
     /// so wall-clock experiments can contrast disk classes.
@@ -483,7 +491,7 @@ impl MuxProverServer {
     ///
     /// Propagates socket errors.
     pub fn spawn(store: SegmentStore, service_delay: Duration) -> std::io::Result<MuxProverServer> {
-        let (listener, mut server) = Self::bind(store)?;
+        let (listener, mut server) = Self::bind(store, service_delay)?;
         listener.set_nonblocking(true)?;
         let park = AcceptPark::new();
         let accept_stop = server.stop.clone();
@@ -494,19 +502,10 @@ impl MuxProverServer {
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        let conn_id = accept_service.connections.fetch_add(1, Ordering::Relaxed);
-                        accept_service.on_open();
+                        let conn = Conn::new(accept_service.clone());
                         let stop = accept_stop.clone();
-                        let service = accept_service.clone();
                         let handle = std::thread::spawn(move || {
-                            let _ = serve_mux_connection(
-                                stream,
-                                conn_id,
-                                &service,
-                                service_delay,
-                                stop,
-                            );
-                            service.on_close(conn_id);
+                            let _ = serve_blocking(stream, conn, &stop);
                         });
                         // Opportunistically reap finished handles (the
                         // stat-read path reaps too, so a burst followed
@@ -526,13 +525,11 @@ impl MuxProverServer {
         Ok(server)
     }
 
-    /// Event-driven variant of [`MuxProverServer::spawn`]: same
-    /// protocol, same session table, same statistics — the frame
-    /// handling is literally the same code (`MuxService`) — but
-    /// connections are non-blocking state machines on one epoll reactor
-    /// thread instead of a thread each, so tens of thousands of
-    /// concurrent audits fit in O(connections) heap. Service delay runs
-    /// on reactor timers.
+    /// Event-driven variant of [`MuxProverServer::spawn`]: the same
+    /// connection machines over the same service, but all driven from
+    /// one epoll thread instead of a thread each, so tens of thousands
+    /// of concurrent audits fit in O(connections) heap. Service delay
+    /// runs on reactor timers.
     ///
     /// # Errors
     ///
@@ -543,11 +540,10 @@ impl MuxProverServer {
         store: SegmentStore,
         service_delay: Duration,
     ) -> std::io::Result<MuxProverServer> {
-        let (listener, mut server) = Self::bind(store)?;
+        let (listener, mut server) = Self::bind(store, service_delay)?;
         let (waker, handle) = crate::reactor_serve::spawn_reactor_loop(
             listener,
             server.service.clone(),
-            service_delay,
             server.stop.clone(),
         )?;
         server.accept_handle = Some(handle);
@@ -613,8 +609,8 @@ impl MuxProverServer {
 
     /// Aggregate statistics (monotone — see [`MuxStats`]).
     ///
-    /// Reading stats also reaps finished connection threads on the
-    /// threaded path: a burst of connections followed by silence used
+    /// Reading stats also reaps finished connection threads in the
+    /// blocking shell: a burst of connections followed by silence used
     /// to hoard one `JoinHandle` per past connection until the *next*
     /// accept; any observer now releases them.
     pub fn stats(&self) -> MuxStats {
@@ -639,10 +635,10 @@ impl MuxProverServer {
     }
 
     /// Stops accepting, then joins the accept loop **and every
-    /// connection thread** (connections notice the stop flag at their
-    /// next idle poll; in-flight responses complete first). On the
-    /// reactor path the waker interrupts the event loop's poll
-    /// immediately, which drops every connection state machine.
+    /// connection thread** (the blocking shell's threads notice the stop
+    /// flag within one socket timeout, even mid-write to a peer that
+    /// never reads). In the epoll shell the waker interrupts the event
+    /// loop's poll immediately, which drops every connection machine.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(park) = &self.park {
@@ -682,253 +678,57 @@ fn reap_finished(handles: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
     }
 }
 
-fn serve_mux_connection(
-    stream: TcpStream,
-    conn_id: u64,
-    service: &MuxService,
-    service_delay: Duration,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
+/// Longest any blocking socket call may take before the connection
+/// thread looks at the stop flag again.
+const BLOCKING_IO_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// The blocking shell: drives one connection's machine on its own
+/// thread. Reads and writes time out after [`BLOCKING_IO_TIMEOUT`] and
+/// the stop flag is checked between any two socket calls, so neither a
+/// byte dribbler (slow loris) nor a peer that never reads holds up
+/// shutdown. Once a write times out, further replies only queue until
+/// the next read turn retries the write, so a peer that pipelines
+/// without reading meets the machine's backlog cap here too. A service
+/// delay is a sleep.
+fn serve_blocking(mut stream: TcpStream, mut conn: Conn, stop: &AtomicBool) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = stream;
-    let mut frames = IdleFrameReader::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        // Blocking reads: a short read's `Idle` is just one more turn.
-        let msg = match frames.poll_et(&mut reader, &stop, &mut false) {
-            Ok(Polled::Frame(m)) => m,
-            Ok(Polled::Idle) => continue,
-            Ok(Polled::Closed) | Err(_) => return Ok(()),
-        };
-        if !service_delay.is_zero() && service.delayed(&msg) {
-            std::thread::sleep(service_delay);
-        }
-        match service.handle(conn_id, msg) {
-            FrameOutcome::Reply(reply) => write_frame(&mut writer, &reply)?,
-            FrameOutcome::Silent => {}
-            FrameOutcome::Close => return Ok(()),
+    stream.set_read_timeout(Some(BLOCKING_IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(BLOCKING_IO_TIMEOUT))?;
+    let mut backed_up = false;
+    while !stop.load(Ordering::Relaxed) {
+        match conn.step() {
+            Step::Write if backed_up => {}
+            Step::Write | Step::Wait => backed_up = !conn.write_to(&mut stream)?,
+            Step::Read => {
+                backed_up = !conn.write_to(&mut stream)?;
+                match conn.read_from(&mut stream) {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    // Timed out or interrupted: step again.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock
+                                | std::io::ErrorKind::TimedOut
+                                | std::io::ErrorKind::Interrupted
+                        ) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            Step::Park(delay) => {
+                std::thread::sleep(delay);
+                conn.fire();
+            }
+            Step::Close => break,
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tcp::TcpChallenger;
-    use std::collections::HashMap;
-
-    fn store_with(files: &[(&str, usize)]) -> SegmentStore {
-        let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
-        for &(fid, n) in files {
-            store.lock().insert(
-                fid.to_owned(),
-                (0..n).map(|i| Bytes::from(vec![i as u8; 83])).collect(),
-            );
-        }
-        store
-    }
-
-    #[test]
-    fn multiplexes_sessions_across_connections_and_files() {
-        let server =
-            MuxProverServer::spawn(store_with(&[("a", 8), ("b", 8)]), Duration::ZERO).unwrap();
-        let addr = server.addr();
-        // Keep all four connections open while inspecting live sessions.
-        let clients: Vec<TcpChallenger> = (0..4)
-            .map(|_| {
-                let mut c = TcpChallenger::connect(addr).unwrap();
-                // Interleave two files on one connection.
-                for i in 0..8u64 {
-                    let fid = if i % 2 == 0 { "a" } else { "b" };
-                    let (seg, _) = c.challenge(fid, i % 8).unwrap();
-                    assert!(seg.is_some());
-                }
-                c
-            })
-            .collect();
-        let stats = server.stats();
-        assert_eq!(stats.connections, 4);
-        assert_eq!(stats.sessions, 8); // 4 connections × 2 files
-        assert_eq!(stats.challenges, 32);
-        let per_session = server.sessions();
-        assert_eq!(per_session.len(), 8);
-        assert!(per_session.iter().all(|(_, s)| s.challenges == 4));
-        assert!(per_session.iter().all(|(_, s)| s.hits == 4));
-        drop(clients);
-        // Closed connections release their per-session state (aggregate
-        // totals survive) — a long-running server stays bounded.
-        for _ in 0..100 {
-            if server.sessions().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(server.sessions().is_empty());
-        assert_eq!(server.stats().challenges, 32);
-        assert_eq!(server.stats().sessions, 8);
-    }
-
-    #[test]
-    fn stats_stay_monotone_across_reconnects() {
-        // Regression: evicting a closed connection's sessions used to
-        // discard their SessionStats outright, so a fleet of short-lived
-        // audit connections left `hits` (and any session classification)
-        // permanently undercounted. Closes now fold into retirement
-        // totals first.
-        let server = MuxProverServer::spawn(store_with(&[("f", 4)]), Duration::ZERO).unwrap();
-        let addr = server.addr();
-        let mut last = MuxStats::default();
-        for round in 0..3u64 {
-            let mut raw = std::net::TcpStream::connect(addr).unwrap();
-            write_frame(
-                &mut raw,
-                &WireMessage::StartAudit {
-                    file_id: "f".to_owned(),
-                    n_segments: 4,
-                    k: 3,
-                    nonce: [0u8; 32],
-                },
-            )
-            .unwrap();
-            for i in 0..3u64 {
-                write_frame(
-                    &mut raw,
-                    &WireMessage::Challenge {
-                        file_id: "f".to_owned(),
-                        index: i,
-                    },
-                )
-                .unwrap();
-                let reply = crate::codec::read_frame(&mut raw).unwrap();
-                assert!(matches!(reply, WireMessage::Response { segment: Some(_) }));
-            }
-            write_frame(&mut raw, &WireMessage::Bye).unwrap();
-            drop(raw);
-            // Wait for the closed connection's session to retire.
-            for _ in 0..200 {
-                if server.stats().sessions_complete == round + 1 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            let stats = server.stats();
-            assert_eq!(stats.hits, (round + 1) * 3, "hits lost at connection close");
-            assert_eq!(stats.sessions_complete, round + 1);
-            assert_eq!(stats.sessions_incomplete, 0);
-            assert!(
-                stats.connections >= last.connections
-                    && stats.sessions >= last.sessions
-                    && stats.challenges >= last.challenges
-                    && stats.hits >= last.hits
-                    && stats.sessions_complete >= last.sessions_complete
-                    && stats.sessions_incomplete >= last.sessions_incomplete,
-                "stats went backwards across a reconnect: {last:?} -> {stats:?}"
-            );
-            last = stats;
-        }
-        // A session that ends short of its announced k retires as
-        // incomplete — its hits still fold in.
-        let mut raw = std::net::TcpStream::connect(addr).unwrap();
-        write_frame(
-            &mut raw,
-            &WireMessage::StartAudit {
-                file_id: "f".to_owned(),
-                n_segments: 4,
-                k: 4,
-                nonce: [0u8; 32],
-            },
-        )
-        .unwrap();
-        write_frame(
-            &mut raw,
-            &WireMessage::Challenge {
-                file_id: "f".to_owned(),
-                index: 0,
-            },
-        )
-        .unwrap();
-        let reply = crate::codec::read_frame(&mut raw).unwrap();
-        assert!(matches!(reply, WireMessage::Response { segment: Some(_) }));
-        write_frame(&mut raw, &WireMessage::Bye).unwrap();
-        drop(raw);
-        for _ in 0..200 {
-            if server.stats().sessions_incomplete == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let stats = server.stats();
-        assert_eq!(stats.sessions_incomplete, 1);
-        assert_eq!(stats.sessions_complete, 3);
-        assert_eq!(stats.hits, 10, "incomplete session's hits still fold in");
-    }
-
-    #[test]
-    fn start_audit_announces_session() {
-        let server = MuxProverServer::spawn(store_with(&[("f", 4)]), Duration::ZERO).unwrap();
-        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-        write_frame(
-            &mut raw,
-            &WireMessage::StartAudit {
-                file_id: "f".to_owned(),
-                n_segments: 4,
-                k: 3,
-                nonce: [1u8; 32],
-            },
-        )
-        .unwrap();
-        // Wait for the (still-open) connection's session to register.
-        for _ in 0..100 {
-            if server.stats().sessions == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let sessions = server.sessions();
-        assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[0].1.announced_k, Some(3));
-        write_frame(&mut raw, &WireMessage::Bye).unwrap();
-    }
-
-    #[test]
-    fn shutdown_joins_all_connection_threads() {
-        let mut server = MuxProverServer::spawn(store_with(&[("f", 4)]), Duration::ZERO).unwrap();
-        let addr = server.addr();
-        // Leave two idle connections open — shutdown must not hang on them.
-        let c1 = TcpChallenger::connect(addr).unwrap();
-        let c2 = TcpChallenger::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        server.shutdown();
-        assert!(server.conn_handles.lock().is_empty());
-        drop((c1, c2));
-        // After shutdown no new connections are served: a connect may
-        // still land in the listen backlog, but nothing accepts it, so a
-        // challenge never gets an answer (bounded by a read timeout) —
-        // any valid Response here would mean the accept loop survived.
-        if let Ok(raw) = std::net::TcpStream::connect(addr) {
-            raw.set_read_timeout(Some(Duration::from_millis(300)))
-                .unwrap();
-            let mut raw = raw;
-            use std::io::Write;
-            let _ = raw.write_all(
-                &WireMessage::Challenge {
-                    file_id: "f".to_owned(),
-                    index: 0,
-                }
-                .encode(),
-            );
-            let reply = crate::codec::read_frame(&mut raw);
-            assert!(
-                reply.is_err(),
-                "server answered a challenge after shutdown: {reply:?}"
-            );
-        }
-        assert_eq!(server.stats().challenges, 0);
-    }
 
     #[test]
     fn finished_connection_threads_are_reaped_without_a_next_accept() {
@@ -936,7 +736,11 @@ mod tests {
         // reaped inside the accept arm, so a burst of connections
         // followed by silence hoarded one JoinHandle per past
         // connection indefinitely. Reading stats must release them.
-        let server = MuxProverServer::spawn(store_with(&[("f", 2)]), Duration::ZERO).unwrap();
+        let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
+        store
+            .lock()
+            .insert("f".to_owned(), vec![Bytes::from(vec![0u8; 83]); 2]);
+        let server = MuxProverServer::spawn(store, Duration::ZERO).unwrap();
         let addr = server.addr();
         for _ in 0..8 {
             let mut c = TcpChallenger::connect(addr).unwrap();
@@ -967,247 +771,5 @@ mod tests {
             server.conn_handles.lock().is_empty(),
             "finished connection handles hoarded until the next accept"
         );
-    }
-
-    #[test]
-    fn shutdown_is_not_held_hostage_by_a_slow_loris_client() {
-        // Regression: a client dribbling bytes faster than the read
-        // timeout (but never completing a frame) used to keep the
-        // connection thread inside the frame reader's fill loop, so
-        // shutdown joined forever. The stop flag is now checked between
-        // reads.
-        let mut server = MuxProverServer::spawn(store_with(&[("f", 4)]), Duration::ZERO).unwrap();
-        let addr = server.addr();
-        let dribbling = Arc::new(AtomicBool::new(true));
-        let keep_going = dribbling.clone();
-        let loris = std::thread::spawn(move || {
-            use std::io::Write;
-            let mut raw = std::net::TcpStream::connect(addr).unwrap();
-            // A frame header promising far more bytes than we ever send.
-            let _ = raw.write_all(&1000u32.to_be_bytes());
-            while keep_going.load(Ordering::Relaxed) {
-                if raw.write_all(&[0u8]).is_err() {
-                    break;
-                }
-                let _ = raw.flush();
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        });
-        std::thread::sleep(Duration::from_millis(100)); // let it dribble
-        let start = std::time::Instant::now();
-        server.shutdown();
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "shutdown hung on the dribbling connection"
-        );
-        dribbling.store(false, Ordering::Relaxed);
-        loris.join().unwrap();
-    }
-
-    #[test]
-    fn missing_files_are_answered_but_never_open_sessions() {
-        // Regression: an unknown file id used to allocate a session-table
-        // entry per challenge — one hostile connection could grow the
-        // table without bound. The challenge is still answered (None);
-        // only the bookkeeping is refused.
-        let server = MuxProverServer::spawn(store_with(&[("f", 2)]), Duration::ZERO).unwrap();
-        let mut c = TcpChallenger::connect(server.addr()).unwrap();
-        let (seg, _) = c.challenge("ghost", 0).unwrap();
-        assert!(seg.is_none());
-        let (seg, _) = c.challenge("f", 1).unwrap();
-        assert!(seg.is_some());
-        // An out-of-range index on a real file is a miss, not an error.
-        let (seg, _) = c.challenge("f", 99).unwrap();
-        assert!(seg.is_none());
-        for _ in 0..100 {
-            if server.stats().challenges == 3 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // Inspect while the connection is still open (sessions are live
-        // per-connection state): only the real file has a session.
-        let sessions = server.sessions();
-        assert!(sessions.iter().all(|(k, _)| k.file_id != "ghost"));
-        let real = sessions.iter().find(|(k, _)| k.file_id == "f").unwrap();
-        assert_eq!(real.1.challenges, 2);
-        assert_eq!(real.1.hits, 1);
-        assert_eq!(server.stats().sessions, 1);
-        assert_eq!(server.stats().challenges, 3, "misses still count globally");
-        c.bye().unwrap();
-    }
-
-    #[test]
-    fn hostile_unique_file_id_spam_allocates_no_sessions() {
-        // One connection, thousands of StartAudit + Challenge frames for
-        // files that do not exist: the session table must stay empty.
-        let server = MuxProverServer::spawn(store_with(&[("f", 2)]), Duration::ZERO).unwrap();
-        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-        for i in 0..500u32 {
-            write_frame(
-                &mut raw,
-                &WireMessage::StartAudit {
-                    file_id: format!("ghost-{i}"),
-                    n_segments: 1,
-                    k: 1,
-                    nonce: [0u8; 32],
-                },
-            )
-            .unwrap();
-        }
-        for i in 0..100u64 {
-            write_frame(
-                &mut raw,
-                &WireMessage::Challenge {
-                    file_id: format!("phantom-{i}"),
-                    index: 0,
-                },
-            )
-            .unwrap();
-            let reply = crate::codec::read_frame(&mut raw).unwrap();
-            assert_eq!(reply, WireMessage::Response { segment: None });
-        }
-        // The challenges round-tripped, so all prior frames are processed.
-        assert_eq!(server.stats().sessions, 0, "hostile spam opened sessions");
-        assert!(server.sessions().is_empty());
-        write_frame(&mut raw, &WireMessage::Bye).unwrap();
-    }
-
-    #[test]
-    fn per_connection_session_count_is_capped() {
-        // Even over *real* files, one connection cannot hold more than
-        // MAX_SESSIONS_PER_CONNECTION live sessions; the overflow is
-        // still served, just not tracked.
-        let files: Vec<String> = (0..MAX_SESSIONS_PER_CONNECTION + 16)
-            .map(|i| format!("file-{i:03}"))
-            .collect();
-        let named: Vec<(&str, usize)> = files.iter().map(|f| (f.as_str(), 1)).collect();
-        let server = MuxProverServer::spawn(store_with(&named), Duration::ZERO).unwrap();
-        let mut c = TcpChallenger::connect(server.addr()).unwrap();
-        for f in &files {
-            let (seg, _) = c.challenge(f, 0).unwrap();
-            assert!(seg.is_some(), "{f} must still be served past the cap");
-        }
-        assert_eq!(server.stats().sessions, MAX_SESSIONS_PER_CONNECTION);
-        assert_eq!(
-            server.sessions().len() as u64,
-            MAX_SESSIONS_PER_CONNECTION,
-            "live sessions must be capped per connection"
-        );
-        // A second connection gets its own budget.
-        let mut c2 = TcpChallenger::connect(server.addr()).unwrap();
-        let (seg, _) = c2.challenge(&files[0], 0).unwrap();
-        assert!(seg.is_some());
-        for _ in 0..100 {
-            if server.stats().sessions == MAX_SESSIONS_PER_CONNECTION + 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.stats().sessions, MAX_SESSIONS_PER_CONNECTION + 1);
-        c.bye().unwrap();
-        c2.bye().unwrap();
-    }
-
-    #[test]
-    fn dynamic_flow_over_tcp_challenge_update_append() {
-        use geoproof_por::dynamic::{tag_segment, verify_challenge, DynamicOwner, ProvenSegment};
-        use geoproof_por::keys::PorKeys;
-
-        let keys = PorKeys::derive(b"mux-dyn", "d");
-        let tagged: Vec<Bytes> = (0..6u64)
-            .map(|i| Bytes::from(tag_segment(&keys, "d", i, &[i as u8; 30])))
-            .collect();
-        let server = MuxProverServer::spawn(store_with(&[]), Duration::ZERO).unwrap();
-        let d0 = server.put_dynamic("d", tagged.clone());
-        let mut owner = DynamicOwner::from_tagged("d", &tagged);
-        assert_eq!(owner.digest(), d0);
-
-        let mut c = TcpChallenger::connect(server.addr()).unwrap();
-        // Challenge with proof.
-        let (served, _) = c.dyn_challenge("d", 2).unwrap();
-        let (segment, proof) = served.expect("segment present");
-        let proven = ProvenSegment { segment, proof };
-        assert!(verify_challenge(&d0, "d", 2, &proven, &keys));
-        // Unknown file/index come back clean.
-        assert!(c.dyn_challenge("ghost", 0).unwrap().0.is_none());
-        assert!(c.dyn_challenge("d", 6).unwrap().0.is_none());
-
-        // Update over the wire: the server lands exactly on the owner's
-        // independently derived digest.
-        let (new_tagged, expected) = owner.tag_update(2, b"fresh", &keys).unwrap();
-        let ack = c
-            .update("d", 2, Bytes::from(new_tagged), [0u8; 64])
-            .unwrap();
-        assert_eq!(ack, Some(expected));
-        // Append likewise.
-        let (appended, expected) = owner.tag_append(b"seventh", &keys);
-        let ack = c.append("d", Bytes::from(appended), [0u8; 64]).unwrap();
-        assert_eq!(ack, Some(expected));
-        assert_eq!(expected.segments, 7);
-        // The new segment serves and verifies under the new digest.
-        let (served, _) = c.dyn_challenge("d", 6).unwrap();
-        let (segment, proof) = served.expect("appended segment");
-        let proven = ProvenSegment { segment, proof };
-        assert!(verify_challenge(&expected, "d", 6, &proven, &keys));
-        // Updates against unknown files ack None.
-        assert!(c
-            .update("ghost", 0, Bytes::new(), [0u8; 64])
-            .unwrap()
-            .is_none());
-        assert!(c
-            .append("ghost", Bytes::new(), [0u8; 64])
-            .unwrap()
-            .is_none());
-        c.bye().unwrap();
-    }
-
-    #[test]
-    fn owner_keyed_dynamic_files_refuse_forged_mutations_over_tcp() {
-        use geoproof_crypto::chacha::ChaChaRng;
-        use geoproof_crypto::schnorr::SigningKey;
-        use geoproof_por::dynamic::{owner_authorization, tag_segment, DynamicOwner};
-        use geoproof_por::keys::PorKeys;
-
-        let keys = PorKeys::derive(b"mux-auth", "d");
-        let tagged: Vec<Bytes> = (0..4u64)
-            .map(|i| Bytes::from(tag_segment(&keys, "d", i, &[i as u8; 30])))
-            .collect();
-        let owner_key = SigningKey::generate(&mut ChaChaRng::from_u64_seed(77));
-        let server = MuxProverServer::spawn(store_with(&[]), Duration::ZERO).unwrap();
-        let d0 = server.put_dynamic_with_owner("d", tagged.clone(), owner_key.verifying_key());
-        let mut owner = DynamicOwner::from_tagged("d", &tagged);
-
-        let mut c = TcpChallenger::connect(server.addr()).unwrap();
-        let (new_tagged, expected) = owner.tag_update(1, b"v2", &keys).unwrap();
-        let new_tagged = Bytes::from(new_tagged);
-        // Unsigned and mallory-signed mutations are refused; the store
-        // is untouched.
-        assert!(c
-            .update("d", 1, new_tagged.clone(), [0u8; 64])
-            .unwrap()
-            .is_none());
-        let mallory = SigningKey::generate(&mut ChaChaRng::from_u64_seed(78));
-        let forged = mallory
-            .sign(
-                &owner_authorization("d", false, 1, &new_tagged),
-                &mut ChaChaRng::from_u64_seed(79),
-            )
-            .to_bytes();
-        assert!(c
-            .update("d", 1, new_tagged.clone(), forged)
-            .unwrap()
-            .is_none());
-        assert_eq!(server.dynamic().digest("d"), Some(d0));
-        // The owner's genuine signature lands on the expected digest.
-        let good = owner_key
-            .sign(
-                &owner_authorization("d", false, 1, &new_tagged),
-                &mut ChaChaRng::from_u64_seed(80),
-            )
-            .to_bytes();
-        let ack = c.update("d", 1, new_tagged, good).unwrap();
-        assert_eq!(ack, Some(expected));
-        c.bye().unwrap();
     }
 }

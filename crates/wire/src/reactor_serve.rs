@@ -1,61 +1,24 @@
-//! Event-driven serving core: connection state machines on the epoll
-//! reactor.
-//!
-//! The threaded model in [`crate::mux`] spends one OS thread per
-//! connection; this module serves the same protocol from **one**
+//! The epoll shell: every connection's machine (`conn::Conn`) on one
 //! event-loop thread, so concurrency is bounded by file descriptors and
-//! heap, not stacks. Every frame goes through the same
-//! [`MuxService`] methods the threaded loop calls, which is what makes
-//! the differential suite's "replies byte-identical" guarantee hold by
-//! construction rather than by parallel maintenance.
+//! heap, not stacks.
 //!
-//! ## Connection state machine
-//!
-//! Each accepted socket becomes a [`Conn`]:
-//!
-//! ```text
-//!             readable (edge)               complete frame
-//!   Reading ────────────────▶ pump: IdleFrameReader ──────────┐
-//!      ▲                                                      ▼
-//!      │   timer fires                              delayed frame?
-//!   Delayed ◀──────────────────────────────────────────── yes │ no
-//!      │         (service-delay timer parks the frame;        ▼
-//!      │          reading pauses — ordering matches the   dispatch →
-//!      │          threaded path's blocking sleep)         write queue
-//!      ▼                                                      │
-//!   Writing ◀─────────────────────────────────────────────────┘
-//!      │  queue drained → back to read-only interest
-//!      ▼
-//!   Closing (Bye / EOF / error / backlog overflow) → evict sessions
-//! ```
-//!
-//! Reads are edge-triggered: the pump drains the socket until a short
-//! read proves the kernel buffer is empty (skipping the final `EAGAIN`
-//! syscall a drain-to-`WouldBlock` loop would pay) or parks on a delay
-//! timer, in which case the buffered bytes wait with it. Writes queue
-//! refcounted frame parts ([`bytes::Bytes`] from
-//! `encode_parts`, so segment payloads are never copied) and register
-//! write interest only while the queue is non-empty. A connection whose
-//! backlog exceeds [`MAX_WRITE_BACKLOG`] is dropped — that peer is not
-//! reading its responses, which is either a stall or a hostile sink.
+//! The shell owns only what a socket needs: accept, epoll tokens,
+//! edge-triggered reads, write interest and wheel timers. Frames,
+//! replies, delay parking, Bye-then-flush and the write-backlog cap are
+//! the machine's. One readiness edge drives the machine until it needs
+//! something the socket cannot give now. A read shorter than
+//! [`READ_CHUNK`] proves the kernel buffer is drained, so the shell
+//! skips the trailing `EAGAIN` read a drain-to-`WouldBlock` loop would
+//! pay; bytes landing later raise a fresh edge. Write interest is
+//! registered only while replies are queued.
 
-use crate::codec::WireMessage;
-use crate::mux::{FrameOutcome, MuxService};
-use crate::tcp::{IdleFrameReader, Polled};
-use bytes::Bytes;
+use crate::conn::{Conn, Step, READ_CHUNK};
+use crate::mux::MuxService;
 use geoproof_reactor::{Events, Interest, Reactor, Token, Waker};
-use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Per-connection cap on queued-but-unsent response bytes. An honest
-/// auditor reads every response before sending many more challenges, so
-/// its backlog stays near one frame; a peer that pipelines challenges
-/// while never reading grows the queue without bound and gets cut off.
-pub(crate) const MAX_WRITE_BACKLOG: usize = 1 << 20;
 
 /// Cached reactor telemetry (`geoproof_obs` idiom: register once, cache
 /// the `Arc` handles, record lock-free).
@@ -64,7 +27,6 @@ struct ReactorMetrics {
     io_events: Arc<geoproof_obs::Counter>,
     timers: Arc<geoproof_obs::Counter>,
     connections: Arc<geoproof_obs::Gauge>,
-    backlog_drops: Arc<geoproof_obs::Counter>,
 }
 
 fn reactor_metrics() -> &'static ReactorMetrics {
@@ -74,7 +36,6 @@ fn reactor_metrics() -> &'static ReactorMetrics {
         io_events: geoproof_obs::counter("reactor_io_events_total"),
         timers: geoproof_obs::counter("reactor_timers_fired_total"),
         connections: geoproof_obs::gauge("reactor_connections"),
-        backlog_drops: geoproof_obs::counter("reactor_conns_dropped_total{reason=\"backlog\"}"),
     })
 }
 
@@ -86,72 +47,12 @@ fn conn_token(conn_id: u64) -> Token {
     Token(conn_id + 1)
 }
 
-/// One connection's entire server-side state — heap-bounded and
-/// threadless, which is what lets the reactor hold tens of thousands of
-/// them (the threaded path pays a stack each).
-struct Conn {
+/// One accepted socket and the machine it feeds.
+struct Socket {
     stream: TcpStream,
-    reader: IdleFrameReader,
-    /// Queued response parts (refcounted; segment payloads alias the
-    /// store) with the send offset into the front part.
-    out: VecDeque<Bytes>,
-    out_pos: usize,
-    out_bytes: usize,
-    /// A frame parked while its service-delay timer runs. Reading stays
-    /// paused until it fires, so frame ordering matches the threaded
-    /// path's blocking sleep exactly.
-    parked: Option<WireMessage>,
+    conn: Conn,
     /// Write interest currently registered.
     want_write: bool,
-    /// Bye seen: flush what's queued, then drop.
-    closing: bool,
-}
-
-impl Conn {
-    fn enqueue(&mut self, msg: &WireMessage) {
-        let (head, tail) = msg.encode_parts();
-        self.out_bytes += head.len();
-        self.out.push_back(head.freeze());
-        if let Some(tail) = tail {
-            self.out_bytes += tail.len();
-            self.out.push_back(tail);
-        }
-    }
-
-    /// Writes as much of the queue as the socket will take.
-    /// `Ok(true)` = fully drained, `Ok(false)` = blocked with leftovers.
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while let Some(front) = self.out.front() {
-            match self.stream.write(&front[self.out_pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped accepting bytes",
-                    ))
-                }
-                Ok(n) => {
-                    self.out_pos += n;
-                    self.out_bytes -= n;
-                    if self.out_pos == front.len() {
-                        self.out.pop_front();
-                        self.out_pos = 0;
-                    }
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-}
-
-/// Why a connection left the loop.
-enum Fate {
-    /// Still alive.
-    Alive,
-    /// Finished (EOF, Bye with empty queue, error, overflow) — remove.
-    Gone,
 }
 
 /// Runs accept + serve for `listener` on a dedicated reactor thread.
@@ -163,7 +64,6 @@ enum Fate {
 pub(crate) fn spawn_reactor_loop(
     listener: TcpListener,
     service: Arc<MuxService>,
-    service_delay: Duration,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<(Waker, std::thread::JoinHandle<()>)> {
     listener.set_nonblocking(true)?;
@@ -174,7 +74,7 @@ pub(crate) fn spawn_reactor_loop(
     let handle = std::thread::Builder::new()
         .name("geoproof-reactor".into())
         .spawn(move || {
-            let mut conns: HashMap<u64, Conn> = HashMap::new();
+            let mut conns: HashMap<u64, Socket> = HashMap::new();
             let mut events = Events::with_capacity(256);
             while !stop.load(Ordering::Relaxed) {
                 // The 500 ms cap is a liveness backstop only — shutdown
@@ -198,47 +98,30 @@ pub(crate) fn spawn_reactor_loop(
                         continue;
                     }
                     let id = ev.token.0 - 1;
-                    let Some(conn) = conns.get_mut(&id) else {
+                    let Some(sock) = conns.get_mut(&id) else {
                         continue;
                     };
-                    let mut fate = Fate::Alive;
-                    if ev.error {
-                        fate = Fate::Gone;
-                    }
-                    if matches!(fate, Fate::Alive) && ev.writable {
-                        fate = on_writable(conn, &mut reactor, id);
-                    }
-                    if matches!(fate, Fate::Alive) && ev.readable && !conn.closing {
-                        fate = pump(conn, id, &mut reactor, &service, service_delay, &stop);
-                    }
-                    if matches!(fate, Fate::Gone) {
-                        drop_conn(&mut conns, id, &mut reactor, &service);
+                    if ev.error || !drive(sock, &mut reactor, ev.readable, &stop) {
+                        drop_conn(&mut conns, id, &mut reactor);
                     }
                 }
                 for i in 0..events.timers().len() {
-                    let token = events.timers()[i];
-                    let id = token.0 - 1;
-                    let Some(conn) = conns.get_mut(&id) else {
+                    // A parked frame's service delay has elapsed: hand
+                    // it on, then read what queued behind it.
+                    let id = events.timers()[i].0 - 1;
+                    let Some(sock) = conns.get_mut(&id) else {
                         continue;
                     };
-                    // The parked frame's service delay has elapsed:
-                    // dispatch it, then resume pumping buffered frames.
-                    let mut fate = Fate::Alive;
-                    if let Some(msg) = conn.parked.take() {
-                        fate = dispatch(conn, id, msg, &service, &mut reactor);
-                    }
-                    if matches!(fate, Fate::Alive) && !conn.closing {
-                        fate = pump(conn, id, &mut reactor, &service, service_delay, &stop);
-                    }
-                    if matches!(fate, Fate::Gone) {
-                        drop_conn(&mut conns, id, &mut reactor, &service);
+                    sock.conn.fire();
+                    if !drive(sock, &mut reactor, true, &stop) {
+                        drop_conn(&mut conns, id, &mut reactor);
                     }
                 }
             }
             // Shutdown: every remaining connection releases its state.
             let ids: Vec<u64> = conns.keys().copied().collect();
             for id in ids {
-                drop_conn(&mut conns, id, &mut reactor, &service);
+                drop_conn(&mut conns, id, &mut reactor);
             }
         })?;
     Ok((waker, handle))
@@ -247,8 +130,8 @@ pub(crate) fn spawn_reactor_loop(
 fn accept_all(
     listener: &TcpListener,
     reactor: &mut Reactor,
-    conns: &mut HashMap<u64, Conn>,
-    service: &MuxService,
+    conns: &mut HashMap<u64, Socket>,
+    service: &Arc<MuxService>,
 ) {
     loop {
         match listener.accept() {
@@ -256,32 +139,23 @@ fn accept_all(
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
-                let conn_id = service.connections.fetch_add(1, Ordering::Relaxed);
+                let conn = Conn::new(service.clone());
+                let id = conn.id();
                 if reactor
-                    .register(
-                        &stream,
-                        conn_token(conn_id),
-                        Interest::READABLE.edge_triggered(),
-                    )
+                    .register(&stream, conn_token(id), Interest::READABLE.edge_triggered())
                     .is_err()
                 {
                     continue;
                 }
-                service.on_open();
                 if geoproof_obs::enabled() {
                     reactor_metrics().connections.inc();
                 }
                 conns.insert(
-                    conn_id,
-                    Conn {
+                    id,
+                    Socket {
                         stream,
-                        reader: IdleFrameReader::new(),
-                        out: VecDeque::new(),
-                        out_pos: 0,
-                        out_bytes: 0,
-                        parked: None,
+                        conn,
                         want_write: false,
-                        closing: false,
                     },
                 );
             }
@@ -298,132 +172,62 @@ fn accept_all(
     }
 }
 
-/// Drains inbound frames until `WouldBlock`, a parked delay, or death.
-fn pump(
-    conn: &mut Conn,
-    id: u64,
-    reactor: &mut Reactor,
-    service: &MuxService,
-    service_delay: Duration,
-    stop: &AtomicBool,
-) -> Fate {
-    // One readiness edge = one pump. A short socket read proves the
-    // kernel buffer is drained *right now*, so the reader skips the
-    // final EAGAIN read; data landing afterwards raises a fresh edge.
-    let mut sock_drained = false;
+/// Drives one connection's machine after an event: writes what is
+/// queued, then steps until the machine needs a read the socket cannot
+/// give now (`can_read` false: no read edge, a short read, or
+/// `EAGAIN`), a timer, or writability. `false` means drop it.
+fn drive(sock: &mut Socket, reactor: &mut Reactor, mut can_read: bool, stop: &AtomicBool) -> bool {
+    let token = conn_token(sock.conn.id());
+    if sock.conn.write_to(&mut sock.stream).is_err() {
+        return false;
+    }
     loop {
-        if conn.parked.is_some() || stop.load(Ordering::Relaxed) {
-            return Fate::Alive;
+        match sock.conn.step() {
+            Step::Read if can_read && !stop.load(Ordering::Relaxed) => {
+                match sock.conn.read_from(&mut sock.stream) {
+                    Ok(0) => return false,
+                    Ok(n) => can_read = n == READ_CHUNK,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => can_read = false,
+                    Err(_) => return false,
+                }
+            }
+            Step::Write => {
+                if sock.conn.write_to(&mut sock.stream).is_err() {
+                    return false;
+                }
+            }
+            Step::Park(delay) => {
+                // The timer reuses the connection token: timers and I/O
+                // events travel in separate lanes.
+                reactor.set_timer(token, reactor.now_ns() + delay.as_nanos() as u64);
+                break;
+            }
+            Step::Read | Step::Wait => break,
+            Step::Close => return false,
         }
-        match conn
-            .reader
-            .poll_et(&mut conn.stream, stop, &mut sock_drained)
+    }
+    let want_write = sock.conn.has_output();
+    if want_write != sock.want_write {
+        let interest = if want_write {
+            Interest::BOTH
+        } else {
+            Interest::READABLE
+        };
+        if reactor
+            .reregister(&sock.stream, token, interest.edge_triggered())
+            .is_ok()
         {
-            Ok(Polled::Frame(msg)) => {
-                if !service_delay.is_zero() && service.delayed(&msg) {
-                    // Park the frame and pause reading; the timer reuses
-                    // the connection token (timers and I/O events travel
-                    // in separate lanes, so there is no collision).
-                    reactor.set_timer(
-                        conn_token(id),
-                        reactor.now_ns() + service_delay.as_nanos() as u64,
-                    );
-                    conn.parked = Some(msg);
-                    return Fate::Alive;
-                }
-                match dispatch(conn, id, msg, service, reactor) {
-                    Fate::Alive => {}
-                    Fate::Gone => return Fate::Gone,
-                }
-            }
-            Ok(Polled::Idle) => return Fate::Alive,
-            Ok(Polled::Closed) | Err(_) => return Fate::Gone,
+            sock.want_write = want_write;
         }
     }
+    true
 }
 
-/// Hands one frame to the service and routes its outcome.
-fn dispatch(
-    conn: &mut Conn,
-    id: u64,
-    msg: WireMessage,
-    service: &MuxService,
-    reactor: &mut Reactor,
-) -> Fate {
-    match service.handle(id, msg) {
-        FrameOutcome::Reply(reply) => {
-            conn.enqueue(&reply);
-            if conn.out_bytes > MAX_WRITE_BACKLOG {
-                if geoproof_obs::enabled() {
-                    reactor_metrics().backlog_drops.inc();
-                }
-                return Fate::Gone;
-            }
-            match conn.flush() {
-                Ok(true) => {
-                    set_write_interest(conn, reactor, id, false);
-                    Fate::Alive
-                }
-                Ok(false) => {
-                    set_write_interest(conn, reactor, id, true);
-                    Fate::Alive
-                }
-                Err(_) => Fate::Gone,
-            }
-        }
-        FrameOutcome::Silent => Fate::Alive,
-        FrameOutcome::Close => {
-            conn.closing = true;
-            // Bye after the queue drained: drop now; otherwise linger
-            // write-only until the flush completes.
-            match conn.flush() {
-                Ok(true) => Fate::Gone,
-                Ok(false) => {
-                    set_write_interest(conn, reactor, id, true);
-                    Fate::Alive
-                }
-                Err(_) => Fate::Gone,
-            }
-        }
-    }
-}
-
-fn on_writable(conn: &mut Conn, reactor: &mut Reactor, id: u64) -> Fate {
-    match conn.flush() {
-        Ok(true) => {
-            if conn.closing {
-                return Fate::Gone;
-            }
-            set_write_interest(conn, reactor, id, false);
-            Fate::Alive
-        }
-        Ok(false) => Fate::Alive,
-        Err(_) => Fate::Gone,
-    }
-}
-
-fn set_write_interest(conn: &mut Conn, reactor: &mut Reactor, id: u64, on: bool) {
-    if conn.want_write == on {
-        return;
-    }
-    let interest = if on {
-        Interest::BOTH.edge_triggered()
-    } else {
-        Interest::READABLE.edge_triggered()
-    };
-    if reactor
-        .reregister(&conn.stream, conn_token(id), interest)
-        .is_ok()
-    {
-        conn.want_write = on;
-    }
-}
-
-fn drop_conn(conns: &mut HashMap<u64, Conn>, id: u64, reactor: &mut Reactor, service: &MuxService) {
-    if let Some(conn) = conns.remove(&id) {
+fn drop_conn(conns: &mut HashMap<u64, Socket>, id: u64, reactor: &mut Reactor) {
+    if let Some(sock) = conns.remove(&id) {
         reactor.cancel_timer(conn_token(id));
-        let _ = reactor.deregister(&conn.stream);
-        service.on_close(id);
+        let _ = reactor.deregister(&sock.stream);
         if geoproof_obs::enabled() {
             reactor_metrics().connections.dec();
         }

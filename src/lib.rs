@@ -24,7 +24,7 @@
 //! | [`por`] | `geoproof-por` | MAC-based and sentinel PORs, streaming encode, detection analysis |
 //! | [`core`] | `geoproof-core` | the GeoProof protocol: owner, provider, verifier, TPA; the concurrent audit engine, deterministic fleet simulator, and continuous audit scheduler |
 //! | [`reactor`] | `geoproof-reactor` | freestanding epoll event loop: edge-triggered readiness, hashed timer wheel, cross-thread waker |
-//! | [`wire`] | `geoproof-wire` | framing codec, real-TCP challenge–response, multi-connection session-multiplexing prover server (event-driven, threaded fallback) |
+//! | [`wire`] | `geoproof-wire` | framing codec, real-TCP challenge–response, multi-connection session-multiplexing prover server (one connection machine; epoll shell, blocking fallback) |
 //! | [`ledger`] | `geoproof-ledger` | durable evidence: append-only hash-chained audit log, Merkle checkpoints, crash recovery, offline re-verification |
 //! | [`obs`] | `geoproof-obs` | observability: lock-free counters/gauges/histograms, span journal, Prometheus text exposition |
 //!

@@ -780,12 +780,12 @@ fn cmd_serve(args: &[String]) -> CliResult {
         None => None,
     };
 
-    // The epoll reactor wherever the platform has it; the
-    // thread-per-connection model otherwise (same protocol code).
+    // The epoll shell wherever the platform has it; the blocking
+    // thread-per-connection shell otherwise (same connection machine).
     let empty = || -> SegmentStore { Arc::new(Mutex::new(HashMap::new())) };
     let (server, model) = match MuxProverServer::spawn_reactor(empty(), delay) {
         Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-            (MuxProverServer::spawn(empty(), delay), "threaded")
+            (MuxProverServer::spawn(empty(), delay), "blocking")
         }
         spawned => (spawned, "reactor"),
     };
