@@ -1,0 +1,191 @@
+//! `serve` (the prover server, optionally self-auditing on a schedule)
+//! and `stats` (a one-screen rendering of its metrics scrape).
+
+use super::args::Args;
+use super::store::{read_dyn_store, read_store};
+use super::{hex, CliResult};
+use geoproof::wire::mux::MuxProverServer;
+use geoproof::wire::tcp::SegmentStore;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::io::Write;
+use std::path::Path;
+use std::sync::Arc;
+
+pub fn serve(raw: &[String]) -> CliResult {
+    let values = "--delay-ms --schedule --metrics-addr";
+    let args = Args::parse(raw, "<store-dir>", values, "")?;
+    let store_dir = Path::new(args.pos(0));
+    let delay_ms: u64 = args.get("--delay-ms", 0)?;
+    let schedule = args.opt_with("--schedule", geoproof::core::SchedulePolicy::parse)?;
+    let delay = std::time::Duration::from_millis(delay_ms);
+
+    // The scrape listener binds before the prover socket so the banner
+    // order is fixed (metrics line first, serving line second — both
+    // parseable by `split(" on ")`). Binding also enables the global
+    // registry, so the server records its hot-path metrics. The handle
+    // must outlive the serve loop.
+    let _metrics = match args.str("--metrics-addr") {
+        Some(addr) => {
+            let server = geoproof::obs::expose::ScrapeServer::bind(addr)
+                .map_err(|e| format!("metrics bind {addr}: {e}"))?;
+            println!("metrics on {} (GET /metrics, POST /ingest)", server.addr());
+            Some(server)
+        }
+        None => None,
+    };
+
+    // The epoll shell wherever the platform has it; the blocking
+    // thread-per-connection shell otherwise (same connection machine).
+    let empty = || -> SegmentStore { Arc::new(Mutex::new(HashMap::new())) };
+    let (server, model) = match MuxProverServer::spawn_reactor(empty(), delay) {
+        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+            (MuxProverServer::spawn(empty(), delay), "blocking")
+        }
+        spawned => (spawned, "reactor"),
+    };
+    let server = server.map_err(|e| format!("bind: {e}"))?;
+
+    // A dynamic store dir (dyn-meta.txt present) is registered with its
+    // owner's key — updates and appends arrive over the same socket
+    // audits use; a static one is served as zero-copy segment views.
+    let dynamic = store_dir.join("dyn-meta.txt").exists();
+    let (file_id, segments, detail) = if dynamic {
+        let (tagged, meta) = read_dyn_store(store_dir)?;
+        let owner_key = geoproof::crypto::schnorr::VerifyingKey::from_bytes(&meta.owner_pub)
+            .ok_or("owner_pub in dyn-meta.txt is not a valid curve point")?;
+        let digest = server.put_dynamic_with_owner(&meta.file_id, tagged, owner_key);
+        let root = hex(&digest.root[..8]);
+        let detail = format!("{} dynamic segments, digest root {root}", digest.segments);
+        (meta.file_id, digest.segments, detail)
+    } else {
+        let (segments, md) = read_store(store_dir)?;
+        server.put_shared(&md.file_id, segments);
+        (md.file_id, md.segments, format!("{} segments", md.segments))
+    };
+    let mode = if dynamic { "dynamic mode, " } else { "" };
+    println!(
+        "serving {file_id} ({detail}) on {} ({mode}{model}, service delay {delay_ms} ms); \
+         Ctrl-C to stop",
+        server.addr()
+    );
+    if let Some(policy) = schedule {
+        spawn_schedule_loop(policy, server.addr(), (file_id, segments, dynamic));
+    }
+    loop {
+        std::thread::sleep(std::time::Duration::from_secs(60));
+        let stats = server.stats();
+        println!(
+            "[stats] connections {} | sessions {} | challenges {}",
+            stats.connections, stats.sessions, stats.challenges
+        );
+    }
+}
+
+/// Continuous assurance for a long-lived server: the hosted file is
+/// enrolled in the core [`AuditScheduler`](geoproof::core::AuditScheduler)
+/// as a prover, and a background thread re-audits it over loopback TCP
+/// on the policy's cadence — a failed challenge puts the file on the
+/// REJECT fast track, exactly as a TPA fleet would treat a misbehaving
+/// site.
+fn spawn_schedule_loop(
+    policy: geoproof::core::SchedulePolicy,
+    addr: std::net::SocketAddr,
+    (file_id, segments, dynamic): (String, u64, bool),
+) {
+    use geoproof::core::engine::ProverId;
+    use geoproof::wire::TcpChallenger;
+
+    std::thread::Builder::new()
+        .name("geoproof-schedule".into())
+        .spawn(move || {
+            let sched = geoproof::core::AuditScheduler::new(policy);
+            let origin = std::time::Instant::now();
+            let now_ns = || origin.elapsed().as_nanos() as u64;
+            sched.register(&ProverId(file_id.clone()), now_ns());
+            let mut round = 0u64;
+            loop {
+                for prover in sched.pop_due(now_ns()) {
+                    // Walk the file round-robin so repeated audits cover
+                    // every segment, not one lucky index.
+                    let index = round % segments.max(1);
+                    round += 1;
+                    let ok = TcpChallenger::connect(addr).is_ok_and(|mut c| {
+                        let ok = if dynamic {
+                            c.dyn_challenge(&file_id, index)
+                                .is_ok_and(|(seg, _)| seg.is_some())
+                        } else {
+                            c.challenge(&file_id, index)
+                                .is_ok_and(|(seg, _)| seg.is_some())
+                        };
+                        let _ = c.bye();
+                        ok
+                    });
+                    if !ok {
+                        println!(
+                            "[schedule] REJECT {} (segment {index}); fast-track re-audit",
+                            prover.0
+                        );
+                    }
+                    sched.complete(&prover, ok, now_ns());
+                }
+                let sleep_ns = sched
+                    .next_wakeup_ns()
+                    .map(|at| at.saturating_sub(now_ns()))
+                    .unwrap_or(500_000_000)
+                    .clamp(1_000_000, 500_000_000);
+                std::thread::sleep(std::time::Duration::from_nanos(sleep_ns));
+            }
+        })
+        .expect("spawn schedule thread");
+}
+
+pub fn stats(raw: &[String]) -> CliResult {
+    use geoproof::obs::expose::{scrape, TextMetrics};
+    let args = Args::parse(raw, "<ip:port>", "--interval-ms", "--watch --raw")?;
+    let addr = args.pos(0);
+    let interval_ms: u64 = args.get("--interval-ms", 2000)?;
+    loop {
+        let body = scrape(addr).map_err(|e| format!("scrape {addr}: {e}"))?;
+        if args.has("--raw") {
+            print!("{body}");
+        } else {
+            print!("{}", render_stats(&TextMetrics::parse(&body), addr));
+        }
+        if !args.has("--watch") {
+            return Ok(());
+        }
+        std::io::stdout()
+            .flush()
+            .map_err(|e| format!("stdout: {e}"))?;
+        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(100)));
+        println!("---");
+    }
+}
+
+/// One-screen rendering of a parsed exposition: scalar series first,
+/// then each histogram reduced to count / mean / p50 / p99.
+fn render_stats(m: &geoproof::obs::expose::TextMetrics, addr: &str) -> String {
+    let mut out = format!("metrics @ {addr}\n");
+    if m.samples.is_empty() && m.histograms.is_empty() {
+        out.push_str("  (no series recorded yet)\n");
+        return out;
+    }
+    for (name, value) in &m.samples {
+        out.push_str(&format!("  {name:<52} {value}\n"));
+    }
+    for (name, h) in &m.histograms {
+        let mean = if h.count == 0 {
+            0.0
+        } else {
+            h.sum / h.count as f64
+        };
+        out.push_str(&format!(
+            "  {name:<52} count {} mean {mean:.1} p50 {} p99 {}\n",
+            h.count,
+            h.quantile(0.5),
+            h.quantile(0.99),
+        ));
+    }
+    out
+}

@@ -4,152 +4,49 @@
 //! registry agrees exactly with the audits actually run (and their
 //! exit codes).
 
+mod support;
+
 use geoproof::obs::expose::{scrape, TextMetrics};
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::io::{Read, Write};
+use support::{run, tmpdir, write_input, Server};
 
-const BIN: &str = env!("CARGO_BIN_EXE_geoproof");
 const MASTER: &str = "cli-stats-master";
-
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gp-cli-stats-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("tempdir");
-    dir
-}
-
-/// Runs the binary, asserting the expected exit status; returns stdout.
-fn run(args: &[&str], expect_success: bool) -> String {
-    let out = Command::new(BIN)
-        .args(args)
-        .output()
-        .expect("spawn geoproof");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.success(),
-        expect_success,
-        "geoproof {args:?}\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    stdout
-}
-
-/// A `geoproof serve --metrics-addr` child killed on
-/// drop; parses the metrics address from the first banner line and the
-/// prover address from the second.
-struct Server {
-    child: Child,
-    addr: String,
-    metrics_addr: String,
-}
-
-impl Server {
-    fn spawn(store: &Path) -> Server {
-        let mut child = Command::new(BIN)
-            .arg("serve")
-            .arg(store)
-            .args(["--metrics-addr", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let mut banner = || {
-            let line = lines.next().expect("banner line").expect("read banner");
-            // "metrics on <addr> (GET /metrics, POST /ingest)" /
-            // "serving <fid> (<n> segments) on <addr> (reactor, ...)"
-            line.split(" on ")
-                .nth(1)
-                .and_then(|s| s.split_whitespace().next())
-                .unwrap_or_else(|| panic!("no address in banner: {line}"))
-                .to_owned()
-        };
-        let metrics_addr = banner();
-        let addr = banner();
-        Server {
-            child,
-            addr,
-            metrics_addr,
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
 
 #[test]
 fn scraped_registry_agrees_with_audits_run() {
-    let dir = tmpdir();
-    let input = dir.join("input.bin");
-    let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-    std::fs::write(&input, &data).expect("write input");
-    let store = dir.join("store");
-
+    let dir = tmpdir("stats");
+    let (input, store) = (format!("{dir}/input.bin"), format!("{dir}/store"));
+    write_input(&input, 40_000);
     run(
-        &[
-            "encode",
-            input.to_str().unwrap(),
-            store.to_str().unwrap(),
-            "--fid",
-            "cli-stats-demo",
-            "--master",
-            MASTER,
-        ],
+        &format!("encode {input} {store} --fid cli-stats-demo --master {MASTER}"),
         true,
     );
 
-    let server = Server::spawn(&store);
+    let server = Server::spawn(&format!("{store} --metrics-addr 127.0.0.1:0"));
+    let metrics_addr = server.metrics_addr.clone().expect("metrics banner");
 
     // Three accepting audits (generous budget) plus one forced REJECT
     // (zero timing budget: every round violates) — the exit codes pin
     // exactly what the pushed verdict counters must say.
-    for _ in 0..3 {
-        let stdout = run(
-            &[
-                "audit",
-                &server.addr,
-                store.to_str().unwrap(),
-                "--master",
-                MASTER,
-                "--k",
-                "4",
-                "--budget-ms",
-                "5000",
-                "--metrics-addr",
-                &server.metrics_addr,
-            ],
-            true,
+    let audit = |budget_ms: u32| {
+        let line = format!(
+            "audit {} {store} --master {MASTER} --k 4 --budget-ms {budget_ms} \
+             --metrics-addr {metrics_addr}",
+            server.addr
         );
+        run(&line, budget_ms > 0)
+    };
+    for _ in 0..3 {
+        let stdout = audit(5000);
         assert!(stdout.contains("verdict: ACCEPT"), "{stdout}");
     }
-    let stdout = run(
-        &[
-            "audit",
-            &server.addr,
-            store.to_str().unwrap(),
-            "--master",
-            MASTER,
-            "--k",
-            "4",
-            "--budget-ms",
-            "0",
-            "--metrics-addr",
-            &server.metrics_addr,
-        ],
-        false,
-    );
+    let stdout = audit(0);
     assert!(stdout.contains("verdict: REJECT"), "{stdout}");
 
     // Scrape over real TCP: pushed verdicts + session latencies, and
     // the mux server's own hot-path instrumentation, all in one valid
     // text exposition.
-    let text = scrape(server.metrics_addr.as_str()).expect("scrape");
+    let text = scrape(metrics_addr.as_str()).expect("scrape");
     assert!(
         text.contains("# TYPE audit_verdicts_total counter"),
         "{text}"
@@ -186,8 +83,30 @@ fn scraped_registry_agrees_with_audits_run() {
         "k=4 challenges per audit\n{text}"
     );
 
+    // A plain HTTP/1.1 client (as curl would send), not the crate's own
+    // scrape helper, sees the same exposition line for line.
+    let mut conn = std::net::TcpStream::connect(&metrics_addr).expect("connect metrics");
+    write!(
+        conn,
+        "GET /metrics HTTP/1.1\r\nHost: {metrics_addr}\r\nAccept: */*\r\n\r\n"
+    )
+    .expect("send GET");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).expect("read reply");
+    let (head, body) = reply.split_once("\r\n\r\n").expect("header/body split");
+    assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
+    for line in [
+        "# TYPE audit_verdicts_total counter",
+        "audit_verdicts_total{outcome=\"accept\"} 3",
+        "audit_verdicts_total{outcome=\"reject\"} 1",
+        "audit_session_latency_us_count 4",
+        "mux_connections_total 4",
+    ] {
+        assert!(body.lines().any(|l| l == line), "{line:?} missing\n{body}");
+    }
+
     // `geoproof stats` renders the same scrape as a one-screen summary…
-    let stdout = run(&["stats", &server.metrics_addr], true);
+    let stdout = run(&format!("stats {metrics_addr}"), true);
     assert!(
         stdout.contains("audit_verdicts_total{outcome=\"accept\"}"),
         "{stdout}"
@@ -196,11 +115,11 @@ fn scraped_registry_agrees_with_audits_run() {
     assert!(stdout.contains("p99"), "{stdout}");
 
     // …and --raw passes the exposition through untouched.
-    let raw = run(&["stats", &server.metrics_addr, "--raw"], true);
+    let raw = run(&format!("stats {metrics_addr} --raw"), true);
     assert!(raw.contains("# TYPE audit_verdicts_total counter"), "{raw}");
 
     // A dead scrape target is a clean error, not a hang or a panic.
-    run(&["stats", "127.0.0.1:1"], false);
+    run("stats 127.0.0.1:1", false);
 
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
