@@ -473,7 +473,7 @@ mod tests {
     fn honest_dynamic_audit_accepts() {
         let mut r = rig(SimDuration::from_millis(5));
         let req = r.auditor.issue_request(r.owner.digest(), 8);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(report.accepted(), "violations: {:?}", report.violations);
         assert_eq!(report.segments_ok, 8);
@@ -493,7 +493,7 @@ mod tests {
         assert_eq!(d2.segments, 25);
         assert_ne!(d1.root, d2.root);
         let req = r.auditor.issue_request(d2, 10);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(report.accepted(), "violations: {:?}", report.violations);
     }
@@ -504,7 +504,7 @@ mod tests {
         // Owner updates; provider silently drops the update (stale copy).
         let (_tagged, fresh) = r.owner.tag_update(3, b"v2", &r.keys).unwrap();
         let req = r.auditor.issue_request(fresh, 24); // all segments
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(!report.accepted());
         assert!(
@@ -524,7 +524,7 @@ mod tests {
             assert!(r.provider.store.corrupt_silently(i, 0x11));
         }
         let req = r.auditor.issue_request(r.owner.digest(), 6);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(!report.accepted());
         assert_eq!(report.violations.len(), 6);
@@ -534,7 +534,7 @@ mod tests {
     fn slow_provider_fails_timing() {
         let mut r = rig(SimDuration::from_millis(40));
         let req = r.auditor.issue_request(r.owner.digest(), 5);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(!report.accepted());
         assert!(report
@@ -547,7 +547,7 @@ mod tests {
     fn replayed_transcript_is_stale_on_nonce_and_digest() {
         let mut r = rig(SimDuration::from_millis(5));
         let req1 = r.auditor.issue_request(r.owner.digest(), 5);
-        let t1 = r.verifier.run_dyn_audit(&req1, &mut r.provider);
+        let t1 = r.verifier.run_audit(&req1, &mut r.provider);
         // Fresh request (new nonce, same digest): old transcript is stale.
         let req2 = r.auditor.issue_request(r.owner.digest(), 5);
         let report = r.auditor.verify(&req2, &t1);
@@ -569,7 +569,7 @@ mod tests {
         let mut r = rig(SimDuration::from_millis(5));
         r.verifier.gps_mut().spoof(PERTH);
         let req = r.auditor.issue_request(r.owner.digest(), 4);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(report
             .violations
@@ -581,7 +581,7 @@ mod tests {
     fn tampered_transcript_breaks_signature() {
         let mut r = rig(SimDuration::from_millis(5));
         let req = r.auditor.issue_request(r.owner.digest(), 4);
-        let mut t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let mut t = r.verifier.run_audit(&req, &mut r.provider);
         t.rounds[0].rtt = SimDuration::from_nanos(1);
         let report = r.auditor.verify(&req, &t);
         assert!(report.violations.contains(&Violation::BadSignature));
@@ -591,7 +591,7 @@ mod tests {
     fn canonical_roundtrip_is_identity_and_rejects_malformed() {
         let mut r = rig(SimDuration::from_millis(5));
         let req = r.auditor.issue_request(r.owner.digest(), 3);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let bytes = t.canonical_bytes();
         let parsed = DynSignedTranscript::from_canonical(&bytes).expect("parse");
         assert_eq!(parsed, t);
@@ -623,7 +623,7 @@ mod tests {
     fn verify_evidence_matches_verify() {
         let mut r = rig(SimDuration::from_millis(5));
         let req = r.auditor.issue_request(r.owner.digest(), 6);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let plain = r.auditor.verify(&req, &t);
         let (report, bundle) = r.auditor.verify_evidence(&req, &t, "dyn-prover", 2);
         assert_eq!(report, plain, "evidence path must not change verdicts");

@@ -33,7 +33,6 @@ use geoproof_por::batch::{session_nonce, SegmentBatchVerifier};
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::AuditorKey;
 use geoproof_sim::time::Km;
-use geoproof_storage::server::FileId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -631,15 +630,7 @@ impl AuditEngine {
                     let _span = geoproof_obs::span("audit_session");
                     let started = std::time::Instant::now();
                     opened.lock().insert(id.clone());
-                    let fid = FileId(request.file_id.clone());
-                    let mut run = device.begin_audit(&request);
-                    while let Some(index) = run.next_index() {
-                        let timer = device.clock().start_timer();
-                        let (data, service_time) = provider.serve(&fid, index);
-                        device.clock().advance(service_time);
-                        run.record_round(data, timer.elapsed());
-                    }
-                    let transcript = device.finish_audit(run);
+                    let transcript = device.run_audit(&request, &mut *provider);
                     self.submit_transcript(&id, transcript);
                     metrics().latency.record_duration_us(started.elapsed());
                 }) as Job<'_>
@@ -666,7 +657,7 @@ mod tests {
     use geoproof_por::params::PorParams;
     use geoproof_sim::clock::SimClock;
     use geoproof_storage::hdd::{HddModel, WD_2500JD};
-    use geoproof_storage::server::StorageServer;
+    use geoproof_storage::server::{FileId, StorageServer};
 
     fn session(id: &str) -> AuditSession {
         AuditSession {

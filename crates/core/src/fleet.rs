@@ -3,15 +3,17 @@
 //! [`crate::engine::AuditEngine`] on one seeded
 //! [`geoproof_sim::simnet::SimNet`] timeline.
 //!
-//! Every prover runs its own challenge/response state machine
-//! ([`crate::verifier::AuditRun`]); rounds from all sessions interleave on
-//! the event queue exactly as they would on a busy TPA, yet the whole run
-//! is a pure function of the seed. Adversary behaviour is a per-prover
-//! [`AdversaryProfile`]; adding a new adversary means adding a variant
-//! and a provider construction — see `crates/sim/docs/simnet.md` for the
-//! recipe.
+//! Every prover runs its own challenge/response state machine — the
+//! same [`crate::verifier::AuditRun`] the SimClock device and the TCP
+//! shell drive, here in an event-driven shell on SimNet; rounds from all
+//! sessions interleave on the event queue exactly as they would on a
+//! busy TPA, yet the whole run is a pure function of the seed. Adversary
+//! behaviour is a per-prover [`AdversaryProfile`]; adding a new adversary
+//! means adding a variant and a provider construction — see
+//! `crates/sim/docs/simnet.md` for the recipe.
 
 use crate::engine::{AuditEngine, EngineConfig, ProverId, ProverSpec};
+use crate::messages::AuditRequest;
 use crate::provider::{DelayedProvider, LocalProvider, RelayProvider, SegmentProvider};
 use crate::verifier::{AuditRun, VerifierDevice};
 use geoproof_crypto::chacha::ChaChaRng;
@@ -206,7 +208,7 @@ struct Driver {
     id: ProverId,
     device: VerifierDevice,
     provider: Box<dyn SegmentProvider>,
-    run: Option<AuditRun>,
+    run: Option<AuditRun<AuditRequest>>,
     timer: Option<Stopwatch>,
     pending: Option<Option<bytes::Bytes>>,
     started: Option<geoproof_sim::time::SimInstant>,
@@ -399,7 +401,11 @@ fn run_fleet_inner(
             let request = engine
                 .open_session(&driver.id)
                 .expect("registered prover, fresh session");
-            driver.run = Some(driver.device.begin_audit(&request));
+            let run = driver
+                .device
+                .begin_audit(&request)
+                .expect("k within the file");
+            driver.run = Some(run);
             driver.started = Some(net.now());
             active += 1;
             peak = peak.max(active);

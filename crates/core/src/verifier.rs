@@ -5,6 +5,11 @@
 //! trigger it: draws k distinct random challenge indices, runs the timed
 //! challenge–response loop against the prover, reads its GPS fix, and
 //! signs the whole transcript.
+//!
+//! One machine does this for static and dynamic audits alike: an
+//! [`AuditRun`] over any [`Audit`] request. Its shells — the SimClock loop
+//! in [`VerifierDevice::run_audit`], the fleet simulator and the facade's
+//! TCP `WallClockVerifier` — only carry challenges and time replies.
 
 use crate::dynamic_audit::{
     DynAuditRequest, DynSegmentProvider, DynSignedTranscript, DynTimedRound,
@@ -13,12 +18,154 @@ use crate::messages::{AuditRequest, SignedTranscript, TimedRound};
 use crate::provider::SegmentProvider;
 use bytes::Bytes;
 use geoproof_crypto::chacha::ChaChaRng;
-use geoproof_crypto::schnorr::{SigningKey, VerifyingKey};
+use geoproof_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
+use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::gps::GpsReceiver;
 use geoproof_por::dynamic::ProvenSegment;
+use geoproof_por::merkle::MerkleProof;
 use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::SimDuration;
 use geoproof_storage::server::FileId;
+use std::io;
+
+/// What a static and a dynamic audit differ in. Everything else — the
+/// draw of k distinct indices, round order, the GPS fix and the
+/// signature — is [`AuditRun`]'s and [`VerifierDevice`]'s.
+pub trait Audit: Clone {
+    /// What the prover serves for one challenge.
+    type Reply;
+    /// One timed round of the transcript.
+    type Round;
+    /// The signed transcript.
+    type Transcript;
+    /// The simulated prover that serves this kind of challenge.
+    type Provider: ?Sized;
+
+    /// The segment count the challenge indices are drawn from, and k.
+    fn challenges(&self) -> (u64, u32);
+
+    /// A served reply (`None`: the prover had nothing) and its Δt as a
+    /// round. A missing reply is still signed, and can never verify.
+    fn round(index: u64, reply: Option<Self::Reply>, rtt: SimDuration) -> Self::Round;
+
+    /// Signs the canonical bytes of `(self, position, rounds)` with `sign`
+    /// and assembles the transcript.
+    fn sign(
+        self,
+        position: GeoPoint,
+        rounds: Vec<Self::Round>,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> Self::Transcript;
+
+    /// Serves challenge `index` on simulated time: the reply and the
+    /// service time to charge to the device's clock.
+    fn serve(
+        &self,
+        provider: &mut Self::Provider,
+        index: u64,
+    ) -> (Option<Self::Reply>, SimDuration);
+}
+
+impl Audit for AuditRequest {
+    type Reply = Bytes;
+    type Round = TimedRound;
+    type Transcript = SignedTranscript;
+    type Provider = dyn SegmentProvider;
+
+    fn challenges(&self) -> (u64, u32) {
+        (self.n_segments, self.k)
+    }
+
+    fn round(index: u64, reply: Option<Bytes>, rtt: SimDuration) -> TimedRound {
+        TimedRound {
+            index,
+            segment: reply.unwrap_or_default(),
+            rtt,
+        }
+    }
+
+    fn sign(
+        self,
+        position: GeoPoint,
+        rounds: Vec<TimedRound>,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> SignedTranscript {
+        let bytes = SignedTranscript::signing_bytes(&self.file_id, &self.nonce, &position, &rounds);
+        SignedTranscript {
+            signature: sign(&bytes),
+            file_id: self.file_id,
+            nonce: self.nonce,
+            position,
+            rounds,
+        }
+    }
+
+    fn serve(&self, provider: &mut Self::Provider, index: u64) -> (Option<Bytes>, SimDuration) {
+        provider.serve(&FileId::from(self.file_id.as_str()), index)
+    }
+}
+
+/// A dynamic audit: each reply carries a Merkle membership proof,
+/// fetched inside the same timed window, and the signature also covers
+/// the audited digest, binding the verdict to the exact file state it
+/// judged.
+impl Audit for DynAuditRequest {
+    type Reply = ProvenSegment;
+    type Round = DynTimedRound;
+    type Transcript = DynSignedTranscript;
+    type Provider = dyn DynSegmentProvider;
+
+    fn challenges(&self) -> (u64, u32) {
+        (self.digest.segments, self.k)
+    }
+
+    fn round(index: u64, reply: Option<ProvenSegment>, rtt: SimDuration) -> DynTimedRound {
+        let ProvenSegment { segment, proof } = reply.unwrap_or(ProvenSegment {
+            segment: Bytes::new(),
+            proof: MerkleProof {
+                index,
+                siblings: Vec::new(),
+            },
+        });
+        DynTimedRound {
+            index,
+            segment,
+            proof,
+            rtt,
+        }
+    }
+
+    fn sign(
+        self,
+        position: GeoPoint,
+        rounds: Vec<DynTimedRound>,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> DynSignedTranscript {
+        let bytes = DynSignedTranscript::signing_bytes(
+            &self.file_id,
+            &self.nonce,
+            &self.digest,
+            &position,
+            &rounds,
+        );
+        DynSignedTranscript {
+            signature: sign(&bytes),
+            file_id: self.file_id,
+            nonce: self.nonce,
+            digest: self.digest,
+            position,
+            rounds,
+        }
+    }
+
+    fn serve(
+        &self,
+        provider: &mut Self::Provider,
+        index: u64,
+    ) -> (Option<ProvenSegment>, SimDuration) {
+        provider.serve_dyn(&self.file_id, index)
+    }
+}
 
 /// The verifier device.
 pub struct VerifierDevice {
@@ -66,262 +213,107 @@ impl VerifierDevice {
 
     /// Starts the Fig. 5 protocol, returning the per-session state
     /// machine. The device draws the k distinct challenge indices up
-    /// front; the caller (a blocking loop, a worker thread, or a
-    /// discrete-event simulation) then feeds responses round by round and
+    /// front; the caller (a blocking loop, a worker thread, a socket or a
+    /// discrete-event simulation) then feeds replies round by round and
     /// calls [`VerifierDevice::finish_audit`] for the signed transcript.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the request asks for more distinct challenges than there
-    /// are segments.
-    pub fn begin_audit(&mut self, request: &AuditRequest) -> AuditRun {
-        let indices = self
-            .rng
-            .sample_distinct(request.n_segments, request.k as usize);
-        let capacity = indices.len();
-        AuditRun {
-            request: request.clone(),
-            indices,
-            rounds: Vec::with_capacity(capacity),
+    /// `InvalidInput` if k is outside `1..=segments`; the device then
+    /// draws nothing.
+    pub fn begin_audit<R: Audit>(&mut self, request: &R) -> io::Result<AuditRun<R>> {
+        let (segments, k) = request.challenges();
+        if k == 0 || u64::from(k) > segments {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("cannot sample k = {k} distinct challenges: k must be in 1..={segments}"),
+            ));
         }
+        let indices = self.rng.sample_distinct(segments, k as usize);
+        Ok(AuditRun {
+            request: request.clone(),
+            rounds: Vec::with_capacity(indices.len()),
+            indices,
+        })
     }
 
-    /// Signs a completed run into the transcript the TPA verifies.
+    /// Signs a completed run into the transcript the TPA verifies:
+    /// `(Δt*, c, {S_cj}, N, Pos_v)` under the device key.
     ///
     /// # Panics
     ///
     /// Panics if rounds are still outstanding — a device never signs a
     /// partial transcript.
-    pub fn finish_audit(&mut self, run: AuditRun) -> SignedTranscript {
+    pub fn finish_audit<R: Audit>(&mut self, run: AuditRun<R>) -> R::Transcript {
         assert!(
             run.is_complete(),
             "cannot sign a transcript with {} rounds outstanding",
             run.remaining()
         );
         let position = self.gps.read_fix().position;
-        let bytes = SignedTranscript::signing_bytes(
-            &run.request.file_id,
-            &run.request.nonce,
-            &position,
-            &run.rounds,
-        );
-        let signature = self.signing.sign(&bytes, &mut self.rng);
-        SignedTranscript {
-            file_id: run.request.file_id,
-            nonce: run.request.nonce,
-            position,
-            rounds: run.rounds,
-            signature,
-        }
+        let (signing, rng) = (&self.signing, &mut self.rng);
+        run.request
+            .sign(position, run.rounds, |bytes| signing.sign(bytes, rng))
     }
 
     /// Runs the Fig. 5 protocol against `provider` and returns the signed
     /// transcript.
     ///
     /// Per round j: pick c_j, start the clock, request segment c_j, stop
-    /// the clock on response; afterwards sign
-    /// `(Δt*, c, {S_cj}, N, Pos_v)`. This is [`VerifierDevice::begin_audit`]
+    /// the clock on response; afterwards sign. A dynamic provider builds
+    /// its membership proof inside the timed window, so it cannot buy
+    /// time by deferring it. This is [`VerifierDevice::begin_audit`]
     /// driven to completion in a blocking loop.
     ///
     /// # Panics
     ///
-    /// Panics if the request asks for more distinct challenges than there
-    /// are segments.
-    pub fn run_audit(
+    /// Panics if k is outside `1..=segments`.
+    pub fn run_audit<R: Audit>(
         &mut self,
-        request: &AuditRequest,
-        provider: &mut dyn SegmentProvider,
-    ) -> SignedTranscript {
-        let fid = FileId(request.file_id.clone());
-        let mut run = self.begin_audit(request);
+        request: &R,
+        provider: &mut R::Provider,
+    ) -> R::Transcript {
+        let mut run = self.begin_audit(request).unwrap_or_else(|e| panic!("{e}"));
         while let Some(index) = run.next_index() {
             let timer = self.clock.start_timer();
-            let (data, service_time) = provider.serve(&fid, index);
+            let (reply, service_time) = request.serve(provider, index);
             self.clock.advance(service_time);
-            run.record_round(data, timer.elapsed());
+            run.record_round(reply, timer.elapsed());
         }
         self.finish_audit(run)
     }
 }
 
-impl VerifierDevice {
-    /// Starts the dynamic Fig. 5 protocol: draws k distinct challenge
-    /// indices out of the digest's segment count up front; the caller
-    /// feeds proven responses round by round and calls
-    /// [`VerifierDevice::finish_dyn_audit`] for the signed transcript.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request asks for more distinct challenges than the
-    /// digest has segments.
-    pub fn begin_dyn_audit(&mut self, request: &DynAuditRequest) -> DynAuditRun {
-        let indices = self
-            .rng
-            .sample_distinct(request.digest.segments, request.k as usize);
-        let capacity = indices.len();
-        DynAuditRun {
-            request: request.clone(),
-            indices,
-            rounds: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Signs a completed dynamic run. The audited digest is echoed into
-    /// the transcript and covered by the signature, binding the verdict
-    /// to the exact file state it judged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rounds are still outstanding.
-    pub fn finish_dyn_audit(&mut self, run: DynAuditRun) -> DynSignedTranscript {
-        assert!(
-            run.is_complete(),
-            "cannot sign a transcript with {} rounds outstanding",
-            run.remaining()
-        );
-        let position = self.gps.read_fix().position;
-        let bytes = DynSignedTranscript::signing_bytes(
-            &run.request.file_id,
-            &run.request.nonce,
-            &run.request.digest,
-            &position,
-            &run.rounds,
-        );
-        let signature = self.signing.sign(&bytes, &mut self.rng);
-        DynSignedTranscript {
-            file_id: run.request.file_id,
-            nonce: run.request.nonce,
-            digest: run.request.digest,
-            position,
-            rounds: run.rounds,
-            signature,
-        }
-    }
-
-    /// Runs the dynamic protocol against `provider` in a blocking loop:
-    /// per round, the clock starts, the proven segment is fetched, the
-    /// clock stops — the *same* Δt discipline as static audits, with the
-    /// membership proof fetched inside the timed window (a provider
-    /// cannot buy time by deferring proof construction).
-    ///
-    /// # Panics
-    ///
-    /// As [`VerifierDevice::begin_dyn_audit`].
-    pub fn run_dyn_audit(
-        &mut self,
-        request: &DynAuditRequest,
-        provider: &mut dyn DynSegmentProvider,
-    ) -> DynSignedTranscript {
-        let mut run = self.begin_dyn_audit(request);
-        while let Some(index) = run.next_index() {
-            let timer = self.clock.start_timer();
-            let (served, service_time) = provider.serve_dyn(&request.file_id, index);
-            self.clock.advance(service_time);
-            run.record_round(served, timer.elapsed());
-        }
-        self.finish_dyn_audit(run)
-    }
-}
-
-/// One dynamic audit in progress: the dynamic twin of [`AuditRun`],
-/// carrying proven segments instead of bare ones.
-#[derive(Debug)]
-pub struct DynAuditRun {
-    request: DynAuditRequest,
-    indices: Vec<u64>,
-    rounds: Vec<DynTimedRound>,
-}
-
-impl DynAuditRun {
-    /// The request that started this run.
-    pub fn request(&self) -> &DynAuditRequest {
-        &self.request
-    }
-
-    /// The next index to challenge, or `None` when all rounds are done.
-    pub fn next_index(&self) -> Option<u64> {
-        self.indices.get(self.rounds.len()).copied()
-    }
-
-    /// Records the response to the current round with its measured RTT.
-    /// `None` (prover had nothing) becomes an empty segment with an
-    /// empty-sibling proof — signed as-is, and unable to verify.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is already complete.
-    pub fn record_round(&mut self, served: Option<ProvenSegment>, rtt: SimDuration) {
-        let index = self
-            .next_index()
-            .expect("record_round called on a completed run");
-        let (segment, proof) = match served {
-            Some(p) => (p.segment, p.proof),
-            None => (
-                Bytes::new(),
-                geoproof_por::merkle::MerkleProof {
-                    index,
-                    siblings: Vec::new(),
-                },
-            ),
-        };
-        self.rounds.push(DynTimedRound {
-            index,
-            segment,
-            proof,
-            rtt,
-        });
-    }
-
-    /// Rounds still outstanding.
-    pub fn remaining(&self) -> usize {
-        self.indices.len() - self.rounds.len()
-    }
-
-    /// True when every challenge has been answered.
-    pub fn is_complete(&self) -> bool {
-        self.rounds.len() == self.indices.len()
-    }
-}
-
 /// One audit in progress on a verifier device: the challenge/response
-/// state machine the concurrent engine drives.
+/// state machine every shell drives.
 ///
 /// Rounds must be answered in challenge order (the protocol is strictly
 /// sequential per session — that is what makes the timing meaningful);
 /// concurrency comes from interleaving many `AuditRun`s, not from
 /// reordering rounds within one.
 #[derive(Debug)]
-pub struct AuditRun {
-    request: AuditRequest,
+pub struct AuditRun<R: Audit> {
+    request: R,
     indices: Vec<u64>,
-    rounds: Vec<TimedRound>,
+    rounds: Vec<R::Round>,
 }
 
-impl AuditRun {
-    /// The request that started this run.
-    pub fn request(&self) -> &AuditRequest {
-        &self.request
-    }
-
+impl<R: Audit> AuditRun<R> {
     /// The next index to challenge, or `None` when all rounds are done.
     pub fn next_index(&self) -> Option<u64> {
         self.indices.get(self.rounds.len()).copied()
     }
 
-    /// Records the response to the current round with its measured RTT.
+    /// Records the reply to the current round with its measured RTT.
     ///
     /// # Panics
     ///
     /// Panics if the run is already complete.
-    pub fn record_round(&mut self, segment: Option<Bytes>, rtt: SimDuration) {
+    pub fn record_round(&mut self, reply: Option<R::Reply>, rtt: SimDuration) {
         let index = self
             .next_index()
             .expect("record_round called on a completed run");
-        self.rounds.push(TimedRound {
-            index,
-            segment: segment.unwrap_or_default(),
-            rtt,
-        });
+        self.rounds.push(R::round(index, reply, rtt));
     }
 
     /// Rounds still outstanding.
@@ -430,7 +422,7 @@ mod tests {
         let req = request(6);
         let blocking = v1.run_audit(&req, &mut p1);
 
-        let mut run = v2.begin_audit(&req);
+        let mut run = v2.begin_audit(&req).expect("k in range");
         let fid = FileId::from("f");
         while let Some(index) = run.next_index() {
             let timer = v2.clock().start_timer();
@@ -447,14 +439,14 @@ mod tests {
     fn partial_transcript_is_never_signed() {
         let mut v = device(8);
         let req = request(5);
-        let run = v.begin_audit(&req);
+        let run = v.begin_audit(&req).expect("k in range");
         let _ = v.finish_audit(run); // zero of five rounds recorded
     }
 
     #[test]
     fn run_tracks_progress() {
         let mut v = device(9);
-        let mut run = v.begin_audit(&request(3));
+        let mut run = v.begin_audit(&request(3)).expect("k in range");
         assert_eq!(run.remaining(), 3);
         assert!(!run.is_complete());
         while let Some(_idx) = run.next_index() {
@@ -463,6 +455,23 @@ mod tests {
         assert!(run.is_complete());
         assert_eq!(run.remaining(), 0);
         assert_eq!(run.next_index(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample")]
+    fn zero_challenges_panic() {
+        device(6).run_audit(&request(0), &mut provider());
+    }
+
+    #[test]
+    fn out_of_range_k_is_refused_before_any_draw() {
+        let mut v = device(10);
+        let refused = v.begin_audit(&request(0)).map(|_| ()).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        assert!(v.begin_audit(&request(51)).is_err());
+        let after = v.begin_audit(&request(5)).expect("k in range");
+        let fresh = device(10).begin_audit(&request(5)).expect("k in range");
+        assert_eq!(after.next_index(), fresh.next_index());
     }
 
     #[test]

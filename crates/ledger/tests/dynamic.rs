@@ -107,7 +107,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
     let mut current = d0;
     for round in 0..3u64 {
         let req = r.auditor.issue_request(current, 6);
-        let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+        let t = r.verifier.run_audit(&req, &mut r.provider);
         let epoch = w.next_epoch("acme");
         let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
         assert!(report.accepted(), "round {round}: {:?}", report.violations);
@@ -154,7 +154,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
     })
     .expect("transition");
     let req = r.auditor.issue_request(fresh, 16);
-    let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+    let t = r.verifier.run_audit(&req, &mut r.provider);
     let epoch = w.next_epoch("acme");
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
     assert!(!report.accepted(), "stale provider must fail");
@@ -245,7 +245,7 @@ fn audit_against_non_current_digest_breaks_the_chain() {
         latency: SimDuration::from_millis(5),
     };
     let req = r.auditor.issue_request(d0, 5);
-    let t = r.verifier.run_dyn_audit(&req, &mut stale_provider);
+    let t = r.verifier.run_audit(&req, &mut stale_provider);
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
     assert!(report.accepted(), "self-consistent against the old digest");
     w.append_dyn_bundle(&bundle).expect("append");
@@ -350,7 +350,7 @@ fn writer_refuses_structurally_invalid_dynamic_records() {
     // Dynamic evidence whose transcript bytes cannot replay.
     let mut r2 = rig();
     let req = r2.auditor.issue_request(r2.owner.digest(), 2);
-    let t = r2.verifier.run_dyn_audit(&req, &mut r2.provider);
+    let t = r2.verifier.run_audit(&req, &mut r2.provider);
     let (_report, mut bundle) = r2.auditor.verify_evidence(&req, &t, "p", 0);
     bundle.transcript = Bytes::from(vec![0xeeu8; 40]);
     let err = w.append_dyn_bundle(&bundle).expect_err("must refuse");

@@ -217,7 +217,7 @@ fn build(interval: u64) -> Vec<u8> {
             .expect("init");
         } else if s % 97 == 5 {
             let req = r.auditor.issue_request(current, 3);
-            let t = r.verifier.run_dyn_audit(&req, &mut r.provider);
+            let t = r.verifier.run_audit(&req, &mut r.provider);
             let epoch = w.next_epoch("acme");
             let (_, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
             w.append_dyn_bundle(&bundle).expect("dynamic");

@@ -10,8 +10,10 @@
 
 use crate::codec::{read_frame, write_frame, WireMessage};
 use bytes::Bytes;
+use geoproof_por::dynamic::DynamicDigest;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,6 +30,11 @@ pub fn store_segments(segments: Vec<Vec<u8>>) -> Vec<Bytes> {
     segments.into_iter().map(Bytes::from).collect()
 }
 
+/// How long a client waits for any one reply. A 2 s round is ≈ 7× the
+/// round trip to the antipode at 4/9 c (≈ 300 ms), so no Δt it cuts off
+/// could pass a budget that still places the prover on Earth.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// A timing client: sends challenges over TCP and measures wall-clock RTT.
 #[derive(Debug)]
 pub struct TcpChallenger {
@@ -35,14 +42,16 @@ pub struct TcpChallenger {
 }
 
 impl TcpChallenger {
-    /// Connects to a prover server.
+    /// Connects to a prover server. Every later read gives up after 2 s
+    /// without a reply, as `TimedOut`.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn connect(addr: SocketAddr) -> std::io::Result<TcpChallenger> {
+    pub fn connect(addr: SocketAddr) -> io::Result<TcpChallenger> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(REPLY_TIMEOUT))?;
         Ok(TcpChallenger { stream })
     }
 
@@ -56,23 +65,14 @@ impl TcpChallenger {
         &mut self,
         file_id: &str,
         index: u64,
-    ) -> std::io::Result<(Option<Bytes>, Duration)> {
-        let start = Instant::now();
-        write_frame(
-            &mut self.stream,
-            &WireMessage::Challenge {
-                file_id: file_id.to_owned(),
-                index,
-            },
-        )?;
-        let reply = read_frame(&mut self.stream)?;
-        let rtt = start.elapsed();
-        match reply {
-            WireMessage::Response { segment } => Ok((segment, rtt)),
-            other => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
+    ) -> io::Result<(Option<Bytes>, Duration)> {
+        let frame = || WireMessage::Challenge {
+            file_id: file_id.to_owned(),
+            index,
+        };
+        match self.timed(frame)? {
+            (WireMessage::Response { segment }, rtt) => Ok((segment, rtt)),
+            (other, _) => Err(unexpected(&other)),
         }
     }
 
@@ -88,24 +88,35 @@ impl TcpChallenger {
         &mut self,
         file_id: &str,
         index: u64,
-    ) -> std::io::Result<(Option<(Bytes, geoproof_por::merkle::MerkleProof)>, Duration)> {
-        let start = Instant::now();
-        write_frame(
-            &mut self.stream,
-            &WireMessage::DynChallenge {
-                file_id: file_id.to_owned(),
-                index,
-            },
-        )?;
-        let reply = read_frame(&mut self.stream)?;
-        let rtt = start.elapsed();
-        match reply {
-            WireMessage::DynResponse { segment } => Ok((segment, rtt)),
-            other => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
+    ) -> io::Result<(Option<(Bytes, geoproof_por::merkle::MerkleProof)>, Duration)> {
+        let frame = || WireMessage::DynChallenge {
+            file_id: file_id.to_owned(),
+            index,
+        };
+        match self.timed(frame)? {
+            (WireMessage::DynResponse { segment }, rtt) => Ok((segment, rtt)),
+            (other, _) => Err(unexpected(&other)),
         }
+    }
+
+    /// The one write → read sequence, timed: the clock starts before the
+    /// frame is built and written, and stops once the reply is read and
+    /// decoded. A reply that outlasts the read timeout is `TimedOut`
+    /// (Linux reports it as `WouldBlock`).
+    fn timed(
+        &mut self,
+        frame: impl FnOnce() -> WireMessage,
+    ) -> io::Result<(WireMessage, Duration)> {
+        let start = Instant::now();
+        write_frame(&mut self.stream, &frame())?;
+        let reply = read_frame(&mut self.stream).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("no reply within {} s", REPLY_TIMEOUT.as_secs()),
+            ),
+            _ => e,
+        })?;
+        Ok((reply, start.elapsed()))
     }
 
     /// Ships an owner-tagged replacement for segment `index`, with the
@@ -123,17 +134,13 @@ impl TcpChallenger {
         index: u64,
         tagged: Bytes,
         sig: [u8; 64],
-    ) -> std::io::Result<Option<geoproof_por::dynamic::DynamicDigest>> {
-        write_frame(
-            &mut self.stream,
-            &WireMessage::Update {
-                file_id: file_id.to_owned(),
-                index,
-                tagged,
-                sig,
-            },
-        )?;
-        self.read_ack()
+    ) -> io::Result<Option<DynamicDigest>> {
+        self.ack(WireMessage::Update {
+            file_id: file_id.to_owned(),
+            index,
+            tagged,
+            sig,
+        })
     }
 
     /// Ships an owner-tagged appended segment with its authorisation
@@ -149,30 +156,30 @@ impl TcpChallenger {
         file_id: &str,
         tagged: Bytes,
         sig: [u8; 64],
-    ) -> std::io::Result<Option<geoproof_por::dynamic::DynamicDigest>> {
-        write_frame(
-            &mut self.stream,
-            &WireMessage::Append {
-                file_id: file_id.to_owned(),
-                tagged,
-                sig,
-            },
-        )?;
-        self.read_ack()
+    ) -> io::Result<Option<DynamicDigest>> {
+        self.ack(WireMessage::Append {
+            file_id: file_id.to_owned(),
+            tagged,
+            sig,
+        })
     }
 
-    fn read_ack(&mut self) -> std::io::Result<Option<geoproof_por::dynamic::DynamicDigest>> {
-        match read_frame(&mut self.stream)? {
-            WireMessage::UpdateAck { new_digest } => Ok(new_digest),
-            other => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
+    fn ack(&mut self, frame: WireMessage) -> io::Result<Option<DynamicDigest>> {
+        match self.timed(|| frame)? {
+            (WireMessage::UpdateAck { new_digest }, _) => Ok(new_digest),
+            (other, _) => Err(unexpected(&other)),
         }
     }
 
     /// Ends the session politely.
-    pub fn bye(&mut self) -> std::io::Result<()> {
+    pub fn bye(&mut self) -> io::Result<()> {
         write_frame(&mut self.stream, &WireMessage::Bye)
     }
+}
+
+fn unexpected(reply: &WireMessage) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("unexpected reply {reply:?}"),
+    )
 }

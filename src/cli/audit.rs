@@ -271,7 +271,7 @@ fn dynamic(s: &Session) -> CliResult {
     );
     let request = auditor.issue_request(digest, s.k);
     let started = Instant::now();
-    let transcript = device.run_dyn_audit(&request, s.addr).map_err(audit_io)?;
+    let transcript = device.run_audit(&request, s.addr).map_err(audit_io)?;
     let latency = started.elapsed();
     s.save_transcript("dynamic ", &transcript.canonical_bytes())?;
     let (ledger, epoch) = s.ledger(nonce_seed(&request.nonce))?;

@@ -1,146 +1,114 @@
-//! Full GeoProof audits over real TCP with wall-clock timing.
+//! Full GeoProof audits over real TCP with wall-clock timing: the TCP
+//! shell of [`geoproof_core::verifier::AuditRun`].
 //!
 //! Bridges `geoproof-core` (roles, transcripts, verification) and
-//! `geoproof-wire` (framing, sockets): a [`WallClockVerifier`] runs the
-//! Fig. 5 challenge loop against a [`geoproof_wire::MuxProverServer`],
-//! timing each round with `std::time::Instant`, and emits the same
-//! [`SignedTranscript`] the simulated verifier produces — so the
+//! `geoproof-wire` (framing, sockets): a [`WallClockVerifier`] drives the
+//! same audit machine as the simulated [`VerifierDevice`] — index draw,
+//! round assembly and signing are the machine's — and only carries each
+//! challenge to a [`geoproof_wire::MuxProverServer`] and times its reply
+//! with `std::time::Instant`. It emits the same transcript types, so the
 //! *identical* TPA verification path judges real-network runs.
 
-use geoproof_core::dynamic_audit::{DynAuditRequest, DynSignedTranscript, DynTimedRound};
-use geoproof_core::messages::{AuditRequest, SignedTranscript, TimedRound};
-use geoproof_crypto::chacha::ChaChaRng;
+use geoproof_core::dynamic_audit::DynAuditRequest;
+use geoproof_core::messages::AuditRequest;
+use geoproof_core::verifier::{Audit, VerifierDevice};
 use geoproof_crypto::schnorr::{SigningKey, VerifyingKey};
 use geoproof_geo::gps::GpsReceiver;
-use geoproof_por::merkle::MerkleProof;
+use geoproof_por::dynamic::ProvenSegment;
+use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::SimDuration;
 use geoproof_wire::tcp::TcpChallenger;
+use std::io;
 use std::net::SocketAddr;
+use std::time::Duration;
 
-/// A verifier device variant that times rounds on the host's real clock.
-pub struct WallClockVerifier {
-    signing: SigningKey,
-    gps: GpsReceiver,
-    rng: ChaChaRng,
+/// A request the TCP shell can put on the wire: the frame its challenge
+/// travels in.
+pub trait TcpAudit: Audit {
+    /// Sends challenge `index` and returns the reply with its wall-clock
+    /// round-trip time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors and unexpected replies.
+    fn challenge(
+        &self,
+        challenger: &mut TcpChallenger,
+        index: u64,
+    ) -> io::Result<(Option<Self::Reply>, Duration)>;
 }
 
-impl std::fmt::Debug for WallClockVerifier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WallClockVerifier")
-            .field("gps", &self.gps)
-            .finish_non_exhaustive()
+impl TcpAudit for AuditRequest {
+    fn challenge(
+        &self,
+        challenger: &mut TcpChallenger,
+        index: u64,
+    ) -> io::Result<(Option<Self::Reply>, Duration)> {
+        challenger.challenge(&self.file_id, index)
     }
+}
+
+impl TcpAudit for DynAuditRequest {
+    fn challenge(
+        &self,
+        challenger: &mut TcpChallenger,
+        index: u64,
+    ) -> io::Result<(Option<Self::Reply>, Duration)> {
+        let (served, rtt) = challenger.dyn_challenge(&self.file_id, index)?;
+        Ok((
+            served.map(|(segment, proof)| ProvenSegment { segment, proof }),
+            rtt,
+        ))
+    }
+}
+
+/// A verifier device that times rounds on the host's real clock.
+#[derive(Debug)]
+pub struct WallClockVerifier {
+    device: VerifierDevice,
 }
 
 impl WallClockVerifier {
     /// Creates the device.
     pub fn new(signing: SigningKey, gps: GpsReceiver, seed: u64) -> Self {
         WallClockVerifier {
-            signing,
-            gps,
-            rng: ChaChaRng::from_u64_seed(seed),
+            device: VerifierDevice::new(signing, gps, SimClock::new(), seed),
         }
     }
 
     /// The device's public key.
     pub fn verifying_key(&self) -> VerifyingKey {
-        self.signing.verifying_key()
+        self.device.verifying_key()
     }
 
-    /// Runs the audit against a TCP prover at `prover`: k distinct random
-    /// challenges, wall-clock Δt_j per round, signed transcript.
+    /// Runs a static or dynamic audit against a TCP prover at `prover`:
+    /// k distinct random challenges, wall-clock Δt_j per round, signed
+    /// transcript. A dynamic reply's Merkle membership proof is fetched
+    /// inside the timed window.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors.
-    pub fn run_audit(
+    /// `InvalidInput`, before connecting, if k is outside `1..=segments`.
+    /// Socket errors are propagated naming the round they hit; a prover
+    /// silent for the challenger's reply timeout is `TimedOut`.
+    pub fn run_audit<R: TcpAudit>(
         &mut self,
-        request: &AuditRequest,
+        request: &R,
         prover: SocketAddr,
-    ) -> std::io::Result<SignedTranscript> {
+    ) -> io::Result<R::Transcript> {
+        let mut run = self.device.begin_audit(request)?;
         let mut challenger = TcpChallenger::connect(prover)?;
-        let indices = self
-            .rng
-            .sample_distinct(request.n_segments, request.k as usize);
-        let mut rounds = Vec::with_capacity(indices.len());
-        for &index in &indices {
-            let (segment, rtt) = challenger.challenge(&request.file_id, index)?;
-            rounds.push(TimedRound {
-                index,
-                segment: segment.unwrap_or_default(),
-                rtt: SimDuration::from_nanos(rtt.as_nanos().min(u128::from(u64::MAX)) as u64),
-            });
+        let k = run.remaining();
+        while let Some(index) = run.next_index() {
+            let (reply, rtt) = request.challenge(&mut challenger, index).map_err(|e| {
+                let round = k - run.remaining() + 1;
+                io::Error::new(e.kind(), format!("round {round} of {k}: {e}"))
+            })?;
+            let rtt = SimDuration::from_nanos(u64::try_from(rtt.as_nanos()).unwrap_or(u64::MAX));
+            run.record_round(reply, rtt);
         }
         let _ = challenger.bye();
-        let position = self.gps.read_fix().position;
-        let bytes =
-            SignedTranscript::signing_bytes(&request.file_id, &request.nonce, &position, &rounds);
-        let signature = self.signing.sign(&bytes, &mut self.rng);
-        Ok(SignedTranscript {
-            file_id: request.file_id.clone(),
-            nonce: request.nonce,
-            position,
-            rounds,
-            signature,
-        })
-    }
-
-    /// Runs a *dynamic* audit against a TCP prover: k distinct random
-    /// challenges out of the digest's segment count, each answered with
-    /// a Merkle membership proof fetched **inside** the timed window,
-    /// wall-clock Δt_j per round, signed transcript echoing the audited
-    /// digest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn run_dyn_audit(
-        &mut self,
-        request: &DynAuditRequest,
-        prover: SocketAddr,
-    ) -> std::io::Result<DynSignedTranscript> {
-        let mut challenger = TcpChallenger::connect(prover)?;
-        let indices = self
-            .rng
-            .sample_distinct(request.digest.segments, request.k as usize);
-        let mut rounds = Vec::with_capacity(indices.len());
-        for &index in &indices {
-            let (served, rtt) = challenger.dyn_challenge(&request.file_id, index)?;
-            let (segment, proof) = match served {
-                Some((segment, proof)) => (segment, proof),
-                None => (
-                    bytes::Bytes::new(),
-                    MerkleProof {
-                        index,
-                        siblings: Vec::new(),
-                    },
-                ),
-            };
-            rounds.push(DynTimedRound {
-                index,
-                segment,
-                proof,
-                rtt: SimDuration::from_nanos(rtt.as_nanos().min(u128::from(u64::MAX)) as u64),
-            });
-        }
-        let _ = challenger.bye();
-        let position = self.gps.read_fix().position;
-        let bytes = DynSignedTranscript::signing_bytes(
-            &request.file_id,
-            &request.nonce,
-            &request.digest,
-            &position,
-            &rounds,
-        );
-        let signature = self.signing.sign(&bytes, &mut self.rng);
-        Ok(DynSignedTranscript {
-            file_id: request.file_id.clone(),
-            nonce: request.nonce,
-            digest: request.digest,
-            position,
-            rounds,
-            signature,
-        })
+        Ok(self.device.finish_audit(run))
     }
 }
 
@@ -148,8 +116,12 @@ impl WallClockVerifier {
 mod tests {
     use super::*;
     use geoproof_core::auditor::Auditor;
+    use geoproof_core::dynamic_audit::DynAuditor;
+    use geoproof_core::messages::SignedTranscript;
     use geoproof_core::policy::TimingPolicy;
+    use geoproof_crypto::chacha::ChaChaRng;
     use geoproof_geo::coords::places::BRISBANE;
+    use geoproof_por::dynamic::DynamicStore;
     use geoproof_por::encode::PorEncoder;
     use geoproof_por::keys::PorKeys;
     use geoproof_por::params::PorParams;
@@ -158,11 +130,12 @@ mod tests {
     use geoproof_wire::MuxProverServer;
     use parking_lot::Mutex;
     use std::collections::HashMap;
-    use std::sync::Arc;
+    use std::net::TcpListener;
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
     struct TcpRig {
-        _server: MuxProverServer,
+        server: MuxProverServer,
         addr: SocketAddr,
         verifier: WallClockVerifier,
         auditor: Auditor,
@@ -181,8 +154,7 @@ mod tests {
         let server = MuxProverServer::spawn(store, service_delay).expect("bind");
         let addr = server.addr();
 
-        let mut rng = ChaChaRng::from_u64_seed(1);
-        let sk = SigningKey::generate(&mut rng);
+        let sk = signing_key();
         let verifier = WallClockVerifier::new(sk.clone(), GpsReceiver::new(BRISBANE), 2);
         let auditor = Auditor::new(
             "tf".into(),
@@ -196,11 +168,144 @@ mod tests {
             3,
         );
         TcpRig {
-            _server: server,
+            server,
             addr,
             verifier,
             auditor,
         }
+    }
+
+    fn signing_key() -> SigningKey {
+        SigningKey::generate(&mut ChaChaRng::from_u64_seed(1))
+    }
+
+    /// The SimClock device the TCP shell must agree with: same key, GPS
+    /// fix and seed as the rig's `WallClockVerifier`.
+    fn sim_device() -> VerifierDevice {
+        VerifierDevice::new(
+            signing_key(),
+            GpsReceiver::new(BRISBANE),
+            SimClock::new(),
+            2,
+        )
+    }
+
+    #[test]
+    fn tcp_transcript_replays_byte_identically_through_the_sim_device() {
+        let mut r = rig(Duration::ZERO, TimingPolicy::paper());
+        let req = r.auditor.issue_request(8);
+        let live = r.verifier.run_audit(&req, r.addr).expect("audit I/O");
+        assert!(r.auditor.verify(&req, &live).accepted());
+
+        let mut device = sim_device();
+        let mut run = device.begin_audit(&req).expect("k in range");
+        for round in &live.rounds {
+            assert_eq!(run.next_index(), Some(round.index));
+            run.record_round(Some(round.segment.clone()), round.rtt);
+        }
+        let replayed = device.finish_audit(run);
+        assert_eq!(replayed.canonical_bytes(), live.canonical_bytes());
+    }
+
+    #[test]
+    fn dynamic_tcp_transcript_replays_byte_identically_through_the_sim_device() {
+        let r = rig(Duration::ZERO, TimingPolicy::paper());
+        let keys = PorKeys::derive(b"tcp-master", "df");
+        let bodies: Vec<Vec<u8>> = (0..24).map(|i| vec![i as u8; 40]).collect();
+        let (store, _) = DynamicStore::initialise("df", &bodies, &keys);
+        let tagged = (0..24u64).map(|i| store.segment(i).unwrap()).collect();
+        let digest = r.server.put_dynamic("df", tagged);
+        let mut auditor = DynAuditor::new(
+            "df".into(),
+            keys.auditor_view(),
+            signing_key().verifying_key(),
+            BRISBANE,
+            Km(25.0),
+            TimingPolicy::paper(),
+            3,
+        );
+        let req = auditor.issue_request(digest, 6);
+        let mut verifier = r.verifier;
+        let live = verifier.run_audit(&req, r.addr).expect("audit I/O");
+        let report = auditor.verify(&req, &live);
+        assert!(report.accepted(), "violations: {:?}", report.violations);
+
+        let mut device = sim_device();
+        let mut run = device.begin_audit(&req).expect("k in range");
+        for round in &live.rounds {
+            assert_eq!(run.next_index(), Some(round.index));
+            let served = ProvenSegment {
+                segment: round.segment.clone(),
+                proof: round.proof.clone(),
+            };
+            run.record_round(Some(served), round.rtt);
+        }
+        let replayed = device.finish_audit(run);
+        assert_eq!(replayed.canonical_bytes(), live.canonical_bytes());
+    }
+
+    /// Runs one k = 3 audit against `addr` on its own thread and waits at
+    /// most `limit` for its outcome.
+    fn audit_within(addr: SocketAddr, limit: Duration) -> std::io::Result<SignedTranscript> {
+        let mut verifier = WallClockVerifier::new(signing_key(), GpsReceiver::new(BRISBANE), 2);
+        let req = AuditRequest {
+            file_id: "tf".into(),
+            n_segments: 10,
+            k: 3,
+            nonce: [1; 32],
+        };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(verifier.run_audit(&req, addr));
+        });
+        rx.recv_timeout(limit)
+            .expect("the audit hung on a silent prover")
+    }
+
+    #[test]
+    fn a_silent_prover_times_out_naming_the_round() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // Accept and hold the connection, never answering.
+        std::thread::spawn(move || {
+            let held = listener.accept();
+            std::thread::sleep(Duration::from_secs(30));
+            drop(held);
+        });
+        let err = audit_within(addr, Duration::from_secs(10)).expect_err("no reply");
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            err.to_string()
+                .contains("round 1 of 3: no reply within 2 s"),
+            "{err}"
+        );
+    }
+
+    /// k outside 1..=n (`k_of(n)`) is refused with `InvalidInput` before
+    /// any connection is made.
+    fn refuses_k_before_connecting(k_of: fn(u64) -> u32) {
+        let mut r = rig(Duration::ZERO, TimingPolicy::paper());
+        let mut req = r.auditor.issue_request(1);
+        req.k = k_of(req.n_segments);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let err = r
+            .verifier
+            .run_audit(&req, listener.local_addr().expect("addr"))
+            .expect_err("k out of range");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        let accepted = listener.accept().map(|_| ()).map_err(|e| e.kind());
+        assert_eq!(accepted, Err(std::io::ErrorKind::WouldBlock), "connected");
+    }
+
+    #[test]
+    fn zero_challenges_are_refused_before_connecting() {
+        refuses_k_before_connecting(|_| 0);
+    }
+
+    #[test]
+    fn more_challenges_than_segments_are_refused_before_connecting() {
+        refuses_k_before_connecting(|n| u32::try_from(n + 1).expect("small file"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! protocol break, not a cleanup.
 
 use geoproof::core::auditor::Auditor;
+use geoproof::core::dynamic_audit::{DynAuditor, LocalDynProvider};
 use geoproof::core::messages::SignedTranscript;
 use geoproof::core::policy::TimingPolicy;
 use geoproof::core::provider::LocalProvider;
@@ -17,11 +18,12 @@ use geoproof::crypto::sha256::Sha256;
 use geoproof::geo::coords::places::BRISBANE;
 use geoproof::geo::gps::GpsReceiver;
 use geoproof::net::lan::LanPath;
+use geoproof::por::dynamic::DynamicStore;
 use geoproof::por::encode::PorEncoder;
 use geoproof::por::keys::PorKeys;
 use geoproof::por::params::PorParams;
 use geoproof::sim::clock::SimClock;
-use geoproof::sim::time::Km;
+use geoproof::sim::time::{Km, SimDuration};
 use geoproof::storage::hdd::{HddModel, WD_2500JD};
 use geoproof::storage::server::{FileId, StorageServer};
 
@@ -169,5 +171,46 @@ fn signed_transcript_encoding_is_byte_identical_to_pre_refactor() {
         hex(&Sha256::digest(&bytes)),
         "9001c00dd86af035653de7d8e728c8b95ec87703a192905e9f81fc9f254f2884",
         "canonical signed-transcript bytes drifted"
+    );
+}
+
+/// One deterministic simulated *dynamic* audit; hash of the canonical
+/// transcript bytes (signature included).
+#[test]
+fn dynamic_transcript_encoding_is_pinned() {
+    let keys = PorKeys::derive(b"golden-master", "golden-dyn");
+    let bodies: Vec<Vec<u8>> = sample_data(24 * 40)
+        .chunks(40)
+        .map(<[u8]>::to_vec)
+        .collect();
+    let (store, digest) = DynamicStore::initialise("golden-dyn", &bodies, &keys);
+    let mut provider = LocalDynProvider {
+        store,
+        file_id: "golden-dyn".into(),
+        latency: SimDuration::from_millis(5),
+    };
+
+    let mut rng = ChaChaRng::from_u64_seed(0x7369_676e); // "sign"
+    let sk = SigningKey::generate(&mut rng);
+    let mut verifier =
+        VerifierDevice::new(sk.clone(), GpsReceiver::new(BRISBANE), SimClock::new(), 3);
+    let mut auditor = DynAuditor::new(
+        "golden-dyn".into(),
+        keys.auditor_view(),
+        sk.verifying_key(),
+        BRISBANE,
+        Km(25.0),
+        TimingPolicy::paper(),
+        4,
+    );
+
+    let request = auditor.issue_request(digest, 10);
+    let transcript = verifier.run_audit(&request, &mut provider);
+    let report = auditor.verify(&request, &transcript);
+    assert!(report.accepted(), "violations: {:?}", report.violations);
+    assert_eq!(
+        hex(&Sha256::digest(&transcript.canonical_bytes())),
+        "88a8184d246877620c0f66843dea81c6d130bbf229aa35534e8ada158f2a8d4c",
+        "canonical dynamic-transcript bytes drifted"
     );
 }
