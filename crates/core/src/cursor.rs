@@ -5,7 +5,8 @@
 //! length-delimited, order-fixed fields, reject-don't-panic on
 //! truncation, reject trailing bytes. This cursor is that read loop,
 //! written once — `take` returns [`Bytes::slice`] views of the input,
-//! so parsing payloads out of a larger buffer never copies.
+//! so parsing payloads out of a larger buffer never copies, while the
+//! fixed-width reads copy straight out of the borrowed slice.
 //!
 //! Errors are the unit [`Truncated`]; parsers map it onto their own
 //! error vocabulary at the call site.
@@ -35,25 +36,21 @@ impl<'a> ByteCursor<'a> {
     ///
     /// [`Truncated`] when fewer than `n` bytes remain.
     pub fn take(&mut self, n: usize) -> Result<Bytes, Truncated> {
-        let end = self.pos.checked_add(n).ok_or(Truncated)?;
-        if end > self.bytes.len() {
-            return Err(Truncated);
-        }
-        let out = self.bytes.slice(self.pos..end);
-        self.pos = end;
-        Ok(out)
+        let range = self.advance(n)?;
+        Ok(self.bytes.slice(range))
     }
 
-    /// Takes a fixed-size array (copied — arrays are small headers,
-    /// not payloads).
+    /// Takes a fixed-size array, copied out of the borrowed slice: arrays
+    /// are small headers, not payloads, so no view of the shared buffer
+    /// (and no refcount traffic on it) is made.
     ///
     /// # Errors
     ///
     /// [`Truncated`] when fewer than `N` bytes remain.
     pub fn take_array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
-        let view = self.take(N)?;
+        let range = self.advance(N)?;
         let mut out = [0u8; N];
-        out.copy_from_slice(&view);
+        out.copy_from_slice(&self.bytes[range]);
         Ok(out)
     }
 
@@ -92,6 +89,18 @@ impl<'a> ByteCursor<'a> {
     /// [`Truncated`] when fewer than 8 bytes remain.
     pub fn take_f64_bits(&mut self) -> Result<f64, Truncated> {
         Ok(f64::from_bits(self.take_u64()?))
+    }
+
+    /// Moves past the next `n` bytes and returns their range; consumes
+    /// nothing when fewer remain.
+    fn advance(&mut self, n: usize) -> Result<std::ops::Range<usize>, Truncated> {
+        let start = self.pos;
+        let end = start.checked_add(n).ok_or(Truncated)?;
+        if end > self.bytes.len() {
+            return Err(Truncated);
+        }
+        self.pos = end;
+        Ok(start..end)
     }
 
     /// True when every byte has been consumed — canonical parsers

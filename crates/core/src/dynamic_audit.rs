@@ -24,7 +24,7 @@
 //! provable.
 
 use crate::auditor::{AuditReport, SegmentVerdict, VerifyChecks};
-use crate::messages::TranscriptDecodeError;
+use crate::messages::{TranscriptDecodeError, SIGNATURE_LEN};
 use crate::policy::TimingPolicy;
 use bytes::Bytes;
 use geoproof_crypto::chacha::ChaChaRng;
@@ -203,7 +203,7 @@ impl DynSignedTranscript {
                 rtt,
             });
         }
-        let signature = Signature::from_bytes(&c.take_array::<64>().map_err(trunc)?);
+        let signature = Signature::from_bytes(&c.take_array::<SIGNATURE_LEN>().map_err(trunc)?);
         if !c.at_end() {
             return Err(E::TrailingBytes);
         }
@@ -215,6 +215,15 @@ impl DynSignedTranscript {
             rounds,
             signature,
         })
+    }
+
+    /// The signed part of a canonical encoding that
+    /// [`DynSignedTranscript::from_canonical`] accepted: a zero-copy
+    /// view of every byte but the trailing 64-byte signature, equal to
+    /// [`DynSignedTranscript::signing_bytes_of`] the parsed transcript
+    /// (the parse, Merkle proofs included, is strict).
+    pub fn signed_prefix(canonical: &Bytes) -> Bytes {
+        canonical.slice(..canonical.len().saturating_sub(SIGNATURE_LEN))
     }
 }
 
@@ -617,6 +626,40 @@ mod tests {
             DynSignedTranscript::from_canonical(&Bytes::from(extra)),
             Err(TranscriptDecodeError::TrailingBytes)
         );
+    }
+
+    #[test]
+    fn signed_prefix_is_the_signing_bytes() {
+        let mut r = rig(SimDuration::from_millis(5));
+        let req = r.auditor.issue_request(r.owner.digest(), 3);
+        let audited = r.verifier.run_audit(&req, &mut r.provider);
+        // k = 0, 1 (an empty segment under an empty-sibling proof) and 200.
+        let empty = DynTimedRound {
+            index: 9,
+            segment: Bytes::new(),
+            proof: MerkleProof {
+                index: 9,
+                siblings: Vec::new(),
+            },
+            rtt: SimDuration::from_millis(1),
+        };
+        let many: Vec<DynTimedRound> = audited.rounds.iter().cycle().take(200).cloned().collect();
+        for rounds in [Vec::new(), vec![empty], many] {
+            let t = DynSignedTranscript {
+                rounds,
+                ..audited.clone()
+            };
+            let bytes = t.canonical_bytes();
+            assert_eq!(DynSignedTranscript::from_canonical(&bytes), Ok(t.clone()));
+            let prefix = DynSignedTranscript::signed_prefix(&bytes);
+            assert_eq!(
+                prefix.as_ref(),
+                t.signing_bytes_of().as_slice(),
+                "k = {}",
+                t.rounds.len()
+            );
+            assert!(prefix.aliases(&bytes.slice(..bytes.len() - SIGNATURE_LEN)));
+        }
     }
 
     #[test]

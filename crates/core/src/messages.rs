@@ -155,7 +155,7 @@ impl SignedTranscript {
                 rtt,
             });
         }
-        let signature = Signature::from_bytes(&c.take_array::<64>().map_err(trunc)?);
+        let signature = Signature::from_bytes(&c.take_array::<SIGNATURE_LEN>().map_err(trunc)?);
         if !c.at_end() {
             return Err(E::TrailingBytes);
         }
@@ -167,10 +167,24 @@ impl SignedTranscript {
             signature,
         })
     }
+
+    /// The signed part of a canonical encoding that
+    /// [`SignedTranscript::from_canonical`] accepted: a zero-copy view
+    /// of every byte but the trailing 64-byte signature. Because the
+    /// parse is strict, this equals [`SignedTranscript::signing_bytes`]
+    /// of the parsed fields, so a signature can be checked without
+    /// re-encoding the transcript.
+    pub fn signed_prefix(canonical: &Bytes) -> Bytes {
+        canonical.slice(..canonical.len().saturating_sub(SIGNATURE_LEN))
+    }
 }
 
 /// Domain-separation prefix of the canonical transcript encoding.
 const TRANSCRIPT_MAGIC: &[u8] = b"geoproof-transcript-v1";
+
+/// Length of the Schnorr signature that ends every canonical transcript
+/// encoding, static and dynamic.
+pub(crate) const SIGNATURE_LEN: usize = 64;
 
 /// Why a canonical transcript encoding failed to parse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -299,6 +313,31 @@ mod tests {
         let parsed = SignedTranscript::from_canonical(&bytes).expect("parse");
         assert_eq!(parsed, t);
         assert_eq!(parsed.canonical_bytes(), bytes, "re-encode must match");
+    }
+
+    #[test]
+    fn signed_prefix_is_the_signing_bytes() {
+        // k = 0, 1 and 200; round 0 carries an empty segment.
+        for k in [0u64, 1, 200] {
+            let rounds: Vec<TimedRound> = (0..k)
+                .map(|j| TimedRound {
+                    index: j * 13,
+                    segment: Bytes::from(vec![j as u8; (j % 3 * 50) as usize]),
+                    rtt: SimDuration::from_nanos(j * 1_001),
+                })
+                .collect();
+            let t = SignedTranscript {
+                rounds,
+                ..transcript()
+            };
+            let bytes = t.canonical_bytes();
+            assert_eq!(SignedTranscript::from_canonical(&bytes), Ok(t.clone()));
+            let prefix = SignedTranscript::signed_prefix(&bytes);
+            let signing =
+                SignedTranscript::signing_bytes(&t.file_id, &t.nonce, &t.position, &t.rounds);
+            assert_eq!(prefix.as_ref(), signing.as_slice(), "k = {k}");
+            assert!(prefix.aliases(&bytes.slice(..bytes.len() - SIGNATURE_LEN)));
+        }
     }
 
     #[test]

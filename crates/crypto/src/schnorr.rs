@@ -137,9 +137,15 @@ impl VerifyingKey {
             return false;
         }
         let e = challenge_scalar(&signature.r_bytes, &self.encoded, message);
-        // R' = s·B - e·A must equal R.
-        let r_prime = Point::vartime_double_base_mul(&e, &self.point.neg(), &s);
-        ct_eq(&r_prime.compress(), &signature.r_bytes)
+        self.verify_challenge(&e, &s, &signature.r_bytes)
+    }
+
+    /// The group half of [`VerifyingKey::verify`], for a canonical `s`
+    /// and its already computed challenge `e`: `R' = s·B − e·A` must
+    /// equal `R`.
+    fn verify_challenge(&self, e: &Scalar, s: &Scalar, r_bytes: &[u8; 32]) -> bool {
+        let r_prime = Point::vartime_double_base_mul(e, &self.point.neg(), s);
+        ct_eq(&r_prime.compress(), r_bytes)
     }
 
     /// The pre-table verification path: both scalar multiplications via
@@ -210,15 +216,18 @@ fn batch_equation_holds(entries: &[BatchEntry<'_>], cands: &[&Candidate]) -> boo
 
 /// Settles every candidate in `cands`: one batch equation when the whole
 /// subset passes, bisection to isolate offenders otherwise. Size-1
-/// subsets delegate to the sequential [`VerifyingKey::verify`], so the
-/// per-entry verdict (and any diagnostic built on it) is byte-identical
-/// to the sequential path.
+/// subsets run the sequential [`VerifyingKey::verify`]'s own group check
+/// on the candidate's challenge, so the per-entry verdict (and any
+/// diagnostic built on it) is byte-identical to the sequential path.
 fn settle(entries: &[BatchEntry<'_>], cands: &[&Candidate], results: &mut [bool]) {
     match cands {
         [] => {}
         [only] => {
             let entry = &entries[only.idx];
-            results[only.idx] = entry.key.verify(entry.message, &entry.signature);
+            results[only.idx] =
+                entry
+                    .key
+                    .verify_challenge(&only.e, &only.s, &entry.signature.r_bytes);
         }
         _ if batch_equation_holds(entries, cands) => {
             for c in cands {
@@ -242,38 +251,47 @@ fn settle(entries: &[BatchEntry<'_>], cands: &[&Candidate], results: &mut [bool]
 /// makes a passing batch equation a 2⁻¹²⁸-sound proof that every
 /// member verifies. A failing batch is bisected until each offender is
 /// pinpointed by the sequential path itself.
+///
+/// Each message is hashed once. The challenge `eᵢ = H(Rᵢ ‖ Aᵢ ‖ mᵢ)` is
+/// computed first, and the seed of the coefficients absorbs
+/// `(Aᵢ, Rᵢ, sᵢ, |mᵢ|, eᵢ)` under the `geoproof-schnorr-batch-v2` tag
+/// instead of the message itself (ed25519-dalek's batch transcript does
+/// the same). Binding `eᵢ` binds `mᵢ`: `H` is collision resistant and
+/// its input carries `Rᵢ` and `Aᵢ`, so two messages with the same
+/// challenge for the same `(Rᵢ, Aᵢ)` are a hash collision. What the
+/// batch equation checks is `eᵢ`, never `mᵢ`, so a seed over every
+/// value the equation reads is as strong as one over the messages.
+/// `|mᵢ|` is absorbed too, as the v1 seed did.
 pub fn batch_verify_each(entries: &[BatchEntry<'_>]) -> Vec<bool> {
-    let mut results = vec![false; entries.len()];
+    let mut transcript = Sha256::new();
+    transcript.update(b"geoproof-schnorr-batch-v2");
+    transcript.update(&(entries.len() as u64).to_be_bytes());
+    let challenges: Vec<Scalar> = entries
+        .iter()
+        .map(|entry| {
+            let e = challenge_scalar(&entry.signature.r_bytes, &entry.key.encoded, entry.message);
+            transcript.update(&entry.key.encoded);
+            transcript.update(&entry.signature.r_bytes);
+            transcript.update(&entry.signature.s_bytes);
+            transcript.update(&(entry.message.len() as u64).to_be_bytes());
+            transcript.update(&e.to_bytes_le());
+            e
+        })
+        .collect();
+    let seed = transcript.finalize();
     // Pre-screen: non-canonical s or an undecodable R can never equal a
     // compressed point from the verify equation — sequential verify
     // rejects them, so the batch does too, before any group arithmetic.
-    let mut screened: Vec<(usize, Scalar, Point)> = Vec::with_capacity(entries.len());
-    let mut transcript = Sha256::new();
-    transcript.update(b"geoproof-schnorr-batch-v1");
-    transcript.update(&(entries.len() as u64).to_be_bytes());
-    for entry in entries {
-        transcript.update(&entry.key.encoded);
-        transcript.update(&entry.signature.r_bytes);
-        transcript.update(&entry.signature.s_bytes);
-        transcript.update(&(entry.message.len() as u64).to_be_bytes());
-        transcript.update(entry.message);
-    }
-    let seed = transcript.finalize();
-    for (idx, entry) in entries.iter().enumerate() {
-        let s = Scalar::from_bytes_mod_order(&entry.signature.s_bytes);
-        if s.to_bytes_le() != entry.signature.s_bytes {
-            continue;
-        }
-        let Some(r_point) = Point::decompress(&entry.signature.r_bytes) else {
-            continue;
-        };
-        screened.push((idx, s, r_point));
-    }
-    let candidates: Vec<Candidate> = screened
-        .into_iter()
-        .map(|(idx, s, r_point)| {
-            let entry = &entries[idx];
-            let e = challenge_scalar(&entry.signature.r_bytes, &entry.key.encoded, entry.message);
+    let candidates: Vec<Candidate> = entries
+        .iter()
+        .zip(challenges)
+        .enumerate()
+        .filter_map(|(idx, (entry, e))| {
+            let s = Scalar::from_bytes_mod_order(&entry.signature.s_bytes);
+            if s.to_bytes_le() != entry.signature.s_bytes {
+                return None;
+            }
+            let r_point = Point::decompress(&entry.signature.r_bytes)?;
             let mut zh = Sha256::new();
             zh.update(b"geoproof-schnorr-batch-z-v1");
             zh.update(&seed);
@@ -282,15 +300,16 @@ pub fn batch_verify_each(entries: &[BatchEntry<'_>]) -> Vec<bool> {
             if z.is_zero() {
                 z = Scalar::ONE; // keep the coefficient invertible
             }
-            Candidate {
+            Some(Candidate {
                 idx,
                 s,
                 e,
                 z,
                 r_point,
-            }
+            })
         })
         .collect();
+    let mut results = vec![false; entries.len()];
     let refs: Vec<&Candidate> = candidates.iter().collect();
     settle(entries, &refs, &mut results);
     results

@@ -220,21 +220,46 @@ proptest! {
         n in 0usize..12,
         forged in prop::collection::vec(any::<bool>(), 12),
         cross in prop::collection::vec(any::<bool>(), 12),
+        tampered in prop::collection::vec(any::<bool>(), 12),
+        len_bits in prop::collection::vec(0u32..=12, 12),
+        len_low in prop::collection::vec(any::<u16>(), 12),
     ) {
         let mut rng = ChaChaRng::from_u64_seed(seed);
         // A couple of shared keys so per-key aggregation sees reuse.
         let keys = [SigningKey::generate(&mut rng), SigningKey::generate(&mut rng)];
-        let messages: Vec<Vec<u8>> = (0..n).map(|i| format!("audit-{i}").into_bytes()).collect();
-        let mut entries = Vec::new();
+        // Lengths 0..=4096 bytes, spread evenly over the powers of two.
+        let mut messages: Vec<Vec<u8>> = (0..n)
+            .map(|i| {
+                let mut m = vec![0u8; len_low[i] as usize % ((1usize << len_bits[i]) + 1)];
+                rng.fill_bytes(&mut m);
+                m
+            })
+            .collect();
+        let mut signatures = Vec::new();
         for i in 0..n {
-            let sk = &keys[i % 2];
-            let mut sig = sk.sign(&messages[i], &mut rng);
+            let mut sig = keys[i % 2].sign(&messages[i], &mut rng);
             if forged[i] {
                 sig.s_bytes[3] ^= 0x40;
             }
+            signatures.push(sig);
+            // Change the message after signing and keep the signature:
+            // the batch seed sees the message only through eᵢ and |mᵢ|.
+            if tampered[i] {
+                match messages[i].len() {
+                    0 => messages[i].push(0),
+                    len => messages[i][seed as usize % len] ^= 0x01,
+                }
+            }
+        }
+        let mut entries = Vec::new();
+        for i in 0..n {
             // Attribute some signatures to the wrong key.
-            let key = if cross[i] { keys[(i + 1) % 2].verifying_key() } else { sk.verifying_key() };
-            entries.push(BatchEntry { key, message: &messages[i], signature: sig });
+            let sk = &keys[(i + usize::from(cross[i])) % 2];
+            entries.push(BatchEntry {
+                key: sk.verifying_key(),
+                message: &messages[i],
+                signature: signatures[i],
+            });
         }
         let batch = batch_verify_each(&entries);
         for (i, entry) in entries.iter().enumerate() {

@@ -43,6 +43,7 @@
 use crate::reader::{checkpoint_message_for, parallelism, Entry, Header, Ledger, Record};
 use crate::record::{DigestOp, DynEvidenceRecord, EvidenceRecord, PositionRecord};
 use crate::{Digest, LedgerError};
+use bytes::Bytes;
 use geoproof_core::auditor::VerifyChecks;
 use geoproof_core::dynamic_audit::{judge_round, DynSignedTranscript};
 use geoproof_core::evidence::encode_report;
@@ -57,8 +58,10 @@ use std::collections::HashMap;
 /// enough that the shared-base multi-scalar equation amortises well (the
 /// per-signature cost keeps falling up to a few hundred entries), small
 /// enough to bound peak memory: each in-flight record holds a parsed
-/// transcript plus its canonical signing bytes until its chunk is
-/// walked, and at most `2 × cores` chunks are in flight at once.
+/// transcript until its chunk is walked, and at most `2 × cores` chunks
+/// are in flight at once. A chunk holds no copy of any record's signed
+/// bytes: its signature tasks are views of the ledger buffer, which is
+/// resident anyway.
 const BATCH_CHUNK: usize = 1024;
 
 /// Re-derives keyed segment MACs when the owner's secret is available —
@@ -134,13 +137,8 @@ pub fn replay_record(
     let transcript = record
         .parse_transcript()
         .map_err(|source| LedgerError::Transcript { evidence, source })?;
-    let bytes = SignedTranscript::signing_bytes(
-        &transcript.file_id,
-        &transcript.nonce,
-        &transcript.position,
-        &transcript.rounds,
-    );
-    let sig_ok = device_key.verify(&bytes, &transcript.signature);
+    let signed = SignedTranscript::signed_prefix(&record.transcript);
+    let sig_ok = device_key.verify(&signed, &transcript.signature);
     check_evidence_verdict(record, evidence, &device_key, &transcript, sig_ok)?;
     Ok(transcript)
 }
@@ -148,8 +146,8 @@ pub fn replay_record(
 /// The verdict re-derivation half of [`replay_record`], with the
 /// signature verdict supplied by the caller. Byte-identical to the
 /// sequential path whenever `sig_ok` equals what `device_key.verify`
-/// returns over the transcript's canonical signing bytes — which is
-/// exactly the contract [`batch_verify_each`] keeps.
+/// returns over the transcript's signed bytes — which is exactly the
+/// contract [`batch_verify_each`] keeps.
 fn check_evidence_verdict(
     record: &EvidenceRecord,
     evidence: u64,
@@ -195,7 +193,8 @@ pub fn replay_dyn_record(
     let transcript = record
         .parse_transcript()
         .map_err(|source| LedgerError::Transcript { evidence, source })?;
-    let sig_ok = device_key.verify(&transcript.signing_bytes_of(), &transcript.signature);
+    let signed = DynSignedTranscript::signed_prefix(&record.transcript);
+    let sig_ok = device_key.verify(&signed, &transcript.signature);
     check_dyn_verdict(record, evidence, &device_key, &transcript, sig_ok)?;
     Ok(transcript)
 }
@@ -280,11 +279,12 @@ enum Prep {
     Plain,
 }
 
-/// One signature to settle, with owned canonical message bytes so the
-/// batch entries can borrow them.
+/// One signature to settle. An evidence message is a view of the
+/// recorded transcript's signed bytes, not a copy; a checkpoint message
+/// is built from the header.
 struct SigTask {
     key: VerifyingKey,
-    message: Vec<u8>,
+    message: Bytes,
     signature: Signature,
 }
 
@@ -420,16 +420,10 @@ fn prepare_chunk(
                         )
                     }
                 };
-                let message = SignedTranscript::signing_bytes(
-                    &transcript.file_id,
-                    &transcript.nonce,
-                    &transcript.position,
-                    &transcript.rounds,
-                );
                 let task = tasks.len();
                 tasks.push(SigTask {
                     key,
-                    message,
+                    message: SignedTranscript::signed_prefix(&e.transcript),
                     signature: transcript.signature,
                 });
                 preps.push(Prep::Evidence {
@@ -466,7 +460,7 @@ fn prepare_chunk(
                 let task = tasks.len();
                 tasks.push(SigTask {
                     key,
-                    message: transcript.signing_bytes_of(),
+                    message: DynSignedTranscript::signed_prefix(&e.transcript),
                     signature: transcript.signature,
                 });
                 preps.push(Prep::Dyn {
@@ -484,7 +478,7 @@ fn prepare_chunk(
                 let task = tasks.len();
                 tasks.push(SigTask {
                     key: *tpa,
-                    message: checkpoint_message_for(header, c.covered, &c.root),
+                    message: checkpoint_message_for(header, c.covered, &c.root).into(),
                     signature: Signature::from_bytes(&c.signature),
                 });
                 preps.push(Prep::Checkpoint { task });

@@ -345,6 +345,8 @@ enum Fault {
     UndecodableKey,
     /// A checkpoint over a wrong root, correctly signed by the TPA.
     CheckpointRoot,
+    /// One round's signed Δt rewritten, the device signature kept.
+    TamperedRound,
 }
 
 impl Fault {
@@ -374,6 +376,16 @@ impl Fault {
                     ..e.clone()
                 };
                 bodies[index] = evidence_body(&forged);
+                format!("VerdictMismatch {{ evidence: {evidence} }}")
+            }
+            (Fault::TamperedRound, Entry::Evidence(e)) => {
+                let mut t = e.parse_transcript().expect("clean transcript");
+                t.rounds[1].rtt = SimDuration::from_nanos(t.rounds[1].rtt.as_nanos() + 1);
+                let tampered = EvidenceRecord {
+                    transcript: t.canonical_bytes(),
+                    ..e.clone()
+                };
+                bodies[index] = evidence_body(&tampered);
                 format!("VerdictMismatch {{ evidence: {evidence} }}")
             }
             (Fault::MalformedTranscript, Entry::Evidence(e)) => {
@@ -417,12 +429,13 @@ impl Fault {
     }
 }
 
-const FAULTS: [Fault; 5] = [
+const FAULTS: [Fault; 6] = [
     Fault::ForgedSignature,
     Fault::CheckpointSignature,
     Fault::MalformedTranscript,
     Fault::UndecodableKey,
     Fault::CheckpointRoot,
+    Fault::TamperedRound,
 ];
 
 fn bodies_of(ledger: &Ledger) -> Vec<Vec<u8>> {
@@ -496,6 +509,8 @@ fn the_earlier_of_two_faults_wins() {
             // …and the other way round.
             (Fault::ForgedSignature, Fault::CheckpointSignature),
             (Fault::UndecodableKey, Fault::ForgedSignature),
+            (Fault::TamperedRound, Fault::CheckpointSignature),
+            (Fault::CheckpointRoot, Fault::TamperedRound),
         ] {
             let mut bodies = bodies_of(full);
             let early = first.target(full, CHUNK + 10);
