@@ -7,11 +7,12 @@ use bytes::Bytes;
 use geoproof_core::deployment::{DeploymentBuilder, ProviderBehaviour};
 use geoproof_core::engine::{AuditEngine, EngineConfig, ProverId, ProverSpec};
 use geoproof_core::evidence::encode_report;
-use geoproof_core::fleet::{run_fleet_with_evidence, FleetConfig};
+use geoproof_core::fleet::{run_fleet, run_fleet_with_evidence, FleetConfig};
 use geoproof_core::provider::{LocalProvider, SegmentProvider};
 use geoproof_core::verifier::VerifierDevice;
 use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::SigningKey;
+use geoproof_crypto::sha256::Sha256;
 use geoproof_geo::coords::places::BRISBANE;
 use geoproof_geo::gps::GpsReceiver;
 use geoproof_ledger::{replay, InclusionProof, Ledger, LedgerError, LedgerSink};
@@ -36,6 +37,10 @@ fn tmp(name: &str) -> PathBuf {
 
 fn tpa_key(seed: u64) -> SigningKey {
     SigningKey::generate(&mut ChaChaRng::from_u64_seed(seed))
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 type FleetEntry = (ProverId, VerifierDevice, Box<dyn SegmentProvider + Send>);
@@ -142,6 +147,46 @@ fn engine_run_records_every_verdict_and_replays_byte_identically() {
     )
     .expect("full replay");
     assert_eq!(full.macs_checked, 10 * 8);
+}
+
+/// Byte pins for the engine and fleet evidence paths: the fleet's
+/// outcome fingerprint and the exact ledger bytes each path writes. Any
+/// change to nonces, epochs, verdicts, record order or encoding moves
+/// one of these digests.
+#[test]
+fn fleet_and_engine_ledgers_are_byte_pinned() {
+    let config = FleetConfig::mixed(6, 2, 2, 2, 33);
+    let fleet_fingerprint = "a4c60aa6d8a76c5abdcc31f48d403727cd7bdedd5bb84cd41a1a7e87f36205d3";
+    assert_eq!(hex(&run_fleet(&config).fingerprint()), fleet_fingerprint);
+
+    let path = tmp("pin-fleet.log");
+    let sink = Arc::new(LedgerSink::create(&path, &tpa_key(11), 4, 1).expect("create"));
+    let outcome = run_fleet_with_evidence(&config, sink.clone());
+    sink.finish().expect("finish");
+    assert_eq!(hex(&outcome.fingerprint()), fleet_fingerprint);
+    let bytes = std::fs::read(&path).expect("read back");
+    assert_eq!(
+        (bytes.len(), hex(&Sha256::digest(&bytes))),
+        (
+            11_137,
+            "9e698a246ce3515b1e91ececda68daa9a87028567992936d302729f4861c9515".to_owned()
+        )
+    );
+
+    let path = tmp("pin-engine.log");
+    let (engine, fleet, _) = engine_rig(10, 5);
+    let sink = Arc::new(LedgerSink::create(&path, &tpa_key(11), 4, 1).expect("create"));
+    engine.set_evidence_sink(sink.clone());
+    engine.run_sessions(fleet);
+    sink.finish().expect("finish");
+    let bytes = std::fs::read(&path).expect("read back");
+    assert_eq!(
+        (bytes.len(), hex(&Sha256::digest(&bytes))),
+        (
+            8_509,
+            "d1b8ce5d6f95048a508374188730578d7e9a7bf654d4633c287a71eeaf680955".to_owned()
+        )
+    );
 }
 
 #[test]

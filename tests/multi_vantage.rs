@@ -20,6 +20,7 @@ use geoproof::core::vantage::{
 use geoproof::core::verifier::VerifierDevice;
 use geoproof::crypto::chacha::ChaChaRng;
 use geoproof::crypto::schnorr::SigningKey;
+use geoproof::crypto::sha256::Sha256;
 use geoproof::geo::coords::places::BRISBANE;
 use geoproof::geo::coords::GeoPoint;
 use geoproof::geo::gps::GpsReceiver;
@@ -333,6 +334,22 @@ fn honest_fleet_of_vantages_accepts() {
         est.discrepancy.0, est.rms_inlier_residual.0
     );
     assert!(outcome.accepted);
+}
+
+/// Byte pin: the honest profile's whole outcome (verdicts, ranges in
+/// vantage order, estimate) hashed through its `Debug` form. The seeded
+/// robust fit depends on range order, so a reordering moves this too.
+#[test]
+fn honest_profile_outcome_is_byte_pinned() {
+    let outcome = run_profile(&[SimDuration::ZERO; 5]);
+    let digest: String = Sha256::digest(format!("{outcome:?}").as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        digest,
+        "f9c7aa2e48ca118a0d2ac3b57a0996dd309bf4c0b3718dc108b5e9f8f5eb1b9a"
+    );
 }
 
 #[test]
