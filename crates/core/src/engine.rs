@@ -1,24 +1,26 @@
-//! The concurrent multi-prover audit engine.
+//! The multi-prover audit engine.
 //!
-//! The paper audits one prover at a time; the engine audits a fleet. It
-//! owns:
+//! The paper audits one prover at a time; the engine audits a fleet
+//! against one file, in the TPA's three steps:
 //!
-//! * a **sharded session table** — per-shard `parking_lot` mutexes keyed
-//!   by prover id, so hundreds of sessions progress without a global lock;
-//! * **order-independent challenge planning** — each session's nonce
-//!   comes from `(engine seed, prover id)` via [`geoproof_por::batch`],
-//!   never from shared RNG state, so opening sessions in any order (or
-//!   from any thread) yields identical audits;
-//! * **batched verification** — all collected transcripts are judged in
-//!   one pass sharing the MAC parameterisation
-//!   ([`SegmentBatchVerifier`]), with verdicts *byte-identical* to the
-//!   sequential [`crate::auditor::Auditor`] path;
-//! * a **work-stealing driver** ([`AuditEngine::run_sessions`]) that runs
-//!   many blocking sessions on a [`crate::pool`] worker pool — the mode
-//!   clients of the multiplexing `geoproof serve` exercise.
+//! * **issue** ([`AuditEngine::issue`]) — a fresh request per audit. Its
+//!   nonce comes from `(engine seed, prover id, epoch)` via
+//!   [`geoproof_por::batch`], where the epoch counts the prover's earlier
+//!   audits — never from shared RNG state, so issuing in any order yields
+//!   identical requests, and a re-audit never reuses a nonce;
+//! * **drive** — the prover's verifier device runs the k timed rounds
+//!   and signs the transcript. [`AuditEngine::run_sessions`] drives many
+//!   devices at once on a [`crate::pool`] worker pool; [`crate::fleet`]
+//!   drives them on one SimNet timeline;
+//! * **judge** ([`AuditEngine::judge`]) — all transcripts in one pass
+//!   sharing the MAC parameterisation ([`SegmentBatchVerifier`]), with
+//!   verdicts *byte-identical* to the sequential reference path
+//!   ([`AuditEngine::judge_sequential`]) and to the single-prover
+//!   [`crate::auditor::Auditor`]. Only `judge` counts verdicts and records
+//!   evidence, each audit under its own issued epoch.
 //!
-//! The deterministic fleet simulation on top of this engine lives in
-//! [`crate::fleet`].
+//! The engine owns its state (registered provers, epochs, the evidence
+//! sink) and changes it only through `&mut self`.
 
 use crate::auditor::{AuditReport, VerifyChecks};
 use crate::evidence::{EvidenceBundle, EvidenceSink};
@@ -33,18 +35,17 @@ use geoproof_por::batch::{session_nonce, SegmentBatchVerifier};
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::AuditorKey;
 use geoproof_sim::time::Km;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Cached telemetry handles (see `geoproof_obs`): verdict counters move
-/// only on a session's *first* verdict, so they count audits — never
-/// re-verification passes; the latency histogram covers the full
+/// once per audit [`AuditEngine::judge`] passes — never in the
+/// sequential reference pass; the latency histogram covers the full
 /// challenge/response/sign session as run on the pool.
 struct EngineMetrics {
-    accept: std::sync::Arc<geoproof_obs::Counter>,
-    reject: std::sync::Arc<geoproof_obs::Counter>,
-    latency: std::sync::Arc<geoproof_obs::Histogram>,
+    accept: Arc<geoproof_obs::Counter>,
+    reject: Arc<geoproof_obs::Counter>,
+    latency: Arc<geoproof_obs::Histogram>,
 }
 
 fn metrics() -> &'static EngineMetrics {
@@ -72,152 +73,16 @@ impl From<&str> for ProverId {
     }
 }
 
-/// Where a session is in its lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SessionState {
-    /// Challenges issued; rounds in flight.
-    InFlight,
-    /// Transcript received; awaiting verification.
-    Collected,
-    /// Verified; report available.
-    Done,
-}
-
-/// One prover's audit session.
-#[derive(Clone, Debug)]
-pub struct AuditSession {
+/// One issued audit: the request the prover's device answers and the
+/// epoch its evidence carries.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Issued {
     /// The prover under audit.
     pub prover: ProverId,
-    /// The request issued for this session.
+    /// 0-based ordinal of this audit of this prover.
+    pub epoch: u64,
+    /// The request; its nonce is derived from `(seed, prover#epoch)`.
     pub request: AuditRequest,
-    /// The signed transcript, once the device returned it.
-    pub transcript: Option<SignedTranscript>,
-    /// The verdict, once verified.
-    pub report: Option<AuditReport>,
-}
-
-impl AuditSession {
-    /// Current lifecycle state.
-    pub fn state(&self) -> SessionState {
-        match (&self.transcript, &self.report) {
-            (_, Some(_)) => SessionState::Done,
-            (Some(_), None) => SessionState::Collected,
-            (None, None) => SessionState::InFlight,
-        }
-    }
-}
-
-/// FNV-1a over the prover id — deterministic shard selection (no
-/// per-process hasher randomness, so load patterns reproduce).
-fn shard_of(id: &ProverId, shards: usize) -> usize {
-    (geoproof_crypto::fnv::fnv1a_64(id.0.as_bytes()) as usize) % shards
-}
-
-/// A sharded, thread-safe session table keyed by prover id.
-///
-/// Invariants (pinned by property tests): a session is in exactly one
-/// shard; interleaved `insert`/`complete` across threads never lose or
-/// duplicate a session; `len` equals the number of live sessions.
-#[derive(Debug)]
-pub struct SessionTable {
-    shards: Vec<Mutex<HashMap<ProverId, AuditSession>>>,
-}
-
-impl SessionTable {
-    /// Creates a table with `shards` shards (clamped to ≥ 1).
-    pub fn new(shards: usize) -> Self {
-        SessionTable {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Inserts a session. Returns `false` (and leaves the table
-    /// unchanged) if the prover already has a live session — sessions are
-    /// never silently replaced.
-    pub fn insert(&self, session: AuditSession) -> bool {
-        let mut shard = self.shards[shard_of(&session.prover, self.shards.len())].lock();
-        match shard.entry(session.prover.clone()) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(session);
-                true
-            }
-        }
-    }
-
-    /// Runs `f` on the prover's live session, if any.
-    pub fn with_mut<R>(&self, id: &ProverId, f: impl FnOnce(&mut AuditSession) -> R) -> Option<R> {
-        let mut shard = self.shards[shard_of(id, self.shards.len())].lock();
-        shard.get_mut(id).map(f)
-    }
-
-    /// Removes and returns the prover's session.
-    pub fn complete(&self, id: &ProverId) -> Option<AuditSession> {
-        let mut shard = self.shards[shard_of(id, self.shards.len())].lock();
-        shard.remove(id)
-    }
-
-    /// Atomically removes the prover's session iff `pred` holds for it —
-    /// check and removal happen under one shard lock, so no concurrent
-    /// insert can slip in between.
-    pub fn complete_if(
-        &self,
-        id: &ProverId,
-        pred: impl FnOnce(&AuditSession) -> bool,
-    ) -> Option<AuditSession> {
-        let mut shard = self.shards[shard_of(id, self.shards.len())].lock();
-        if shard.get(id).is_some_and(pred) {
-            shard.remove(id)
-        } else {
-            None
-        }
-    }
-
-    /// Atomically inserts `session`, replacing an existing one only when
-    /// `allow_replace(existing)` holds. Returns whether the insert
-    /// happened. The whole decision runs under one shard lock.
-    pub fn insert_if(
-        &self,
-        session: AuditSession,
-        allow_replace: impl FnOnce(&AuditSession) -> bool,
-    ) -> bool {
-        let mut shard = self.shards[shard_of(&session.prover, self.shards.len())].lock();
-        match shard.get(&session.prover) {
-            Some(existing) if !allow_replace(existing) => false,
-            _ => {
-                shard.insert(session.prover.clone(), session);
-                true
-            }
-        }
-    }
-
-    /// Live session count.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True when no sessions are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All live prover ids, sorted (deterministic iteration order).
-    pub fn ids(&self) -> Vec<ProverId> {
-        let mut ids: Vec<ProverId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().keys().cloned().collect::<Vec<_>>())
-            .collect();
-        ids.sort();
-        ids
-    }
 }
 
 /// A registered prover: the key its verifier device signs with and the
@@ -233,13 +98,11 @@ pub struct ProverSpec {
 /// Engine-wide configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Session-table shards.
-    pub shards: usize,
     /// Worker threads for [`AuditEngine::run_sessions`].
     pub workers: usize,
-    /// Seed for order-independent challenge planning.
+    /// Seed for order-independent nonce derivation.
     pub seed: u64,
-    /// Challenges per session.
+    /// Challenges per audit.
     pub k: u32,
     /// Accepted GPS offset from each prover's SLA location.
     pub location_tolerance: Km,
@@ -250,7 +113,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            shards: 16,
             workers: 4,
             seed: 0x6765_6f70_726f_6f66, // "geoproof"
             k: 10,
@@ -260,27 +122,26 @@ impl Default for EngineConfig {
     }
 }
 
-/// The concurrent multi-prover audit engine for one file.
+/// The multi-prover audit engine for one file.
 pub struct AuditEngine {
     config: EngineConfig,
     file_id: String,
     n_segments: u64,
     encoder: PorEncoder,
     auditor_key: AuditorKey,
-    provers: Mutex<HashMap<ProverId, ProverSpec>>,
-    /// Audits opened per prover — folded into the nonce derivation so a
+    provers: HashMap<ProverId, ProverSpec>,
+    /// Audits issued per prover — folded into the nonce derivation so a
     /// re-audit gets a fresh nonce (an old transcript cannot replay into
-    /// a new session), while staying a pure function of the engine's
+    /// a new audit), while staying a pure function of the engine's
     /// history with that prover.
-    epochs: Mutex<HashMap<ProverId, u64>>,
-    table: SessionTable,
-    /// Optional durable-evidence sink: every *first* verdict for a
-    /// session is recorded. `None` keeps the hot path free of evidence
-    /// work (no canonical-bytes build, no allocation).
-    sink: Mutex<Option<std::sync::Arc<dyn EvidenceSink>>>,
+    epochs: HashMap<ProverId, u64>,
+    /// Optional durable-evidence sink: [`AuditEngine::judge`] records
+    /// every verdict. `None` keeps judging free of evidence work (no
+    /// canonical-bytes build, no allocation).
+    sink: Option<Arc<dyn EvidenceSink>>,
     /// First evidence-recording failure, surfaced out-of-band — verdicts
     /// never change because a sink failed.
-    sink_error: Mutex<Option<String>>,
+    sink_error: Option<String>,
 }
 
 impl std::fmt::Debug for AuditEngine {
@@ -288,7 +149,7 @@ impl std::fmt::Debug for AuditEngine {
         f.debug_struct("AuditEngine")
             .field("file_id", &self.file_id)
             .field("n_segments", &self.n_segments)
-            .field("live_sessions", &self.table.len())
+            .field("provers", &self.provers.len())
             .finish_non_exhaustive()
     }
 }
@@ -302,48 +163,42 @@ impl AuditEngine {
         auditor_key: AuditorKey,
         config: EngineConfig,
     ) -> Self {
-        let shards = config.shards;
         AuditEngine {
             config,
             file_id: file_id.into(),
             n_segments,
             encoder,
             auditor_key,
-            provers: Mutex::new(HashMap::new()),
-            epochs: Mutex::new(HashMap::new()),
-            table: SessionTable::new(shards),
-            sink: Mutex::new(None),
-            sink_error: Mutex::new(None),
+            provers: HashMap::new(),
+            epochs: HashMap::new(),
+            sink: None,
+            sink_error: None,
         }
     }
 
-    /// Installs a durable-evidence sink. Each session's first verdict
-    /// (the transition to [`SessionState::Done`]) is recorded as an
-    /// [`EvidenceBundle`]; re-verifying an already-`Done` session emits
-    /// nothing, so the sequential/batched equivalence passes don't
-    /// duplicate records.
-    pub fn set_evidence_sink(&self, sink: std::sync::Arc<dyn EvidenceSink>) {
-        *self.sink.lock() = Some(sink);
+    /// Installs a durable-evidence sink: every verdict
+    /// [`AuditEngine::judge`] reaches is recorded as an
+    /// [`EvidenceBundle`] under its audit's issued epoch.
+    /// [`AuditEngine::judge_sequential`] records nothing.
+    pub fn set_evidence_sink(&mut self, sink: Arc<dyn EvidenceSink>) {
+        self.sink = Some(sink);
     }
 
     /// The first evidence-recording error, if any. Recording failures
     /// never alter verdicts; callers that care about durability check
     /// this (and their sink's own close/flush result) after a run.
     pub fn evidence_error(&self) -> Option<String> {
-        self.sink_error.lock().clone()
+        self.sink_error.clone()
     }
 
     /// Seeds per-prover audit epochs — use when this engine appends to a
     /// ledger that earlier runs already wrote to (e.g. from
     /// `LedgerWriter::prover_epochs`), so nonces keep rotating and
     /// `(prover, epoch)` stays unique across process restarts. Seeding
-    /// after sessions have opened would replay nonces; call before any
-    /// [`AuditEngine::open_session`].
-    pub fn seed_epochs(&self, seeds: impl IntoIterator<Item = (ProverId, u64)>) {
-        let mut epochs = self.epochs.lock();
-        for (prover, epoch) in seeds {
-            epochs.insert(prover, epoch);
-        }
+    /// after audits were issued would replay nonces; call before any
+    /// [`AuditEngine::issue`].
+    pub fn seed_epochs(&mut self, seeds: impl IntoIterator<Item = (ProverId, u64)>) {
+        self.epochs.extend(seeds);
     }
 
     /// The engine's configuration.
@@ -351,88 +206,41 @@ impl AuditEngine {
         &self.config
     }
 
-    /// The session table (exposed for inspection and tests).
-    pub fn table(&self) -> &SessionTable {
-        &self.table
-    }
-
     /// Registers a prover's device key and SLA location. Re-registering
     /// replaces the spec (device rotation).
-    pub fn register_prover(&self, id: ProverId, spec: ProverSpec) {
-        self.provers.lock().insert(id, spec);
+    pub fn register_prover(&mut self, id: ProverId, spec: ProverSpec) {
+        self.provers.insert(id, spec);
     }
 
     /// Registered prover count.
     pub fn prover_count(&self) -> usize {
-        self.provers.lock().len()
+        self.provers.len()
     }
 
-    /// Opens a session for `prover`: derives its order-independent nonce
-    /// and parks the session in the table. (Challenge *indices* are drawn
-    /// by the prover's verifier device, as in the paper's protocol; the
-    /// engine-side derivation covers the nonce binding the transcript.)
-    ///
-    /// A finished (`Done`) session from an earlier audit round is evicted
-    /// and superseded — re-auditing a prover is routine. Returns `None`
-    /// if the prover is unregistered or still has an unfinished session.
-    pub fn open_session(&self, prover: &ProverId) -> Option<AuditRequest> {
-        if !self.provers.lock().contains_key(prover) {
+    /// Issues the next audit of `prover`: derives its nonce from
+    /// `(seed, prover#epoch)` and bumps the prover's epoch. (Challenge
+    /// *indices* are drawn by the prover's verifier device, as in the
+    /// paper's protocol; the engine-side derivation covers the nonce
+    /// binding the transcript.) Returns `None` for an unregistered
+    /// prover.
+    pub fn issue(&mut self, prover: &ProverId) -> Option<Issued> {
+        if !self.provers.contains_key(prover) {
             return None;
         }
-        // The epochs lock is held across the epoch read, the nonce
-        // derivation *and* the table insert: two racing opens would
-        // otherwise both read the same epoch and commit the same nonce
-        // in successive rounds, re-enabling cross-round replay.
-        let mut epochs = self.epochs.lock();
-        let epoch = epochs.get(prover).copied().unwrap_or(0);
+        let next = self.epochs.entry(prover.clone()).or_insert(0);
+        let epoch = *next;
+        *next += 1;
         let nonce = session_nonce(self.config.seed, &format!("{}#{epoch}", prover.0));
-        let request = AuditRequest {
-            file_id: self.file_id.clone(),
-            n_segments: self.n_segments,
-            k: self.config.k,
-            nonce,
-        };
-        let session = AuditSession {
+        Some(Issued {
             prover: prover.clone(),
-            request: request.clone(),
-            transcript: None,
-            report: None,
-        };
-        // Atomic insert-or-supersede: only a *finished* session may be
-        // replaced, and the decision happens under the shard lock, so
-        // racing opens can never evict each other's live session.
-        if self
-            .table
-            .insert_if(session, |existing| existing.state() == SessionState::Done)
-        {
-            *epochs.entry(prover.clone()).or_insert(0) += 1;
-            Some(request)
-        } else {
-            None // audit still running, or lost a race to a concurrent open
-        }
-    }
-
-    /// Removes a finished session, returning it (report included). Live
-    /// sessions are left untouched — eviction never cancels an audit
-    /// (check and removal are atomic under the shard lock).
-    pub fn take_finished(&self, prover: &ProverId) -> Option<AuditSession> {
-        self.table
-            .complete_if(prover, |s| s.state() == SessionState::Done)
-    }
-
-    /// Attaches a device's signed transcript to its session. Returns
-    /// `false` when no live session exists or one was already submitted.
-    pub fn submit_transcript(&self, prover: &ProverId, transcript: SignedTranscript) -> bool {
-        self.table
-            .with_mut(prover, |s| {
-                if s.transcript.is_some() {
-                    false
-                } else {
-                    s.transcript = Some(transcript);
-                    true
-                }
-            })
-            .unwrap_or(false)
+            epoch,
+            request: AuditRequest {
+                file_id: self.file_id.clone(),
+                n_segments: self.n_segments,
+                k: self.config.k,
+                nonce,
+            },
+        })
     }
 
     fn checks_for<'a>(&'a self, spec: &'a ProverSpec) -> VerifyChecks<'a> {
@@ -446,201 +254,137 @@ impl AuditEngine {
         }
     }
 
-    /// Verifies every collected session **sequentially** — the reference
-    /// path, calling [`PorEncoder::verify_segment`] per round exactly as
-    /// the single-prover [`crate::auditor::Auditor`] does. Sessions stay
-    /// in the table with their reports attached; results are sorted by
-    /// prover id. Already-`Done` sessions are re-verified (verdicts are
-    /// deterministic, so this can only reproduce them) — long-lived
-    /// engines should evict finished sessions with
-    /// [`AuditEngine::take_finished`].
-    pub fn verify_collected_sequential(&self) -> Vec<(ProverId, AuditReport)> {
-        self.verify_sequential_filtered(None)
-    }
-
-    fn verify_sequential_filtered(
+    /// Judges `audits` **sequentially** — the reference path, calling
+    /// [`PorEncoder::verify_segment`] per round exactly as the
+    /// single-prover [`crate::auditor::Auditor`] does. Results are sorted
+    /// by prover id (stably, so a prover's audits keep their input
+    /// order); audits of unregistered provers are skipped. Counts and
+    /// records nothing.
+    pub fn judge_sequential(
         &self,
-        only: Option<&std::collections::HashSet<ProverId>>,
+        audits: &[(Issued, SignedTranscript)],
     ) -> Vec<(ProverId, AuditReport)> {
-        self.verify_collected_with(only, |_prover, transcript| {
-            transcript
-                .rounds
-                .iter()
-                .map(|round| {
-                    self.encoder.verify_segment(
-                        self.auditor_key.mac_key(),
-                        &self.file_id,
-                        round.index,
-                        &round.segment,
-                    )
-                })
-                .collect()
-        })
+        let mut sorted: Vec<&(Issued, SignedTranscript)> = audits.iter().collect();
+        sorted.sort_by(|a, b| a.0.prover.cmp(&b.0.prover));
+        let mac_key = self.auditor_key.mac_key();
+        sorted
+            .into_iter()
+            .filter_map(|(issued, transcript)| {
+                let spec = self.provers.get(&issued.prover)?;
+                let report = self.checks_for(spec).verify_transcript(
+                    &issued.request,
+                    transcript,
+                    |_, round| {
+                        self.encoder.verify_segment(
+                            mac_key,
+                            &self.file_id,
+                            round.index,
+                            &round.segment,
+                        )
+                    },
+                );
+                Some((issued.prover.clone(), report))
+            })
+            .collect()
     }
 
-    /// Verifies every collected session in **one batched pass**: all
-    /// sessions share a single [`SegmentBatchVerifier`] (one MAC
-    /// parameterisation, one message buffer) over the whole fleet's
-    /// rounds. Verdicts are byte-identical to
-    /// [`AuditEngine::verify_collected_sequential`].
-    pub fn verify_collected_batched(&self) -> Vec<(ProverId, AuditReport)> {
-        self.verify_batched_filtered(None)
-    }
-
-    fn verify_batched_filtered(
-        &self,
-        only: Option<&std::collections::HashSet<ProverId>>,
+    /// Judges `audits` in **one batched pass**: every round shares a
+    /// single [`SegmentBatchVerifier`] (one MAC parameterisation, one
+    /// message buffer). Verdicts and order are byte-identical to
+    /// [`AuditEngine::judge_sequential`]. Each verdict is counted once
+    /// and, with a sink installed, recorded as evidence under its
+    /// audit's own issued epoch, in the returned order.
+    pub fn judge(
+        &mut self,
+        mut audits: Vec<(Issued, SignedTranscript)>,
     ) -> Vec<(ProverId, AuditReport)> {
+        audits.sort_by(|a, b| a.0.prover.cmp(&b.0.prover));
         let mut batch =
             SegmentBatchVerifier::new(&self.encoder, self.auditor_key.mac_key(), &self.file_id);
-        self.verify_collected_with(only, move |_prover, transcript| {
-            transcript
+        let mut out = Vec::with_capacity(audits.len());
+        for (issued, transcript) in audits {
+            let Some(spec) = self.provers.get(&issued.prover) else {
+                continue;
+            };
+            let mac_ok: Vec<bool> = transcript
                 .rounds
                 .iter()
                 .map(|round| batch.verify_one(round.index, &round.segment))
-                .collect()
-        })
-    }
-
-    /// Shared driver: `segment_verdicts` maps a transcript to one MAC
-    /// verdict per round; everything else (signature, nonce, GPS, round
-    /// sanity, timing) is the common [`VerifyChecks`] logic. `only`
-    /// restricts the pass to a subset of provers so callers auditing in
-    /// rounds don't re-verify earlier rounds' finished sessions.
-    fn verify_collected_with(
-        &self,
-        only: Option<&std::collections::HashSet<ProverId>>,
-        mut segment_verdicts: impl FnMut(&ProverId, &SignedTranscript) -> Vec<bool>,
-    ) -> Vec<(ProverId, AuditReport)> {
-        let provers = self.provers.lock().clone();
-        let mut out = Vec::new();
-        for id in self.table.ids() {
-            if only.is_some_and(|set| !set.contains(&id)) {
-                continue; // outside the caller's scope
-            }
-            let snapshot = self
-                .table
-                .with_mut(&id, |s| {
-                    s.transcript.clone().map(|t| (s.request.clone(), t))
-                })
-                .flatten();
-            let Some((request, transcript)) = snapshot else {
-                continue; // still in flight
-            };
-            let Some(spec) = provers.get(&id) else {
-                continue; // deregistered mid-audit
-            };
-            let verdicts = segment_verdicts(&id, &transcript);
+                .collect();
             let report =
                 self.checks_for(spec)
-                    .verify_transcript(&request, &transcript, |i, _round| {
-                        verdicts.get(i).copied().unwrap_or(false)
-                    });
-            // Clone the sink handle out so no engine lock is held across
-            // the sink's I/O. The epoch must be read *before* the report
-            // is published: until then the session is not `Done`, so a
-            // racing `open_session` cannot supersede it and bump the
-            // count out from under us. (`epochs` counts opens, so the
-            // session being judged is epoch `count - 1`.)
-            let sink = self.sink.lock().clone();
-            let epoch = if sink.is_some() {
-                self.epochs
-                    .lock()
-                    .get(&id)
-                    .copied()
-                    .unwrap_or(1)
-                    .saturating_sub(1)
+                    .verify_transcript(&issued.request, &transcript, |i, _| mac_ok[i]);
+            let m = metrics();
+            if report.accepted() {
+                m.accept.inc();
             } else {
-                0
-            };
-            let fresh_verdict = self
-                .table
-                .with_mut(&id, |s| {
-                    // Publish only onto the session we actually verified:
-                    // a concurrent `open_session` may have superseded a
-                    // `Done` session while this pass held its snapshot,
-                    // and stamping the old report (or recording duplicate
-                    // evidence under the new epoch) onto the fresh
-                    // session would corrupt it. Nonces are unique per
-                    // epoch, so they identify the session.
-                    if s.request.nonce != request.nonce {
-                        return false;
-                    }
-                    let fresh = s.report.is_none();
-                    s.report = Some(report.clone());
-                    fresh
-                })
-                .unwrap_or(false);
-            if fresh_verdict {
-                let m = metrics();
-                if report.accepted() {
-                    m.accept.inc();
-                } else {
-                    m.reject.inc();
-                }
-                if let Some(sink) = sink {
-                    let bundle = EvidenceBundle {
-                        prover: id.0.clone(),
-                        epoch,
-                        device_key: spec.device_key.to_bytes(),
-                        sla_location: spec.sla_location,
-                        location_tolerance: self.config.location_tolerance,
-                        policy: self.config.policy,
-                        request,
-                        mac_ok: verdicts,
-                        report: report.clone(),
-                        transcript: transcript.canonical_bytes(),
-                    };
-                    if let Err(e) = sink.record(&bundle) {
-                        let mut err = self.sink_error.lock();
-                        if err.is_none() {
-                            *err = Some(e.to_string());
-                        }
-                    }
+                m.reject.inc();
+            }
+            if let Some(sink) = &self.sink {
+                let bundle = EvidenceBundle {
+                    prover: issued.prover.0.clone(),
+                    epoch: issued.epoch,
+                    device_key: spec.device_key.to_bytes(),
+                    sla_location: spec.sla_location,
+                    location_tolerance: self.config.location_tolerance,
+                    policy: self.config.policy,
+                    request: issued.request,
+                    mac_ok,
+                    report: report.clone(),
+                    transcript: transcript.canonical_bytes(),
+                };
+                if let Err(e) = sink.record(&bundle) {
+                    self.sink_error.get_or_insert(e.to_string());
                 }
             }
-            out.push((id, report));
+            out.push((issued.prover, report));
         }
         out
     }
 
-    /// Drives many blocking sessions to completion on a work-stealing
-    /// pool, then batch-verifies. Each entry supplies the prover's
-    /// verifier device and the provider answering its challenges; the
-    /// whole session (k ordered rounds + signing) runs as one job.
+    /// Issues one audit per fleet entry, drives every device's session
+    /// (k ordered rounds + signing) as one job on a work-stealing pool,
+    /// then [`AuditEngine::judge`]s them all.
     ///
-    /// Returns the reports of **this run's** sessions (sorted by id) plus
-    /// pool statistics — provers whose session could not be opened (still
-    /// mid-audit from elsewhere, or unregistered) are absent, never
-    /// served stale verdicts from an earlier round.
+    /// Returns this run's reports (sorted by prover id; a prover listed
+    /// twice is audited twice, under consecutive epochs), every audit
+    /// with its transcript in fleet order, and pool statistics.
+    /// Unregistered provers are absent from both lists.
+    #[allow(clippy::type_complexity)]
     pub fn run_sessions(
-        &self,
+        &mut self,
         fleet: Vec<(ProverId, VerifierDevice, Box<dyn SegmentProvider + Send>)>,
-    ) -> (Vec<(ProverId, AuditReport)>, PoolStats) {
-        let opened: Mutex<std::collections::HashSet<ProverId>> =
-            Mutex::new(std::collections::HashSet::new());
-        let jobs: Vec<Job<'_>> = fleet
+    ) -> (
+        Vec<(ProverId, AuditReport)>,
+        Vec<(Issued, SignedTranscript)>,
+        PoolStats,
+    ) {
+        let (issued, kits): (Vec<Issued>, Vec<_>) = fleet
             .into_iter()
-            .map(|(id, mut device, mut provider)| {
-                let opened = &opened;
+            .filter_map(|(id, device, provider)| Some((self.issue(&id)?, (device, provider))))
+            .unzip();
+        let mut transcripts: Vec<Option<SignedTranscript>> = vec![None; issued.len()];
+        let jobs: Vec<Job<'_>> = issued
+            .iter()
+            .zip(kits)
+            .zip(&mut transcripts)
+            .map(|((issued, (mut device, mut provider)), slot)| {
                 Box::new(move || {
-                    let Some(request) = self.open_session(&id) else {
-                        return;
-                    };
                     let _span = geoproof_obs::span("audit_session");
                     let started = std::time::Instant::now();
-                    opened.lock().insert(id.clone());
-                    let transcript = device.run_audit(&request, &mut *provider);
-                    self.submit_transcript(&id, transcript);
+                    *slot = Some(device.run_audit(&issued.request, &mut *provider));
                     metrics().latency.record_duration_us(started.elapsed());
                 }) as Job<'_>
             })
             .collect();
         let stats = run_jobs(self.config.workers, jobs);
-        let opened = opened.into_inner();
-        // Verify only this run's sessions — earlier rounds' finished
-        // sessions are neither re-verified nor reported.
-        (self.verify_batched_filtered(Some(&opened)), stats)
+        // `run_jobs` returns only after every job ran (a panic propagates).
+        let audits: Vec<(Issued, SignedTranscript)> = issued
+            .into_iter()
+            .zip(transcripts)
+            .map(|(issued, transcript)| (issued, transcript.expect("job ran")))
+            .collect();
+        (self.judge(audits.clone()), audits, stats)
     }
 }
 
@@ -659,50 +403,6 @@ mod tests {
     use geoproof_storage::hdd::{HddModel, WD_2500JD};
     use geoproof_storage::server::{FileId, StorageServer};
 
-    fn session(id: &str) -> AuditSession {
-        AuditSession {
-            prover: ProverId::from(id),
-            request: AuditRequest {
-                file_id: "f".into(),
-                n_segments: 10,
-                k: 2,
-                nonce: [0u8; 32],
-            },
-            transcript: None,
-            report: None,
-        }
-    }
-
-    #[test]
-    fn table_insert_is_exclusive() {
-        let t = SessionTable::new(4);
-        assert!(t.insert(session("p")));
-        assert!(!t.insert(session("p")), "duplicate insert must fail");
-        assert_eq!(t.len(), 1);
-        assert!(t.complete(&ProverId::from("p")).is_some());
-        assert!(t.complete(&ProverId::from("p")).is_none());
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn table_ids_are_sorted_across_shards() {
-        let t = SessionTable::new(8);
-        for id in ["zeta", "alpha", "mu", "beta"] {
-            assert!(t.insert(session(id)));
-        }
-        let ids: Vec<String> = t.ids().into_iter().map(|p| p.0).collect();
-        assert_eq!(ids, vec!["alpha", "beta", "mu", "zeta"]);
-    }
-
-    #[test]
-    fn one_shard_still_works() {
-        let t = SessionTable::new(0); // clamps to 1
-        assert_eq!(t.shard_count(), 1);
-        assert!(t.insert(session("a")));
-        assert!(t.insert(session("b")));
-        assert_eq!(t.len(), 2);
-    }
-
     /// One prover's kit: identity, device, and the provider under audit.
     type FleetEntry = (ProverId, VerifierDevice, Box<dyn SegmentProvider + Send>);
 
@@ -716,7 +416,7 @@ mod tests {
         let tagged = encoder.encode_arena(&data, &keys, "ef");
         let n = tagged.metadata().segments;
 
-        let engine = AuditEngine::new(
+        let mut engine = AuditEngine::new(
             "ef",
             n,
             PorEncoder::new(params),
@@ -761,9 +461,10 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_all_verify() {
-        let (engine, fleet) = rig(12, 5);
-        let (reports, stats) = engine.run_sessions(fleet);
+        let (mut engine, fleet) = rig(12, 5);
+        let (reports, audits, stats) = engine.run_sessions(fleet);
         assert_eq!(reports.len(), 12);
+        assert_eq!(audits.len(), 12);
         assert_eq!(stats.jobs, 12);
         for (id, report) in &reports {
             assert!(report.accepted(), "{id}: {:?}", report.violations);
@@ -773,75 +474,83 @@ mod tests {
 
     #[test]
     fn batched_equals_sequential_verdicts() {
-        let (engine, fleet) = rig(6, 11);
-        let (_, _) = engine.run_sessions(fleet);
-        let sequential = engine.verify_collected_sequential();
-        let batched = engine.verify_collected_batched();
-        assert_eq!(sequential, batched);
+        let (mut engine, fleet) = rig(6, 11);
+        let (batched, audits, _) = engine.run_sessions(fleet);
+        assert_eq!(engine.judge_sequential(&audits), batched);
     }
 
     #[test]
-    fn unregistered_prover_cannot_open_session() {
-        let (engine, _) = rig(1, 1);
-        assert!(engine.open_session(&ProverId::from("ghost")).is_none());
+    fn unregistered_prover_is_absent_from_the_reports() {
+        let (mut engine, mut fleet) = rig(2, 1);
+        let ghost = ProverId::from("ghost");
+        assert!(engine.issue(&ghost).is_none());
+        fleet[1].0 = ghost;
+        let (reports, audits, stats) = engine.run_sessions(fleet);
+        let ids: Vec<&str> = reports.iter().map(|(id, _)| id.0.as_str()).collect();
+        assert_eq!(ids, ["prover-000"]);
+        assert_eq!(audits.len(), 1);
+        assert_eq!(stats.jobs, 1);
     }
 
     #[test]
-    fn double_open_is_rejected() {
-        let (engine, _) = rig(1, 2);
+    fn issuing_twice_gives_consecutive_epochs_and_distinct_nonces() {
+        let (mut engine, _) = rig(1, 2);
         let id = ProverId::from("prover-000");
-        assert!(engine.open_session(&id).is_some());
-        assert!(engine.open_session(&id).is_none());
+        let first = engine.issue(&id).unwrap();
+        let second = engine.issue(&id).unwrap();
+        assert_eq!((first.epoch, second.epoch), (0, 1));
+        assert_ne!(first.request.nonce, second.request.nonce);
     }
 
     #[test]
     fn session_plans_are_independent_of_open_order() {
-        let (a, _) = rig(3, 9);
-        let (b, _) = rig(3, 9);
+        let (mut a, _) = rig(3, 9);
+        let (mut b, _) = rig(3, 9);
         let ids: Vec<ProverId> = (0..3).map(|i| ProverId(format!("prover-{i:03}"))).collect();
-        let fwd: Vec<_> = ids.iter().map(|i| a.open_session(i).unwrap()).collect();
-        let rev: Vec<_> = ids
-            .iter()
-            .rev()
-            .map(|i| b.open_session(i).unwrap())
-            .collect();
+        let fwd: Vec<_> = ids.iter().map(|i| a.issue(i).unwrap()).collect();
+        let rev: Vec<_> = ids.iter().rev().map(|i| b.issue(i).unwrap()).collect();
         assert_eq!(fwd[0], rev[2]);
         assert_eq!(fwd[2], rev[0]);
     }
 
-    #[test]
-    fn submit_requires_live_session_and_is_single_shot() {
-        let (engine, fleet) = rig(1, 3);
-        let (id, mut device, mut provider) = fleet.into_iter().next().unwrap();
-        let request = engine.open_session(&id).unwrap();
-        let transcript = device.run_audit(&request, provider.as_mut());
-        assert!(!engine.submit_transcript(&ProverId::from("ghost"), transcript.clone()));
-        assert!(engine.submit_transcript(&id, transcript.clone()));
-        assert!(
-            !engine.submit_transcript(&id, transcript),
-            "second submit rejected"
-        );
-        let state = engine.table().with_mut(&id, |s| s.state()).unwrap();
-        assert_eq!(state, SessionState::Collected);
+    /// Records `(epoch, nonce)` of every evidence bundle it receives.
+    struct EpochLog(std::sync::mpsc::Sender<(u64, [u8; 32])>);
+
+    impl EvidenceSink for EpochLog {
+        fn record(&self, bundle: &EvidenceBundle) -> std::io::Result<()> {
+            self.0
+                .send((bundle.epoch, bundle.request.nonce))
+                .map_err(std::io::Error::other)
+        }
     }
 
     #[test]
-    fn finished_sessions_can_be_reaudited_and_old_transcripts_cannot_replay() {
-        let (engine, fleet) = rig(1, 6);
+    fn judging_in_reverse_order_records_each_audit_under_its_own_epoch() {
+        let (mut engine, fleet) = rig(1, 6);
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.set_evidence_sink(Arc::new(EpochLog(tx)));
         let (id, mut device, mut provider) = fleet.into_iter().next().unwrap();
-        let req1 = engine.open_session(&id).unwrap();
-        let t1 = device.run_audit(&req1, provider.as_mut());
-        engine.submit_transcript(&id, t1.clone());
-        let first = engine.verify_collected_batched();
-        assert_eq!(first.len(), 1);
-        assert!(first[0].1.accepted());
+        let first = engine.issue(&id).unwrap();
+        let second = engine.issue(&id).unwrap();
+        let expected = vec![(1, second.request.nonce), (0, first.request.nonce)];
+        let t1 = device.run_audit(&first.request, provider.as_mut());
+        let t2 = device.run_audit(&second.request, provider.as_mut());
+        let reports = engine.judge(vec![(second, t2), (first, t1)]);
+        assert!(reports.iter().all(|(_, r)| r.accepted()), "{reports:?}");
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), expected);
+        assert!(engine.evidence_error().is_none());
+    }
 
-        // Re-opening evicts the finished session and derives a *fresh*
-        // nonce (epoch bump), so the first transcript cannot replay.
-        let req2 = engine.open_session(&id).unwrap();
-        assert_ne!(req1.nonce, req2.nonce, "re-audit must rotate the nonce");
-        engine.submit_transcript(&id, t1); // replay attempt
-        let replayed = engine.verify_collected_batched();
+    #[test]
+    fn a_first_request_transcript_judged_against_the_second_is_stale() {
+        let (mut engine, fleet) = rig(1, 6);
+        let (id, mut device, mut provider) = fleet.into_iter().next().unwrap();
+        let first = engine.issue(&id).unwrap();
+        let second = engine.issue(&id).unwrap();
+        let t1 = device.run_audit(&first.request, provider.as_mut());
+        let genuine = engine.judge(vec![(first, t1.clone())]);
+        assert!(genuine[0].1.accepted());
+        let replayed = engine.judge(vec![(second, t1)]);
         assert!(
             replayed[0]
                 .1
@@ -850,53 +559,19 @@ mod tests {
             "replayed transcript must be flagged: {:?}",
             replayed[0].1.violations
         );
-
-        // A genuine fresh audit under the new request is accepted.
-        let (engine2, fleet2) = rig(1, 6);
-        let (id2, mut device2, mut provider2) = fleet2.into_iter().next().unwrap();
-        engine2.open_session(&id2).unwrap();
-        engine2.take_finished(&id2); // no-op: not finished
-        assert!(engine2.table().with_mut(&id2, |s| s.state()).is_some());
-        let req = AuditRequest {
-            nonce: req2.nonce,
-            ..req2.clone()
-        };
-        let t2 = device2.run_audit(&req, provider2.as_mut());
-        // Different device key, so only the nonce path is exercised here;
-        // the point is the fresh transcript carries the fresh nonce.
-        assert_eq!(t2.nonce, req2.nonce);
     }
 
     #[test]
-    fn take_finished_only_removes_done_sessions() {
-        let (engine, fleet) = rig(1, 12);
-        let (id, mut device, mut provider) = fleet.into_iter().next().unwrap();
-        let request = engine.open_session(&id).unwrap();
-        assert!(engine.take_finished(&id).is_none(), "in-flight stays put");
-        let transcript = device.run_audit(&request, provider.as_mut());
-        engine.submit_transcript(&id, transcript);
-        assert!(engine.take_finished(&id).is_none(), "collected stays put");
-        engine.verify_collected_batched();
-        let taken = engine.take_finished(&id).expect("done session evictable");
-        assert!(taken.report.unwrap().accepted());
-        assert!(engine.table().is_empty());
-    }
-
-    #[test]
-    fn session_state_progression() {
-        let (engine, fleet) = rig(1, 4);
-        let (id, mut device, mut provider) = fleet.into_iter().next().unwrap();
-        let request = engine.open_session(&id).unwrap();
-        assert_eq!(
-            engine.table().with_mut(&id, |s| s.state()).unwrap(),
-            SessionState::InFlight
-        );
-        let transcript = device.run_audit(&request, provider.as_mut());
-        engine.submit_transcript(&id, transcript);
-        engine.verify_collected_batched();
-        assert_eq!(
-            engine.table().with_mut(&id, |s| s.state()).unwrap(),
-            SessionState::Done
-        );
+    fn a_prover_listed_twice_is_audited_twice_under_consecutive_epochs() {
+        let (mut engine, mut fleet) = rig(1, 7);
+        fleet.extend(rig(1, 7).1); // the same prover's kit again
+        let (reports, audits, _) = engine.run_sessions(fleet);
+        assert_eq!(reports.len(), 2);
+        assert!(reports
+            .iter()
+            .all(|(id, r)| id.0 == "prover-000" && r.accepted()));
+        let epochs: Vec<u64> = audits.iter().map(|(issued, _)| issued.epoch).collect();
+        assert_eq!(epochs, [0, 1]);
+        assert_ne!(audits[0].1.nonce, audits[1].1.nonce);
     }
 }

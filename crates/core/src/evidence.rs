@@ -88,8 +88,8 @@ pub struct DynEvidenceBundle {
 /// Receives evidence bundles as verdicts are reached.
 ///
 /// Implementations must be cheap to call from verification loops and
-/// thread-safe — the engine records from whichever thread runs the
-/// verification pass. An I/O error is returned to the producer, which
+/// thread-safe — one sink is shared, behind an `Arc`, by producers on
+/// any thread. An I/O error is returned to the producer, which
 /// surfaces it out-of-band (evidence failures never change verdicts).
 pub trait EvidenceSink: Send + Sync {
     /// Records one verdict's evidence.

@@ -12,8 +12,8 @@
 //! means adding a variant and a provider construction — see
 //! `crates/sim/docs/simnet.md` for the recipe.
 
-use crate::engine::{AuditEngine, EngineConfig, ProverId, ProverSpec};
-use crate::messages::AuditRequest;
+use crate::engine::{AuditEngine, EngineConfig, Issued, ProverId, ProverSpec};
+use crate::messages::{AuditRequest, SignedTranscript};
 use crate::provider::{DelayedProvider, LocalProvider, RelayProvider, SegmentProvider};
 use crate::verifier::{AuditRun, VerifierDevice};
 use geoproof_crypto::chacha::ChaChaRng;
@@ -208,6 +208,7 @@ struct Driver {
     id: ProverId,
     device: VerifierDevice,
     provider: Box<dyn SegmentProvider>,
+    issued: Option<Issued>,
     run: Option<AuditRun<AuditRequest>>,
     timer: Option<Stopwatch>,
     pending: Option<Option<bytes::Bytes>>,
@@ -234,9 +235,9 @@ pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
 /// Like [`run_fleet`], but records every prover's verdict into `sink` as
 /// durable evidence. The simulation itself is unchanged — outcomes (and
 /// fingerprints) are identical to [`run_fleet`] with the same config;
-/// records are emitted by the first (sequential) verification pass in
-/// sorted prover order, so the ledger contents are as deterministic as
-/// the fleet itself.
+/// records are written by the batched [`AuditEngine::judge`] in sorted
+/// prover order, so the ledger contents are as deterministic as the
+/// fleet itself.
 ///
 /// # Panics
 ///
@@ -265,7 +266,7 @@ fn run_fleet_inner(
     let tagged = encoder.encode_arena(&data, &keys, file_id);
     let n_segments = tagged.metadata().segments;
 
-    let engine = AuditEngine::new(
+    let mut engine = AuditEngine::new(
         file_id,
         n_segments,
         PorEncoder::new(config.params),
@@ -353,6 +354,7 @@ fn run_fleet_inner(
             id,
             device,
             provider,
+            issued: None,
             run: None,
             timer: None,
             pending: None,
@@ -370,6 +372,7 @@ fn run_fleet_inner(
         );
     }
 
+    let mut audits: Vec<(Issued, SignedTranscript)> = Vec::with_capacity(drivers.len());
     let mut active: usize = 0;
     let mut peak: usize = 0;
     // Simulated-time session durations (µs), folded into the registry
@@ -398,13 +401,12 @@ fn run_fleet_inner(
     net.run(|net, event| match event {
         FleetEvent::Start(i) => {
             let driver = &mut drivers[i];
-            let request = engine
-                .open_session(&driver.id)
-                .expect("registered prover, fresh session");
+            let issued = engine.issue(&driver.id).expect("registered prover");
             let run = driver
                 .device
-                .begin_audit(&request)
+                .begin_audit(&issued.request)
                 .expect("k within the file");
+            driver.issued = Some(issued);
             driver.run = Some(run);
             driver.started = Some(net.now());
             active += 1;
@@ -420,7 +422,8 @@ fn run_fleet_inner(
             if run.is_complete() {
                 let run = driver.run.take().expect("session running");
                 let transcript = driver.device.finish_audit(run);
-                engine.submit_transcript(&driver.id, transcript);
+                let issued = driver.issued.take().expect("session issued");
+                audits.push((issued, transcript));
                 let started = driver.started.take().expect("session started");
                 session_latencies_us.push(net.now().duration_since(started).as_nanos() / 1_000);
                 active -= 1;
@@ -431,8 +434,8 @@ fn run_fleet_inner(
     });
 
     // Judge the fleet: reference sequential pass, then the batched pass.
-    let sequential_reports = engine.verify_collected_sequential();
-    let reports = engine.verify_collected_batched();
+    let sequential_reports = engine.judge_sequential(&audits);
+    let reports = engine.judge(audits);
 
     let profiles = {
         let mut p: Vec<(ProverId, AdversaryProfile)> = config
@@ -447,7 +450,7 @@ fn run_fleet_inner(
 
     // Fold the run into the global registry: one run, one audit verdict
     // per prover. (Per-session accept/reject counters moved inside the
-    // engine's verification pass; these are the fleet-level rollups.)
+    // engine's judge; these are the fleet-level rollups.)
     {
         struct FleetMetrics {
             runs: std::sync::Arc<geoproof_obs::Counter>,

@@ -19,9 +19,9 @@
 //!   GPS position, MACs and `max Δt_j ≤ Δt_max`
 //!   ([`policy::TimingPolicy`], ≈ 16 ms in the paper).
 //!
-//! Beyond the paper's single-prover protocol, [`engine`] runs many audit
-//! sessions concurrently (sharded session table, work-stealing [`pool`],
-//! batched verification), and [`fleet`] simulates whole mixed
+//! Beyond the paper's single-prover protocol, [`engine`] audits many
+//! provers (issue → drive on the work-stealing [`pool`] → batched
+//! judging), and [`fleet`] simulates whole mixed
 //! honest/adversarial prover fleets deterministically on a seeded event
 //! scheduler.
 //!
@@ -77,9 +77,7 @@ pub use dynamic_audit::{
     DynAuditRequest, DynAuditor, DynSegmentProvider, DynSignedTranscript, DynTimedRound,
     LocalDynProvider,
 };
-pub use engine::{
-    AuditEngine, AuditSession, EngineConfig, ProverId, ProverSpec, SessionState, SessionTable,
-};
+pub use engine::{AuditEngine, EngineConfig, Issued, ProverId, ProverSpec};
 pub use evidence::{
     decode_report, encode_report, DynEvidenceBundle, EvidenceBundle, EvidenceSink, PositionBundle,
 };

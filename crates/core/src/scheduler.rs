@@ -25,9 +25,9 @@
 //! call: the serving binary feeds it wall-clock nanoseconds, tests feed
 //! it `geoproof_sim` virtual time, and the scheduler cannot tell the
 //! difference. Internally the prover set is sharded by FNV-1a of the
-//! prover id — the same discipline as the engine's
-//! [`SessionTable`](crate::engine::SessionTable) — so a serving loop
-//! and a stats scraper contend on different locks.
+//! prover id (deterministic, so load patterns reproduce), because the
+//! scheduler is shared: a serving loop dispatching and completing audits
+//! and a stats scraper reading the queue contend on different locks.
 
 use crate::engine::ProverId;
 use geoproof_crypto::fnv::fnv1a_64;
@@ -40,7 +40,9 @@ use std::time::Duration;
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
-/// Shard count; matches the engine session table's default.
+/// Shard count: enough that the serving loop and a scraper rarely meet
+/// on one lock, few enough that `pop_due`'s merge across shards stays
+/// cheap.
 const SHARDS: usize = 16;
 
 struct SchedulerMetrics {

@@ -12,11 +12,11 @@
 //! estimate away from the SLA coordinates (high discrepancy). Either way
 //! the verdict flips, and the detectable detour shrinks as N grows.
 //!
-//! The engine half reuses [`AuditEngine`]'s sharded session table and
-//! work-stealing pool: each vantage registers as its own engine prover
-//! (its device key, its own coordinates as the GPS pin) and runs a
-//! standard timed session; the aggregation half is pure geometry and is
-//! replayed offline from the ledger's recorded inputs alone.
+//! The engine half is one [`AuditEngine::run_sessions`] call: each
+//! vantage registers as its own engine prover (its device key, its own
+//! coordinates as the GPS pin) and runs a standard timed session on the
+//! engine's work-stealing pool; the aggregation half is pure geometry and
+//! is replayed offline from the ledger's recorded inputs alone.
 
 use crate::auditor::AuditReport;
 use crate::engine::{AuditEngine, ProverId, ProverSpec};
@@ -119,8 +119,8 @@ pub fn aggregate_vantages(
 
 /// One vantage in an engine-driven multi-vantage run.
 pub struct VantageSession {
-    /// The vantage's engine identity (each vantage is its own session-table
-    /// entry, so N sessions shard and interleave like any fleet).
+    /// The vantage's engine identity (each vantage is its own engine
+    /// prover, so N sessions interleave on the pool like any fleet).
     pub id: ProverId,
     /// The vantage device's known coordinates.
     pub position: GeoPoint,
@@ -155,15 +155,12 @@ pub struct MultiVantageOutcome {
 /// anywhere on the map passes its *own* location check while the SLA
 /// claim is judged by the aggregate.
 pub fn run_vantage_sessions(
-    engine: &AuditEngine,
+    engine: &mut AuditEngine,
     sla: GeoPoint,
     policy: &VantagePolicy,
     vantages: Vec<VantageSession>,
 ) -> MultiVantageOutcome {
-    let order: Vec<(ProverId, GeoPoint)> = vantages
-        .iter()
-        .map(|v| (v.id.clone(), v.position))
-        .collect();
+    let positions: Vec<GeoPoint> = vantages.iter().map(|v| v.position).collect();
     let mut fleet: Vec<(ProverId, VerifierDevice, Box<dyn SegmentProvider + Send>)> =
         Vec::with_capacity(vantages.len());
     for v in vantages {
@@ -176,34 +173,27 @@ pub fn run_vantage_sessions(
         );
         fleet.push((v.id, v.device, v.provider));
     }
-    let (reports, _stats) = engine.run_sessions(fleet);
-    let mut ranges = Vec::with_capacity(order.len());
-    for (id, position) in &order {
-        let Some(session) = engine.take_finished(id) else {
-            continue; // session never opened or still in flight
-        };
-        let Some(min_rtt) = session
-            .transcript
-            .as_ref()
-            .and_then(|t| t.rounds.iter().map(|r| r.rtt).min())
-        else {
-            continue;
-        };
-        ranges.push(observation_range(
-            &VantageObservation {
-                vantage: *position,
-                min_rtt,
-            },
-            policy,
-        ));
-    }
+    // Every vantage is registered above, so each is issued and its audit
+    // comes back in fleet order, aligned with `positions`.
+    let (reports, audits, _stats) = engine.run_sessions(fleet);
+    let ranges: Vec<RangeMeasurement> = positions
+        .iter()
+        .zip(&audits)
+        .filter_map(|(&vantage, (_, transcript))| {
+            let min_rtt = transcript.rounds.iter().map(|r| r.rtt).min()?;
+            Some(observation_range(
+                &VantageObservation { vantage, min_rtt },
+                policy,
+            ))
+        })
+        .collect();
     let estimate = aggregate_vantages(
         sla,
         &ranges,
         policy.position_tolerance,
         policy.residual_budget,
     );
-    let majority = order.len() / 2 + 1;
+    let majority = positions.len() / 2 + 1;
     let timing_ok = reports.iter().filter(|(_, r)| r.accepted()).count() >= majority;
     let geometry_ok = estimate.as_ref().map_or(ranges.len() < 3, |e| e.consistent);
     MultiVantageOutcome {

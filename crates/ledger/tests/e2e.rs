@@ -55,7 +55,7 @@ fn engine_rig(n_provers: usize, seed: u64) -> (AuditEngine, Vec<FleetEntry>, Por
     let tagged = encoder.encode_arena(&data, &keys, "ef");
     let n = tagged.metadata().segments;
 
-    let engine = AuditEngine::new(
+    let mut engine = AuditEngine::new(
         "ef",
         n,
         PorEncoder::new(params),
@@ -105,10 +105,10 @@ fn engine_rig(n_provers: usize, seed: u64) -> (AuditEngine, Vec<FleetEntry>, Por
 fn engine_run_records_every_verdict_and_replays_byte_identically() {
     let path = tmp("engine.log");
     let tpa = tpa_key(11);
-    let (engine, fleet, keys) = engine_rig(10, 5);
+    let (mut engine, fleet, keys) = engine_rig(10, 5);
     let sink = Arc::new(LedgerSink::create(&path, &tpa, 4, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
-    let (reports, _) = engine.run_sessions(fleet);
+    let (reports, _, _) = engine.run_sessions(fleet);
     assert_eq!(reports.len(), 10);
     assert!(engine.evidence_error().is_none());
     sink.finish().expect("finish");
@@ -174,7 +174,7 @@ fn fleet_and_engine_ledgers_are_byte_pinned() {
     );
 
     let path = tmp("pin-engine.log");
-    let (engine, fleet, _) = engine_rig(10, 5);
+    let (mut engine, fleet, _) = engine_rig(10, 5);
     let sink = Arc::new(LedgerSink::create(&path, &tpa_key(11), 4, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
     engine.run_sessions(fleet);
@@ -193,16 +193,14 @@ fn fleet_and_engine_ledgers_are_byte_pinned() {
 fn reaudited_prover_gets_distinct_epochs_in_the_ledger() {
     let path = tmp("epochs.log");
     let tpa = tpa_key(13);
-    let (engine, mut fleet, _) = engine_rig(1, 9);
+    let (mut engine, mut fleet, _) = engine_rig(1, 9);
     let sink = Arc::new(LedgerSink::create(&path, &tpa, 0, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
     let (id, mut device, mut provider) = fleet.remove(0);
     for _ in 0..3 {
-        let request = engine.open_session(&id).expect("open");
-        let transcript = device.run_audit(&request, provider.as_mut());
-        engine.submit_transcript(&id, transcript);
-        engine.verify_collected_batched();
-        engine.take_finished(&id).expect("done");
+        let issued = engine.issue(&id).expect("registered");
+        let transcript = device.run_audit(&issued.request, provider.as_mut());
+        engine.judge(vec![(issued, transcript)]);
     }
     sink.finish().expect("finish");
     let ledger = Ledger::read(&path).expect("read");
@@ -218,14 +216,14 @@ fn engine_epochs_continue_across_process_restarts() {
     let path = tmp("restart-epochs.log");
     let tpa = tpa_key(47);
     {
-        let (engine, fleet, _) = engine_rig(2, 4);
+        let (mut engine, fleet, _) = engine_rig(2, 4);
         let sink = Arc::new(LedgerSink::create(&path, &tpa, 0, 1).expect("create"));
         engine.set_evidence_sink(sink.clone());
         engine.run_sessions(fleet);
         sink.finish().expect("finish");
     }
     {
-        let (engine, fleet, _) = engine_rig(2, 4);
+        let (mut engine, fleet, _) = engine_rig(2, 4);
         let (sink, recovery) = LedgerSink::open_or_create(&path, &tpa, 0, 2).expect("reopen");
         assert_eq!(recovery, geoproof_ledger::Recovery::Clean);
         let sink = Arc::new(sink);
@@ -340,7 +338,7 @@ fn deployment_sink_records_honest_and_misbehaving_months() {
 fn inclusion_proofs_verify_and_reject_tampering() {
     let path = tmp("prove.log");
     let tpa = tpa_key(29);
-    let (engine, fleet, _) = engine_rig(5, 3);
+    let (mut engine, fleet, _) = engine_rig(5, 3);
     let sink = Arc::new(LedgerSink::create(&path, &tpa, 0, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
     engine.run_sessions(fleet);
@@ -387,7 +385,7 @@ fn replay_flags_forged_mac_bits_when_secret_is_available() {
     // consistently), but with it the forgery surfaces.
     let path = tmp("forged-macs.log");
     let tpa = tpa_key(37);
-    let (engine, fleet, keys) = engine_rig(1, 8);
+    let (mut engine, fleet, keys) = engine_rig(1, 8);
     let sink = Arc::new(LedgerSink::create(&path, &tpa, 0, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
     engine.run_sessions(fleet);
@@ -415,7 +413,7 @@ fn replay_flags_forged_mac_bits_when_secret_is_available() {
 fn replay_rejects_the_wrong_tpa_key() {
     let path = tmp("wrong-tpa.log");
     let tpa = tpa_key(41);
-    let (engine, fleet, _) = engine_rig(1, 2);
+    let (mut engine, fleet, _) = engine_rig(1, 2);
     let sink = Arc::new(LedgerSink::create(&path, &tpa, 0, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
     engine.run_sessions(fleet);

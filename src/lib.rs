@@ -64,9 +64,7 @@ pub mod prelude {
     pub use geoproof_core::deployment::{
         DataOwner, Deployment, DeploymentBuilder, ProviderBehaviour,
     };
-    pub use geoproof_core::engine::{
-        AuditEngine, AuditSession, EngineConfig, ProverId, ProverSpec, SessionState, SessionTable,
-    };
+    pub use geoproof_core::engine::{AuditEngine, EngineConfig, Issued, ProverId, ProverSpec};
     pub use geoproof_core::evidence::{decode_report, encode_report, EvidenceBundle, EvidenceSink};
     pub use geoproof_core::fleet::{
         run_fleet, run_fleet_with_evidence, AdversaryProfile, FleetConfig, FleetOutcome,

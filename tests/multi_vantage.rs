@@ -263,7 +263,7 @@ fn rig_pass(
     let keys = PorKeys::derive(b"mv-master", "mv");
     let data: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
     let tagged = encoder.encode_arena(&data, &keys, "mv");
-    let engine = AuditEngine::new(
+    let mut engine = AuditEngine::new(
         "mv",
         tagged.metadata().segments,
         PorEncoder::new(params),
@@ -287,7 +287,7 @@ fn rig_pass(
         .enumerate()
         .map(|(i, &p)| vantage_session(41, i, p, &tagged, delays[i]))
         .collect();
-    run_vantage_sessions(&engine, sla, policy, vantages)
+    run_vantage_sessions(&mut engine, sla, policy, vantages)
 }
 
 /// A five-vantage engine rig with honest-baseline ranging calibration:
