@@ -6,21 +6,28 @@
 //! tag bit the owner's key contradicts.
 
 use bytes::Bytes;
-use geoproof_core::auditor::Violation;
+use geoproof_core::auditor::{Auditor, Violation};
 use geoproof_core::dynamic_audit::{DynAuditor, LocalDynProvider};
 use geoproof_core::policy::TimingPolicy;
+use geoproof_core::provider::LocalProvider;
 use geoproof_core::verifier::VerifierDevice;
 use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::SigningKey;
+use geoproof_crypto::sha256::Sha256;
 use geoproof_geo::coords::places::BRISBANE;
 use geoproof_geo::gps::GpsReceiver;
 use geoproof_ledger::{
     replay, DigestOp, DigestRecord, Ledger, LedgerError, LedgerWriter, SegmentMacCheck, NO_DIGEST,
 };
+use geoproof_net::lan::LanPath;
 use geoproof_por::dynamic::{DynamicOwner, DynamicStore};
+use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
+use geoproof_por::params::PorParams;
 use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::{Km, SimDuration};
+use geoproof_storage::hdd::{HddModel, WD_2500JD};
+use geoproof_storage::server::{FileId, StorageServer};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -357,4 +364,110 @@ fn writer_refuses_structurally_invalid_dynamic_records() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(w.record_count(), 0, "nothing was written");
     std::fs::remove_file(&path).ok();
+}
+
+/// A static auditor, device and provider over one small encoded file.
+fn static_rig() -> (Auditor, VerifierDevice, LocalProvider) {
+    let params = PorParams::test_small();
+    let keys = PorKeys::derive(b"ledger-dyn-master", "sf");
+    let data: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+    let tagged = PorEncoder::new(params).encode(&data, &keys, "sf");
+    let mut storage = StorageServer::new(HddModel::deterministic(WD_2500JD), 1);
+    storage.put_file(FileId::from("sf"), tagged.segments.clone());
+    let sk = SigningKey::generate(&mut ChaChaRng::from_u64_seed(35));
+    let auditor = Auditor::new(
+        "sf".into(),
+        tagged.metadata.segments,
+        PorEncoder::new(params),
+        keys.auditor_view(),
+        sk.verifying_key(),
+        BRISBANE,
+        Km(10.0),
+        TimingPolicy::paper(),
+        36,
+    );
+    let device = VerifierDevice::new(sk, GpsReceiver::new(BRISBANE), SimClock::new(), 37);
+    (
+        auditor,
+        device,
+        LocalProvider::new(storage, LanPath::adjacent(), 2),
+    )
+}
+
+/// Every record kind a static-and-dynamic deployment writes, in one
+/// seeded ledger: static evidence, a digest init, a dynamic ACCEPT, a
+/// digest update, a stale-copy dynamic REJECT, and the checkpoints an
+/// interval of 2 fires. Its length and SHA-256 pin every byte of the
+/// `0x01`, `0x03` and `0x04` record layouts and of both transcript
+/// encodings they carry.
+#[test]
+fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
+    let mut r = rig();
+    let (mut auditor, mut device, mut provider) = static_rig();
+    let path = tmp("mixed-pin.log");
+    let mut w = LedgerWriter::create(&path, &r.tpa, 2, 1).expect("create");
+
+    let req = auditor.issue_request(6);
+    let t = device.run_audit(&req, &mut provider);
+    let (report, bundle) = auditor.verify_evidence(&req, &t, "static-site", 0);
+    assert!(report.accepted(), "{:?}", report.violations);
+    w.append_bundle(&bundle).expect("static evidence");
+
+    let d0 = r.owner.digest();
+    w.append_digest(&DigestRecord {
+        file_id: "df".into(),
+        op: DigestOp::Init,
+        index: 0,
+        prev: NO_DIGEST,
+        new: d0,
+    })
+    .expect("init");
+    let req = r.auditor.issue_request(d0, 5);
+    let t = r.verifier.run_audit(&req, &mut r.provider);
+    let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
+    assert!(report.accepted(), "{:?}", report.violations);
+    w.append_dyn_bundle(&bundle).expect("dynamic accept");
+
+    // The owner updates; the provider keeps serving its stale copy.
+    let (_tagged, d1) = r.owner.tag_update(4, b"v2", &r.keys).unwrap();
+    w.append_digest(&DigestRecord {
+        file_id: "df".into(),
+        op: DigestOp::Update,
+        index: 4,
+        prev: d0,
+        new: d1,
+    })
+    .expect("update");
+    let req = r.auditor.issue_request(d1, 16);
+    let t = r.verifier.run_audit(&req, &mut r.provider);
+    let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 1);
+    assert!(report
+        .violations
+        .iter()
+        .any(|v| matches!(v, Violation::BadProof { .. })));
+    w.append_dyn_bundle(&bundle).expect("dynamic reject");
+    w.finish().expect("finish");
+    drop(w);
+
+    let ledger = Ledger::read(&path).expect("read");
+    let outcome = replay(&ledger, &r.tpa.verifying_key(), None).expect("replay");
+    assert_eq!(
+        (outcome.evidence, outcome.dynamic, outcome.digests),
+        (1, 2, 2)
+    );
+    assert_eq!((outcome.accepted, outcome.rejected), (2, 1));
+    assert_eq!(outcome.checkpoints, 3);
+    let bytes = std::fs::read(&path).expect("read back");
+    assert_eq!(
+        (bytes.len(), hex(&Sha256::digest(&bytes))),
+        (
+            6_825,
+            "5bbf859cadbad49b3ebdfa3290d9f2d1809f1a1f23b9c52fc5265c71b1f439de".to_owned()
+        )
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
