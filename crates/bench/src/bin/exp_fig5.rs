@@ -6,6 +6,7 @@
 
 use geoproof_bench::{banner, fmt_f64, Table};
 use geoproof_core::deployment::DeploymentBuilder;
+use geoproof_core::messages::Transcript;
 use geoproof_geo::coords::places::BRISBANE;
 
 fn main() {

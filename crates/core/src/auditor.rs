@@ -10,8 +10,10 @@
 //! 3. `τ_cj = MAC_K′(S_cj, c_j, fid)` for every challenged segment,
 //! 4. `Δt′ = max(Δt_1 … Δt_k) ≤ Δt_max`.
 
-use crate::messages::{AuditRequest, SignedTranscript};
+use crate::evidence::EvidenceBundle;
+use crate::messages::{AuditRequest, Round, SignedTranscript, Transcript};
 use crate::policy::TimingPolicy;
+use crate::verifier::Audit;
 use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::VerifyingKey;
 use geoproof_geo::coords::GeoPoint;
@@ -189,30 +191,33 @@ impl Auditor {
         }
     }
 
-    /// Runs the §V-B(b) verification of a transcript against the request
-    /// that triggered it.
-    pub fn verify(&self, request: &AuditRequest, transcript: &SignedTranscript) -> AuditReport {
-        let checks = VerifyChecks {
+    fn checks(&self) -> VerifyChecks<'_> {
+        VerifyChecks {
             file_id: &self.file_id,
             n_segments: self.n_segments,
             device_key: &self.device_key,
             sla_location: self.sla_location,
             location_tolerance: self.location_tolerance,
             policy: &self.policy,
-        };
-        checks.verify_transcript(request, transcript, |_, round| {
-            self.encoder.verify_segment(
-                self.auditor_key.mac_key(),
-                &self.file_id,
-                round.index,
-                &round.segment,
-            )
-        })
+        }
+    }
+
+    /// Runs the §V-B(b) verification of a transcript against the request
+    /// that triggered it.
+    pub fn verify(&self, request: &AuditRequest, transcript: &SignedTranscript) -> AuditReport {
+        self.checks()
+            .verify_transcript(request, transcript, |_, round| {
+                self.encoder.verify_segment(
+                    self.auditor_key.mac_key(),
+                    &self.file_id,
+                    round.index,
+                    &round.segment,
+                )
+            })
     }
 
     /// Like [`Auditor::verify`], but also materialises the durable
-    /// [`crate::evidence::EvidenceBundle`] for this verdict: canonical
-    /// transcript bytes,
+    /// [`EvidenceBundle`] for this verdict: canonical transcript bytes,
     /// per-round MAC verdicts, and the acceptance parameters the verdict
     /// was derived under. The report inside the bundle is byte-identical
     /// (under [`crate::evidence::encode_report`]) to the returned one.
@@ -222,7 +227,7 @@ impl Auditor {
         transcript: &SignedTranscript,
         prover: impl Into<String>,
         epoch: u64,
-    ) -> (AuditReport, crate::evidence::EvidenceBundle) {
+    ) -> (AuditReport, EvidenceBundle) {
         let mac_ok: Vec<bool> = transcript
             .rounds
             .iter()
@@ -235,43 +240,34 @@ impl Auditor {
                 )
             })
             .collect();
-        let checks = VerifyChecks {
-            file_id: &self.file_id,
-            n_segments: self.n_segments,
-            device_key: &self.device_key,
-            sla_location: self.sla_location,
-            location_tolerance: self.location_tolerance,
-            policy: &self.policy,
-        };
+        let checks = self.checks();
         let report = checks.verify_transcript(request, transcript, |i, _round| {
             mac_ok.get(i).copied().unwrap_or(false)
         });
-        let bundle = crate::evidence::EvidenceBundle {
-            prover: prover.into(),
+        let bundle = checks.bundle(
+            prover.into(),
             epoch,
-            device_key: self.device_key.to_bytes(),
-            sla_location: self.sla_location,
-            location_tolerance: self.location_tolerance,
-            policy: self.policy,
-            request: request.clone(),
+            request.clone(),
             mac_ok,
-            report: report.clone(),
-            transcript: transcript.canonical_bytes(),
-        };
+            report.clone(),
+            transcript,
+        );
         (report, bundle)
     }
 }
 
-/// The transcript checks every audit path applies — signature, nonce,
-/// GPS, round sanity, timing — with the per-segment MAC check pluggable
-/// so the sequential path ([`Auditor::verify`]) and the engine's batched
-/// path run *exactly the same* verification logic and differ only in how
-/// MACs are evaluated.
+/// The one §V-B(b) check sequence every audit path applies, static and
+/// dynamic, live and replayed — signature, nonce (and, for a dynamic
+/// audit, digest) freshness, GPS, round sanity, per-segment judgement,
+/// timing. The per-segment judgement is pluggable, so the sequential
+/// path ([`Auditor::verify`]), the engine's batched path, the dynamic
+/// TPA and the offline replay run *exactly the same* logic and differ
+/// only in how each round's segment is judged.
 #[derive(Clone, Debug)]
 pub struct VerifyChecks<'a> {
     /// File under audit.
     pub file_id: &'a str,
-    /// Total segments ñ.
+    /// Total segments ñ (a dynamic audit's digest carries it).
     pub n_segments: u64,
     /// The verifier device's registered public key.
     pub device_key: &'a VerifyingKey,
@@ -297,39 +293,31 @@ pub enum SegmentVerdict {
     BadProof,
 }
 
-/// Inputs to the shared check core that differ between the static and
-/// dynamic transcript shapes; everything downstream (GPS, round sanity,
-/// per-segment judgement, Δt_max policy, verdict assembly) is identical.
-struct TranscriptView<'b> {
-    /// Signature over the canonical bytes verified under the device key.
-    sig_ok: bool,
-    /// Nonce and file id match the triggering request.
-    fresh: bool,
-    /// Dynamic only: the echoed digest differs from the audited one.
-    stale_digest: bool,
-    /// The verifier's GPS fix.
-    position: &'b GeoPoint,
-    /// `(challenged index, measured Δt)` per round, transcript order.
-    rounds: Vec<(u64, SimDuration)>,
+/// A MAC verdict: the tag held, or it did not.
+impl From<bool> for SegmentVerdict {
+    fn from(mac_ok: bool) -> Self {
+        if mac_ok {
+            SegmentVerdict::Ok
+        } else {
+            SegmentVerdict::BadTag
+        }
+    }
 }
 
 impl VerifyChecks<'_> {
-    /// Runs the full §V-B(b) check sequence; `segment_ok(round_index,
-    /// round)` judges each returned segment's MAC.
-    pub fn verify_transcript(
+    /// Runs the full §V-B(b) check sequence; `judge(round_index, round)`
+    /// judges each returned segment — a `bool` (the MAC held) or a full
+    /// [`SegmentVerdict`].
+    pub fn verify_transcript<R: Audit, V: Into<SegmentVerdict>>(
         &self,
-        request: &AuditRequest,
-        transcript: &SignedTranscript,
-        segment_ok: impl FnMut(usize, &crate::messages::TimedRound) -> bool,
+        request: &R,
+        transcript: &R::Transcript,
+        judge: impl FnMut(usize, &R::Round) -> V,
     ) -> AuditReport {
-        let bytes = SignedTranscript::signing_bytes(
-            &transcript.file_id,
-            &transcript.nonce,
-            &transcript.position,
-            &transcript.rounds,
-        );
-        let sig_ok = self.device_key.verify(&bytes, &transcript.signature);
-        self.verify_transcript_presigned(request, transcript, sig_ok, segment_ok)
+        let sig_ok = self
+            .device_key
+            .verify(&transcript.signing_bytes_of(), transcript.signature());
+        self.verify_transcript_presigned(request, transcript, sig_ok, judge)
     }
 
     /// [`VerifyChecks::verify_transcript`] with the signature verdict
@@ -339,108 +327,47 @@ impl VerifyChecks<'_> {
     /// verdict is identical to the sequential path whenever `sig_ok`
     /// equals what `device_key.verify` returns over the transcript's
     /// canonical signing bytes.
-    pub fn verify_transcript_presigned(
+    pub fn verify_transcript_presigned<R: Audit, V: Into<SegmentVerdict>>(
         &self,
-        request: &AuditRequest,
-        transcript: &SignedTranscript,
+        request: &R,
+        transcript: &R::Transcript,
         sig_ok: bool,
-        mut segment_ok: impl FnMut(usize, &crate::messages::TimedRound) -> bool,
-    ) -> AuditReport {
-        let view = TranscriptView {
-            sig_ok,
-            fresh: transcript.nonce == request.nonce && transcript.file_id == request.file_id,
-            stale_digest: false,
-            position: &transcript.position,
-            rounds: transcript.rounds.iter().map(|r| (r.index, r.rtt)).collect(),
-        };
-        self.verify_core(view, request.k, |i| {
-            if segment_ok(i, &transcript.rounds[i]) {
-                SegmentVerdict::Ok
-            } else {
-                SegmentVerdict::BadTag
-            }
-        })
-    }
-
-    /// The dynamic-flow twin of [`VerifyChecks::verify_transcript`]:
-    /// same signature/nonce/GPS/round-sanity/timing discipline over a
-    /// [`crate::dynamic_audit::DynSignedTranscript`], with the
-    /// per-segment judgement pluggable so the live TPA (recomputing
-    /// proofs and keyed tags) and the offline replay (recomputing proofs,
-    /// trusting recorded tag bits) run *exactly the same* logic.
-    ///
-    /// Construct `self` with `n_segments = request.digest.segments` —
-    /// the dynamic file's length lives in the digest.
-    pub fn verify_dyn_transcript(
-        &self,
-        request: &crate::dynamic_audit::DynAuditRequest,
-        transcript: &crate::dynamic_audit::DynSignedTranscript,
-        judge: impl FnMut(usize, &crate::dynamic_audit::DynTimedRound) -> SegmentVerdict,
-    ) -> AuditReport {
-        let bytes = transcript.signing_bytes_of();
-        let sig_ok = self.device_key.verify(&bytes, &transcript.signature);
-        self.verify_dyn_transcript_presigned(request, transcript, sig_ok, judge)
-    }
-
-    /// [`VerifyChecks::verify_dyn_transcript`] with the signature verdict
-    /// supplied by the caller (see
-    /// [`VerifyChecks::verify_transcript_presigned`]).
-    pub fn verify_dyn_transcript_presigned(
-        &self,
-        request: &crate::dynamic_audit::DynAuditRequest,
-        transcript: &crate::dynamic_audit::DynSignedTranscript,
-        sig_ok: bool,
-        mut judge: impl FnMut(usize, &crate::dynamic_audit::DynTimedRound) -> SegmentVerdict,
-    ) -> AuditReport {
-        let view = TranscriptView {
-            sig_ok,
-            fresh: transcript.nonce == request.nonce && transcript.file_id == request.file_id,
-            stale_digest: transcript.digest != request.digest,
-            position: &transcript.position,
-            rounds: transcript.rounds.iter().map(|r| (r.index, r.rtt)).collect(),
-        };
-        self.verify_core(view, request.k, |i| judge(i, &transcript.rounds[i]))
-    }
-
-    /// The shared §V-B(b) sequence over an abstracted transcript view.
-    fn verify_core(
-        &self,
-        view: TranscriptView<'_>,
-        expected_k: u32,
-        mut judge: impl FnMut(usize) -> SegmentVerdict,
+        mut judge: impl FnMut(usize, &R::Round) -> V,
     ) -> AuditReport {
         let mut violations = Vec::new();
 
         // 1. Signature over the canonical transcript bytes.
-        if !view.sig_ok {
+        if !sig_ok {
             violations.push(Violation::BadSignature);
         }
 
         // Nonce freshness (binds transcript to this request), and — for
         // dynamic audits — digest freshness (binds it to this state).
-        if !view.fresh {
+        if transcript.nonce() != request.nonce() || transcript.file_id() != request.file_id() {
             violations.push(Violation::StaleNonce);
         }
-        if view.stale_digest {
+        if *transcript.binding() != request.binding() {
             violations.push(Violation::StaleDigest);
         }
 
         // 2. GPS position against the SLA location.
-        let offset = view.position.distance(&self.sla_location);
+        let offset = transcript.position().distance(&self.sla_location);
         if offset.0 > self.location_tolerance.0 {
             violations.push(Violation::WrongLocation { offset });
         }
 
         // Round count and challenge sanity.
-        if view.rounds.len() != expected_k as usize {
+        let rounds = transcript.rounds();
+        let expected = request.challenges().1;
+        if rounds.len() != expected as usize {
             violations.push(Violation::WrongRoundCount {
-                expected: expected_k,
-                actual: view.rounds.len(),
+                expected,
+                actual: rounds.len(),
             });
         }
         let mut seen = std::collections::HashSet::new();
-        for (i, &(index, _)) in view.rounds.iter().enumerate() {
-            if index >= self.n_segments || !seen.insert(index) {
+        for (i, round) in rounds.iter().enumerate() {
+            if round.index() >= self.n_segments || !seen.insert(round.index()) {
                 violations.push(Violation::MalformedChallenge { round: i });
             }
         }
@@ -448,37 +375,59 @@ impl VerifyChecks<'_> {
         // 3. Authenticity of every returned segment (membership proof
         // first where there is one, then the keyed tag).
         let mut segments_ok = 0;
-        for (i, &(index, _)) in view.rounds.iter().enumerate() {
-            match judge(i) {
+        for (i, round) in rounds.iter().enumerate() {
+            let segment = round.index();
+            match judge(i, round).into() {
                 SegmentVerdict::Ok => segments_ok += 1,
-                SegmentVerdict::BadTag => violations.push(Violation::BadSegment {
-                    round: i,
-                    segment: index,
-                }),
-                SegmentVerdict::BadProof => violations.push(Violation::BadProof {
-                    round: i,
-                    segment: index,
-                }),
+                SegmentVerdict::BadTag => {
+                    violations.push(Violation::BadSegment { round: i, segment })
+                }
+                SegmentVerdict::BadProof => {
+                    violations.push(Violation::BadProof { round: i, segment })
+                }
             }
         }
 
         // 4. Timing: max Δt_j ≤ Δt_max.
-        let max_rtt = view
-            .rounds
-            .iter()
-            .map(|&(_, rtt)| rtt)
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        for (i, &(_, rtt)) in view.rounds.iter().enumerate() {
-            if rtt > self.policy.max_rtt() {
-                violations.push(Violation::TooSlow { round: i, rtt });
+        for (i, round) in rounds.iter().enumerate() {
+            if round.rtt() > self.policy.max_rtt() {
+                violations.push(Violation::TooSlow {
+                    round: i,
+                    rtt: round.rtt(),
+                });
             }
         }
 
         AuditReport {
             violations,
-            max_rtt,
+            max_rtt: transcript.max_rtt(),
             segments_ok,
+        }
+    }
+
+    /// The durable [`EvidenceBundle`] of a verdict these checks reached:
+    /// the acceptance parameters, the request, the per-round MAC (or
+    /// dynamic tag) bits, the report and the canonical transcript bytes.
+    pub fn bundle<R: Audit>(
+        &self,
+        prover: String,
+        epoch: u64,
+        request: R,
+        mac_ok: Vec<bool>,
+        report: AuditReport,
+        transcript: &R::Transcript,
+    ) -> EvidenceBundle<R> {
+        EvidenceBundle {
+            prover,
+            epoch,
+            device_key: self.device_key.to_bytes(),
+            sla_location: self.sla_location,
+            location_tolerance: self.location_tolerance,
+            policy: *self.policy,
+            request,
+            mac_ok,
+            report,
+            transcript: transcript.canonical_bytes(),
         }
     }
 }

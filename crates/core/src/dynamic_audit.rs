@@ -5,18 +5,24 @@
 //! A dynamic audit is issued against a [`DynamicDigest`] — the Merkle
 //! root plus segment count the owner derived after its last
 //! update/append. Each round challenges one segment and must come back
-//! with a membership proof; the TPA verifies, **inside the same timing
-//! loop as static audits**, that
+//! with a membership proof. Everything else is the static audit's, run
+//! through the same code: the device drives one
+//! [`crate::verifier::AuditRun`], the transcript goes through the one
+//! [`Transcript`] codec, and the TPA judges it with the one check
+//! sequence, [`VerifyChecks::verify_transcript`] — signature, nonce,
+//! GPS, round sanity, Δt_max — so dynamic verdicts replay from the
+//! evidence ledger byte-for-byte. What this module adds is only what a
+//! dynamic audit adds:
 //!
-//! 1. the proof ties the returned bytes to the audited digest (unkeyed —
-//!    offline replay recomputes this from the ledger alone), and
-//! 2. the embedded MAC tag is genuine for `(file_id, index)` (keyed —
-//!    replay trusts the recorded bit unless given the owner's secret),
-//!
-//! with the identical signature/nonce/GPS/round-sanity/Δt_max checks of
-//! [`crate::auditor::VerifyChecks`] — dynamic verdicts are produced by
-//! the same `verify_core` as static ones, so they are replayable from
-//! the evidence ledger byte-for-byte.
+//! * the transcript's [`Transcript`] hooks — the digest echoed after
+//!   the nonce (checked against the request's, else
+//!   [`crate::auditor::Violation::StaleDigest`]) and a Merkle proof
+//!   before each round's segment;
+//! * the per-round judgement [`judge_round`]: the proof must tie the
+//!   returned bytes to the audited digest (unkeyed — offline replay
+//!   recomputes it from the ledger alone), then the embedded tag must be
+//!   genuine for `(file_id, index)` (keyed — replay trusts the recorded
+//!   bit unless given the owner's secret).
 //!
 //! A provider that keeps serving the pre-update segment (with its
 //! then-valid proof) fails the Merkle check against the fresh digest:
@@ -24,7 +30,9 @@
 //! provable.
 
 use crate::auditor::{AuditReport, SegmentVerdict, VerifyChecks};
-use crate::messages::{TranscriptDecodeError, SIGNATURE_LEN};
+use crate::cursor::{ByteCursor, Truncated};
+use crate::evidence::EvidenceBundle;
+use crate::messages::{take_segment, Round, Transcript, TranscriptDecodeError};
 use crate::policy::TimingPolicy;
 use bytes::Bytes;
 use geoproof_crypto::chacha::ChaChaRng;
@@ -86,152 +94,92 @@ pub struct DynSignedTranscript {
     pub signature: Signature,
 }
 
-/// Domain-separation prefix of the canonical dynamic-transcript encoding.
-const DYN_TRANSCRIPT_MAGIC: &[u8] = b"geoproof-dyn-transcript-v1";
+impl Round for DynTimedRound {
+    fn index(&self) -> u64 {
+        self.index
+    }
+    fn rtt(&self) -> SimDuration {
+        self.rtt
+    }
+    fn segment(&self) -> &Bytes {
+        &self.segment
+    }
+    fn write_proof(&self, out: &mut Vec<u8>) {
+        let proof = self.proof.to_bytes();
+        out.extend_from_slice(&(proof.len() as u32).to_be_bytes());
+        out.extend_from_slice(&proof);
+    }
+    fn decode(
+        index: u64,
+        rtt: SimDuration,
+        c: &mut ByteCursor<'_>,
+    ) -> Result<Self, TranscriptDecodeError> {
+        use TranscriptDecodeError as E;
+        let proof_len = c.take_u32().map_err(|_| E::Truncated)? as usize;
+        let proof_bytes = c.take(proof_len).map_err(|_| E::Truncated)?;
+        Ok(DynTimedRound {
+            index,
+            proof: MerkleProof::from_bytes(&proof_bytes).ok_or(E::BadProof)?,
+            segment: take_segment(c)?,
+            rtt,
+        })
+    }
+}
 
-impl DynSignedTranscript {
-    /// The canonical byte string that is signed and verified.
-    pub fn signing_bytes(
-        file_id: &str,
-        nonce: &[u8; 32],
-        digest: &DynamicDigest,
-        position: &GeoPoint,
-        rounds: &[DynTimedRound],
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + rounds.len() * 192);
-        out.extend_from_slice(DYN_TRANSCRIPT_MAGIC);
-        out.extend_from_slice(&(file_id.len() as u32).to_be_bytes());
-        out.extend_from_slice(file_id.as_bytes());
-        out.extend_from_slice(nonce);
+/// The dynamic transcript binds the audited digest (`root ‖ u64
+/// segments`) right after the nonce and carries each round's Merkle
+/// proof before its segment, under its own magic.
+impl Transcript for DynSignedTranscript {
+    type Round = DynTimedRound;
+    type Binding = DynamicDigest;
+    const MAGIC: &'static [u8] = b"geoproof-dyn-transcript-v1";
+
+    fn write_binding(digest: &DynamicDigest, out: &mut Vec<u8>) {
         out.extend_from_slice(&digest.root);
         out.extend_from_slice(&digest.segments.to_be_bytes());
-        out.extend_from_slice(&position.lat.to_bits().to_be_bytes());
-        out.extend_from_slice(&position.lon.to_bits().to_be_bytes());
-        out.extend_from_slice(&(rounds.len() as u32).to_be_bytes());
-        for r in rounds {
-            out.extend_from_slice(&r.index.to_be_bytes());
-            out.extend_from_slice(&r.rtt.as_nanos().to_be_bytes());
-            let proof = r.proof.to_bytes();
-            out.extend_from_slice(&(proof.len() as u32).to_be_bytes());
-            out.extend_from_slice(&proof);
-            out.extend_from_slice(&(r.segment.len() as u32).to_be_bytes());
-            out.extend_from_slice(&r.segment);
-        }
-        out
     }
-
-    /// [`DynSignedTranscript::signing_bytes`] of this transcript's own
-    /// fields.
-    pub fn signing_bytes_of(&self) -> Vec<u8> {
-        DynSignedTranscript::signing_bytes(
-            &self.file_id,
-            &self.nonce,
-            &self.digest,
-            &self.position,
-            &self.rounds,
-        )
+    fn read_binding(c: &mut ByteCursor<'_>) -> Result<DynamicDigest, Truncated> {
+        Ok(DynamicDigest {
+            root: c.take_array::<32>()?,
+            segments: c.take_u64()?,
+        })
     }
-
-    /// Largest per-round RTT (`Δt′ = max(Δt_1 … Δt_k)`).
-    pub fn max_rtt(&self) -> SimDuration {
-        self.rounds
-            .iter()
-            .map(|r| r.rtt)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// The transcript's full canonical encoding: the signed bytes
-    /// followed by the 64-byte signature — the durable form the evidence
-    /// ledger stores; re-encoding a parsed transcript is byte-identical.
-    pub fn canonical_bytes(&self) -> Bytes {
-        let mut out = self.signing_bytes_of();
-        out.extend_from_slice(&self.signature.to_bytes());
-        Bytes::from(out)
-    }
-
-    /// Parses a canonical encoding back into a transcript. Round
-    /// segments are zero-copy slices of `bytes`; every field is
-    /// bounds-checked; trailing bytes are rejected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TranscriptDecodeError`] describing the first malformed
-    /// field.
-    pub fn from_canonical(bytes: &Bytes) -> Result<DynSignedTranscript, TranscriptDecodeError> {
-        use TranscriptDecodeError as E;
-        let mut c = crate::cursor::ByteCursor::new(bytes);
-        let trunc = |_| E::Truncated;
-
-        if c.take(DYN_TRANSCRIPT_MAGIC.len()).map_err(trunc)?.as_ref() != DYN_TRANSCRIPT_MAGIC {
-            return Err(E::BadMagic);
-        }
-        let fid_len = c.take_u32().map_err(trunc)? as usize;
-        let fid = c.take(fid_len).map_err(trunc)?;
-        let file_id = std::str::from_utf8(&fid)
-            .map_err(|_| E::BadFileId)?
-            .to_owned();
-        let nonce = c.take_array::<32>().map_err(trunc)?;
-        let digest = DynamicDigest {
-            root: c.take_array::<32>().map_err(trunc)?,
-            segments: c.take_u64().map_err(trunc)?,
-        };
-        let lat = c.take_f64_bits().map_err(trunc)?;
-        let lon = c.take_f64_bits().map_err(trunc)?;
-        if !lat.is_finite()
-            || !lon.is_finite()
-            || !(-90.0..=90.0).contains(&lat)
-            || !(-180.0..=180.0).contains(&lon)
-        {
-            return Err(E::BadPosition);
-        }
-        let position = GeoPoint { lat, lon };
-        let n_rounds = c.take_u32().map_err(trunc)?;
-        let mut rounds = Vec::new();
-        for _ in 0..n_rounds {
-            let index = c.take_u64().map_err(trunc)?;
-            let rtt = SimDuration::from_nanos(c.take_u64().map_err(trunc)?);
-            let proof_len = c.take_u32().map_err(trunc)? as usize;
-            let proof_bytes = c.take(proof_len).map_err(trunc)?;
-            let proof = MerkleProof::from_bytes(&proof_bytes).ok_or(E::BadProof)?;
-            let seg_len = c.take_u32().map_err(trunc)? as usize;
-            let segment = c.take(seg_len).map_err(trunc)?;
-            rounds.push(DynTimedRound {
-                index,
-                segment,
-                proof,
-                rtt,
-            });
-        }
-        let signature = Signature::from_bytes(&c.take_array::<SIGNATURE_LEN>().map_err(trunc)?);
-        if !c.at_end() {
-            return Err(E::TrailingBytes);
-        }
-        Ok(DynSignedTranscript {
+    fn assemble(
+        file_id: String,
+        nonce: [u8; 32],
+        digest: DynamicDigest,
+        position: GeoPoint,
+        rounds: Vec<DynTimedRound>,
+        signature: Signature,
+    ) -> Self {
+        DynSignedTranscript {
             file_id,
             nonce,
             digest,
             position,
             rounds,
             signature,
-        })
+        }
     }
 
-    /// The signed part of a canonical encoding that
-    /// [`DynSignedTranscript::from_canonical`] accepted: a zero-copy
-    /// view of every byte but the trailing 64-byte signature, equal to
-    /// [`DynSignedTranscript::signing_bytes_of`] the parsed transcript
-    /// (the parse, Merkle proofs included, is strict).
-    pub fn signed_prefix(canonical: &Bytes) -> Bytes {
-        canonical.slice(..canonical.len().saturating_sub(SIGNATURE_LEN))
+    fn file_id(&self) -> &str {
+        &self.file_id
     }
-}
-
-/// Whether a round's membership proof ties its bytes to `root` at the
-/// claimed index. Unkeyed and deterministic — the offline replay runs
-/// exactly this function against the recorded digest.
-pub fn round_proof_ok(root: &geoproof_por::merkle::Digest, round: &DynTimedRound) -> bool {
-    round.proof.index == round.index && verify_proof(root, &round.segment, &round.proof)
+    fn nonce(&self) -> &[u8; 32] {
+        &self.nonce
+    }
+    fn binding(&self) -> &DynamicDigest {
+        &self.digest
+    }
+    fn position(&self) -> &GeoPoint {
+        &self.position
+    }
+    fn rounds(&self) -> &[DynTimedRound] {
+        &self.rounds
+    }
+    fn signature(&self) -> &Signature {
+        &self.signature
+    }
 }
 
 /// Serves timed dynamic challenges — the provider side of the dynamic
@@ -360,6 +308,23 @@ impl DynAuditor {
             .collect()
     }
 
+    /// Judges every round — Merkle membership, then the keyed tag —
+    /// inside the check sequence static audits use, returning the verdict
+    /// and the tag bits.
+    fn judge(
+        &self,
+        request: &DynAuditRequest,
+        transcript: &DynSignedTranscript,
+    ) -> (AuditReport, Vec<bool>) {
+        let tag_ok = self.tag_bits(transcript);
+        let report = self
+            .checks(request)
+            .verify_transcript(request, transcript, |i, round| {
+                judge_round(&request.digest.root, round, tag_ok.get(i).copied())
+            });
+        (report, tag_ok)
+    }
+
     /// Verifies a dynamic transcript against the request that triggered
     /// it: Merkle membership *and* keyed tag per round, inside the same
     /// check sequence as static audits.
@@ -368,16 +333,12 @@ impl DynAuditor {
         request: &DynAuditRequest,
         transcript: &DynSignedTranscript,
     ) -> AuditReport {
-        let tag_ok = self.tag_bits(transcript);
-        self.checks(request)
-            .verify_dyn_transcript(request, transcript, |i, round| {
-                judge_round(&request.digest.root, round, tag_ok.get(i).copied())
-            })
+        self.judge(request, transcript).0
     }
 
     /// Like [`DynAuditor::verify`], but also materialises the durable
-    /// [`crate::evidence::DynEvidenceBundle`]. The report inside the
-    /// bundle is byte-identical (under
+    /// [`EvidenceBundle`], whose `mac_ok` bits are the keyed tag
+    /// verdicts. The report inside the bundle is byte-identical (under
     /// [`crate::evidence::encode_report`]) to the returned one.
     pub fn verify_evidence(
         &self,
@@ -385,38 +346,31 @@ impl DynAuditor {
         transcript: &DynSignedTranscript,
         prover: impl Into<String>,
         epoch: u64,
-    ) -> (AuditReport, crate::evidence::DynEvidenceBundle) {
-        let tag_ok = self.tag_bits(transcript);
-        let report = self
-            .checks(request)
-            .verify_dyn_transcript(request, transcript, |i, round| {
-                judge_round(&request.digest.root, round, tag_ok.get(i).copied())
-            });
-        let bundle = crate::evidence::DynEvidenceBundle {
-            prover: prover.into(),
+    ) -> (AuditReport, EvidenceBundle<DynAuditRequest>) {
+        let (report, tag_ok) = self.judge(request, transcript);
+        let bundle = self.checks(request).bundle(
+            prover.into(),
             epoch,
-            device_key: self.device_key.to_bytes(),
-            sla_location: self.sla_location,
-            location_tolerance: self.location_tolerance,
-            policy: self.policy,
-            request: request.clone(),
+            request.clone(),
             tag_ok,
-            report: report.clone(),
-            transcript: transcript.canonical_bytes(),
-        };
+            report.clone(),
+            transcript,
+        );
         (report, bundle)
     }
 }
 
 /// The one judgement both live TPA and offline replay apply per round:
-/// membership proof first (unkeyed, always recomputable), then the keyed
-/// tag bit. A missing bit reads as failed, as in the static replay path.
+/// the membership proof must tie the bytes to `root` at the claimed
+/// index (unkeyed, deterministic, always recomputable), then the keyed
+/// tag bit must hold. A missing bit reads as failed, as in the static
+/// replay path.
 pub fn judge_round(
     root: &geoproof_por::merkle::Digest,
     round: &DynTimedRound,
     tag_ok: Option<bool>,
 ) -> SegmentVerdict {
-    if !round_proof_ok(root, round) {
+    if round.proof.index != round.index || !verify_proof(root, &round.segment, &round.proof) {
         SegmentVerdict::BadProof
     } else if !tag_ok.unwrap_or(false) {
         SegmentVerdict::BadTag
@@ -597,72 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_roundtrip_is_identity_and_rejects_malformed() {
-        let mut r = rig(SimDuration::from_millis(5));
-        let req = r.auditor.issue_request(r.owner.digest(), 3);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let bytes = t.canonical_bytes();
-        let parsed = DynSignedTranscript::from_canonical(&bytes).expect("parse");
-        assert_eq!(parsed, t);
-        assert_eq!(parsed.canonical_bytes(), bytes, "re-encode must match");
-        // Zero-copy: a parsed round segment aliases the canonical buffer.
-        let seg = &parsed.rounds[0].segment;
-        let hay = bytes.as_ref();
-        let off = hay
-            .windows(seg.len().max(1))
-            .position(|w| w == seg.as_ref())
-            .expect("present");
-        assert!(seg.aliases(&bytes.slice(off..off + seg.len())));
-        // Every truncation fails; trailing bytes fail.
-        for cut in 0..bytes.len() {
-            assert!(
-                DynSignedTranscript::from_canonical(&bytes.slice(..cut)).is_err(),
-                "cut {cut}"
-            );
-        }
-        let mut extra = bytes.to_vec();
-        extra.push(0);
-        assert_eq!(
-            DynSignedTranscript::from_canonical(&Bytes::from(extra)),
-            Err(TranscriptDecodeError::TrailingBytes)
-        );
-    }
-
-    #[test]
-    fn signed_prefix_is_the_signing_bytes() {
-        let mut r = rig(SimDuration::from_millis(5));
-        let req = r.auditor.issue_request(r.owner.digest(), 3);
-        let audited = r.verifier.run_audit(&req, &mut r.provider);
-        // k = 0, 1 (an empty segment under an empty-sibling proof) and 200.
-        let empty = DynTimedRound {
-            index: 9,
-            segment: Bytes::new(),
-            proof: MerkleProof {
-                index: 9,
-                siblings: Vec::new(),
-            },
-            rtt: SimDuration::from_millis(1),
-        };
-        let many: Vec<DynTimedRound> = audited.rounds.iter().cycle().take(200).cloned().collect();
-        for rounds in [Vec::new(), vec![empty], many] {
-            let t = DynSignedTranscript {
-                rounds,
-                ..audited.clone()
-            };
-            let bytes = t.canonical_bytes();
-            assert_eq!(DynSignedTranscript::from_canonical(&bytes), Ok(t.clone()));
-            let prefix = DynSignedTranscript::signed_prefix(&bytes);
-            assert_eq!(
-                prefix.as_ref(),
-                t.signing_bytes_of().as_slice(),
-                "k = {}",
-                t.rounds.len()
-            );
-            assert!(prefix.aliases(&bytes.slice(..bytes.len() - SIGNATURE_LEN)));
-        }
-    }
-
-    #[test]
     fn verify_evidence_matches_verify() {
         let mut r = rig(SimDuration::from_millis(5));
         let req = r.auditor.issue_request(r.owner.digest(), 6);
@@ -671,8 +559,8 @@ mod tests {
         let (report, bundle) = r.auditor.verify_evidence(&req, &t, "dyn-prover", 2);
         assert_eq!(report, plain, "evidence path must not change verdicts");
         assert_eq!(bundle.report, plain);
-        assert_eq!(bundle.tag_ok.len(), 6);
-        assert!(bundle.tag_ok.iter().all(|&ok| ok));
+        assert_eq!(bundle.mac_ok.len(), 6);
+        assert!(bundle.mac_ok.iter().all(|&ok| ok));
         let parsed = DynSignedTranscript::from_canonical(&bundle.transcript).expect("parse");
         assert_eq!(parsed, t);
     }

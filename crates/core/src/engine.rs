@@ -23,7 +23,7 @@
 //! sink) and changes it only through `&mut self`.
 
 use crate::auditor::{AuditReport, VerifyChecks};
-use crate::evidence::{EvidenceBundle, EvidenceSink};
+use crate::evidence::EvidenceSink;
 use crate::messages::{AuditRequest, SignedTranscript};
 use crate::policy::TimingPolicy;
 use crate::pool::{run_jobs, Job, PoolStats};
@@ -178,7 +178,7 @@ impl AuditEngine {
 
     /// Installs a durable-evidence sink: every verdict
     /// [`AuditEngine::judge`] reaches is recorded as an
-    /// [`EvidenceBundle`] under its audit's issued epoch.
+    /// [`crate::evidence::EvidenceBundle`] under its audit's issued epoch.
     /// [`AuditEngine::judge_sequential`] records nothing.
     pub fn set_evidence_sink(&mut self, sink: Arc<dyn EvidenceSink>) {
         self.sink = Some(sink);
@@ -311,9 +311,8 @@ impl AuditEngine {
                 .iter()
                 .map(|round| batch.verify_one(round.index, &round.segment))
                 .collect();
-            let report =
-                self.checks_for(spec)
-                    .verify_transcript(&issued.request, &transcript, |i, _| mac_ok[i]);
+            let checks = self.checks_for(spec);
+            let report = checks.verify_transcript(&issued.request, &transcript, |i, _| mac_ok[i]);
             let m = metrics();
             if report.accepted() {
                 m.accept.inc();
@@ -321,18 +320,14 @@ impl AuditEngine {
                 m.reject.inc();
             }
             if let Some(sink) = &self.sink {
-                let bundle = EvidenceBundle {
-                    prover: issued.prover.0.clone(),
-                    epoch: issued.epoch,
-                    device_key: spec.device_key.to_bytes(),
-                    sla_location: spec.sla_location,
-                    location_tolerance: self.config.location_tolerance,
-                    policy: self.config.policy,
-                    request: issued.request,
+                let bundle = checks.bundle(
+                    issued.prover.0.clone(),
+                    issued.epoch,
+                    issued.request,
                     mac_ok,
-                    report: report.clone(),
-                    transcript: transcript.canonical_bytes(),
-                };
+                    report.clone(),
+                    &transcript,
+                );
                 if let Err(e) = sink.record(&bundle) {
                     self.sink_error.get_or_insert(e.to_string());
                 }
@@ -517,7 +512,7 @@ mod tests {
     struct EpochLog(std::sync::mpsc::Sender<(u64, [u8; 32])>);
 
     impl EvidenceSink for EpochLog {
-        fn record(&self, bundle: &EvidenceBundle) -> std::io::Result<()> {
+        fn record(&self, bundle: &crate::evidence::EvidenceBundle) -> std::io::Result<()> {
             self.0
                 .send((bundle.epoch, bundle.request.nonce))
                 .map_err(std::io::Error::other)

@@ -3,8 +3,11 @@
 //!
 //! GeoProof's output is *evidence* — a signed timing transcript a
 //! customer can take to an SLA dispute. This module defines the bundle
-//! every verification path can emit ([`EvidenceBundle`]), the sink trait
-//! the [`crate::engine::AuditEngine`], [`crate::fleet`] and
+//! every verification path emits, static and dynamic alike
+//! ([`EvidenceBundle`], generic over the audit's request type and built
+//! by [`crate::auditor::VerifyChecks::bundle`] from the one check
+//! sequence's verdict), the sink trait the
+//! [`crate::engine::AuditEngine`], [`crate::fleet`] and
 //! [`crate::deployment::Deployment`] hand bundles to ([`EvidenceSink`]),
 //! and the canonical byte encoding of an [`AuditReport`] that offline
 //! re-verification byte-compares against
@@ -16,6 +19,7 @@
 //! installed — a bundle is only materialised once a sink asks for it.
 
 use crate::auditor::{AuditReport, Violation};
+use crate::dynamic_audit::DynAuditRequest;
 use crate::messages::AuditRequest;
 use crate::policy::TimingPolicy;
 use crate::vantage::MultiVantageEstimate;
@@ -24,13 +28,16 @@ use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::triangulation::RangeMeasurement;
 use geoproof_sim::time::{Km, SimDuration};
 
-/// Everything needed to re-verify one audit verdict offline: the
-/// identity under audit, the TPA's acceptance parameters, the request,
-/// the canonical signed-transcript bytes, the per-round MAC verdicts
-/// (the only part an offline verifier must take on trust — checking
-/// them needs the owner's secret MAC key), and the verdict itself.
+/// Everything needed to re-verify one audit verdict offline, for either
+/// audit kind `R` (the request type: [`AuditRequest`] or
+/// [`DynAuditRequest`]): the identity under audit, the TPA's acceptance
+/// parameters, the request, the canonical signed-transcript bytes, the
+/// per-round keyed verdicts (the only part an offline verifier must take
+/// on trust — checking them needs the owner's secret key), and the
+/// verdict itself. A dynamic transcript also carries each round's Merkle
+/// proof, which replay recomputes without any key.
 #[derive(Clone, Debug, PartialEq)]
-pub struct EvidenceBundle {
+pub struct EvidenceBundle<R = AuditRequest> {
     /// The prover (cloud site) this verdict speaks about.
     pub prover: String,
     /// 0-based ordinal of this audit of this prover (re-audits count up).
@@ -43,45 +50,17 @@ pub struct EvidenceBundle {
     pub location_tolerance: Km,
     /// The Δt_max policy the verdict was derived under.
     pub policy: TimingPolicy,
-    /// The audit request that triggered the transcript.
-    pub request: AuditRequest,
-    /// Per-round segment-MAC verdicts, transcript order.
+    /// The audit request that triggered the transcript (a dynamic one
+    /// carries the audited digest).
+    pub request: R,
+    /// Per-round keyed verdicts, transcript order: the segment MAC of a
+    /// static audit, the segment tag of a dynamic one.
     pub mac_ok: Vec<bool>,
     /// The TPA's verdict.
     pub report: AuditReport,
     /// The canonical signed-transcript bytes
-    /// ([`crate::messages::SignedTranscript::canonical_bytes`]). Shared,
+    /// ([`crate::messages::Transcript::canonical_bytes`]). Shared,
     /// refcounted — sinks append these bytes without copying them.
-    pub transcript: Bytes,
-}
-
-/// The dynamic-audit twin of [`EvidenceBundle`]: everything needed to
-/// re-verify one dynamic verdict offline. The Merkle membership proofs
-/// travel inside the canonical transcript and are recomputed by the
-/// replay (unkeyed); only the per-round *tag* bits are taken on trust
-/// without the owner's secret.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DynEvidenceBundle {
-    /// The prover (cloud site) this verdict speaks about.
-    pub prover: String,
-    /// 0-based ordinal of this audit of this prover (re-audits count up).
-    pub epoch: u64,
-    /// The verifier device's registered public key (compressed).
-    pub device_key: [u8; 32],
-    /// Where the SLA says the data lives.
-    pub sla_location: GeoPoint,
-    /// Accepted GPS offset from the SLA location.
-    pub location_tolerance: Km,
-    /// The Δt_max policy the verdict was derived under.
-    pub policy: TimingPolicy,
-    /// The dynamic audit request (carries the audited digest).
-    pub request: crate::dynamic_audit::DynAuditRequest,
-    /// Per-round keyed-tag verdicts, transcript order.
-    pub tag_ok: Vec<bool>,
-    /// The TPA's verdict.
-    pub report: AuditReport,
-    /// The canonical signed dynamic-transcript bytes
-    /// ([`crate::dynamic_audit::DynSignedTranscript::canonical_bytes`]).
     pub transcript: Bytes,
 }
 
@@ -106,7 +85,7 @@ pub trait EvidenceSink: Send + Sync {
     /// # Errors
     ///
     /// Propagates the sink's storage failure.
-    fn record_dynamic(&self, bundle: &DynEvidenceBundle) -> std::io::Result<()> {
+    fn record_dynamic(&self, bundle: &EvidenceBundle<DynAuditRequest>) -> std::io::Result<()> {
         let _ = bundle;
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,

@@ -78,9 +78,7 @@ pub use dynamic_audit::{
     LocalDynProvider,
 };
 pub use engine::{AuditEngine, EngineConfig, Issued, ProverId, ProverSpec};
-pub use evidence::{
-    decode_report, encode_report, DynEvidenceBundle, EvidenceBundle, EvidenceSink, PositionBundle,
-};
+pub use evidence::{decode_report, encode_report, EvidenceBundle, EvidenceSink, PositionBundle};
 pub use fleet::{run_fleet, run_fleet_with_evidence, AdversaryProfile, FleetConfig, FleetOutcome};
 /// The shared work-stealing pool, lifted to its own crate so the POR
 /// encoder (below `core` in the dependency DAG) can use it too;
@@ -89,7 +87,7 @@ pub use geoproof_pool as pool;
 pub use landmark_audit::{
     harden_report, landmark_position_check, robust_landmark_position_check, LandmarkPing,
 };
-pub use messages::{AuditRequest, SignedTranscript, TimedRound};
+pub use messages::{AuditRequest, Round, SignedTranscript, TimedRound, Transcript};
 pub use multisite::{ReplicaSite, ReplicationAudit, ReplicationReport};
 pub use policy::{paper_relay_bound, relay_distance_bound, TimingPolicy};
 pub use pool::{run_jobs, PoolStats};

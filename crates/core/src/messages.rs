@@ -3,8 +3,11 @@
 //! The verifier signs `R = (Δt*, c, {S_cj ‖ τ_cj}, N, Pos_v)` with its
 //! private key; the TPA re-encodes the received transcript and verifies
 //! the signature over exactly those bytes, so every field is
-//! length-delimited and order-fixed here.
+//! length-delimited and order-fixed here. Static and dynamic transcripts
+//! share the one codec, [`Transcript`]; a kind supplies only its magic,
+//! what it binds after the nonce, and each [`Round`]'s proof.
 
+use crate::cursor::{ByteCursor, Truncated};
 use bytes::Bytes;
 use geoproof_crypto::schnorr::Signature;
 use geoproof_geo::coords::GeoPoint;
@@ -55,53 +58,193 @@ pub struct SignedTranscript {
 }
 
 impl SignedTranscript {
-    /// The canonical byte string that is signed and verified.
+    /// The canonical byte string that is signed and verified
+    /// ([`Transcript::signing_message`]; a static transcript binds
+    /// nothing beyond the common fields).
     pub fn signing_bytes(
         file_id: &str,
         nonce: &[u8; 32],
         position: &GeoPoint,
         rounds: &[TimedRound],
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + rounds.len() * 128);
-        out.extend_from_slice(TRANSCRIPT_MAGIC);
+        Self::signing_message(file_id, nonce, &(), position, rounds)
+    }
+
+    /// [`Transcript::canonical_bytes`], callable without the trait.
+    pub fn canonical_bytes(&self) -> Bytes {
+        Transcript::canonical_bytes(self)
+    }
+
+    /// [`Transcript::from_canonical`], callable without the trait.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transcript::from_canonical`].
+    pub fn from_canonical(bytes: &Bytes) -> Result<SignedTranscript, TranscriptDecodeError> {
+        Transcript::from_canonical(bytes)
+    }
+}
+
+/// One timed round of either transcript kind, as the shared codec and
+/// checks see it.
+pub trait Round: Sized {
+    /// Challenged segment index c_j.
+    fn index(&self) -> u64;
+    /// Measured round-trip time Δt_j.
+    fn rtt(&self) -> SimDuration;
+    /// Returned segment bytes S_cj ‖ τ_cj.
+    fn segment(&self) -> &Bytes;
+    /// Appends the proof the canonical encoding places between Δt_j and
+    /// the segment: nothing for a static round, the `u32`-prefixed
+    /// Merkle proof for a dynamic one.
+    fn write_proof(&self, out: &mut Vec<u8>);
+    /// Parses the rest of a round whose index and Δt_j are read: the
+    /// [`Round::write_proof`] bytes, then the `u32`-prefixed segment.
+    ///
+    /// # Errors
+    ///
+    /// The first malformed field.
+    fn decode(
+        index: u64,
+        rtt: SimDuration,
+        c: &mut ByteCursor<'_>,
+    ) -> Result<Self, TranscriptDecodeError>;
+}
+
+/// Reads a `u32`-prefixed segment as a zero-copy view.
+pub(crate) fn take_segment(c: &mut ByteCursor<'_>) -> Result<Bytes, TranscriptDecodeError> {
+    let len = c.take_u32().map_err(|_| TranscriptDecodeError::Truncated)? as usize;
+    c.take(len).map_err(|_| TranscriptDecodeError::Truncated)
+}
+
+impl Round for TimedRound {
+    fn index(&self) -> u64 {
+        self.index
+    }
+    fn rtt(&self) -> SimDuration {
+        self.rtt
+    }
+    fn segment(&self) -> &Bytes {
+        &self.segment
+    }
+    fn write_proof(&self, _out: &mut Vec<u8>) {}
+    fn decode(
+        index: u64,
+        rtt: SimDuration,
+        c: &mut ByteCursor<'_>,
+    ) -> Result<Self, TranscriptDecodeError> {
+        Ok(TimedRound {
+            index,
+            segment: take_segment(c)?,
+            rtt,
+        })
+    }
+}
+
+/// A signed transcript of either audit kind: the one canonical codec,
+/// over what each kind adds to the common Fig. 5 fields.
+///
+/// The encoding is `magic ‖ u32 len ‖ file id ‖ nonce ‖ binding ‖ lat ‖
+/// lon ‖ u32 k ‖ k × (u64 index ‖ u64 Δt ns ‖ proof ‖ u32 len ‖ segment)
+/// ‖ 64-byte signature`, everything big-endian; the signature covers all
+/// bytes before it.
+pub trait Transcript: Sized {
+    /// One timed round.
+    type Round: Round;
+    /// What the signature binds between the nonce and the position:
+    /// nothing (`()`) for a static audit, the audited digest for a
+    /// dynamic one.
+    type Binding: PartialEq;
+    /// Domain-separation prefix of the canonical encoding.
+    const MAGIC: &'static [u8];
+
+    /// Appends the canonical bytes of a binding.
+    fn write_binding(binding: &Self::Binding, out: &mut Vec<u8>);
+    /// Parses what [`Transcript::write_binding`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] when the input ends first.
+    fn read_binding(c: &mut ByteCursor<'_>) -> Result<Self::Binding, Truncated>;
+    /// Builds a transcript from its fields.
+    fn assemble(
+        file_id: String,
+        nonce: [u8; 32],
+        binding: Self::Binding,
+        position: GeoPoint,
+        rounds: Vec<Self::Round>,
+        signature: Signature,
+    ) -> Self;
+
+    /// File under audit.
+    fn file_id(&self) -> &str;
+    /// Echo of the TPA's nonce.
+    fn nonce(&self) -> &[u8; 32];
+    /// The echoed binding.
+    fn binding(&self) -> &Self::Binding;
+    /// The verifier's GPS fix Pos_v.
+    fn position(&self) -> &GeoPoint;
+    /// The k timed rounds.
+    fn rounds(&self) -> &[Self::Round];
+    /// The device signature.
+    fn signature(&self) -> &Signature;
+
+    /// The canonical byte string that is signed and verified.
+    fn signing_message(
+        file_id: &str,
+        nonce: &[u8; 32],
+        binding: &Self::Binding,
+        position: &GeoPoint,
+        rounds: &[Self::Round],
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(128 + rounds.len() * 128);
+        out.extend_from_slice(Self::MAGIC);
         out.extend_from_slice(&(file_id.len() as u32).to_be_bytes());
         out.extend_from_slice(file_id.as_bytes());
         out.extend_from_slice(nonce);
+        Self::write_binding(binding, &mut out);
         out.extend_from_slice(&position.lat.to_bits().to_be_bytes());
         out.extend_from_slice(&position.lon.to_bits().to_be_bytes());
         out.extend_from_slice(&(rounds.len() as u32).to_be_bytes());
         for r in rounds {
-            out.extend_from_slice(&r.index.to_be_bytes());
-            out.extend_from_slice(&r.rtt.as_nanos().to_be_bytes());
-            out.extend_from_slice(&(r.segment.len() as u32).to_be_bytes());
-            out.extend_from_slice(&r.segment);
+            out.extend_from_slice(&r.index().to_be_bytes());
+            out.extend_from_slice(&r.rtt().as_nanos().to_be_bytes());
+            r.write_proof(&mut out);
+            out.extend_from_slice(&(r.segment().len() as u32).to_be_bytes());
+            out.extend_from_slice(r.segment());
         }
         out
     }
 
+    /// [`Transcript::signing_message`] of this transcript's own fields.
+    fn signing_bytes_of(&self) -> Vec<u8> {
+        Self::signing_message(
+            self.file_id(),
+            self.nonce(),
+            self.binding(),
+            self.position(),
+            self.rounds(),
+        )
+    }
+
     /// Largest per-round RTT (the paper verifies
     /// `Δt′ = max(Δt_1 … Δt_k) ≤ Δt_max`).
-    pub fn max_rtt(&self) -> SimDuration {
-        self.rounds
+    fn max_rtt(&self) -> SimDuration {
+        self.rounds()
             .iter()
-            .map(|r| r.rtt)
+            .map(Round::rtt)
             .max()
             .unwrap_or(SimDuration::ZERO)
     }
 
     /// The transcript's full canonical encoding: the signed bytes
-    /// ([`SignedTranscript::signing_bytes`]) followed by the 64-byte
-    /// signature. This is the durable form — what the evidence ledger
-    /// stores and what [`SignedTranscript::from_canonical`] parses back —
-    /// so re-encoding a parsed transcript is always byte-identical.
-    pub fn canonical_bytes(&self) -> Bytes {
-        let mut out = SignedTranscript::signing_bytes(
-            &self.file_id,
-            &self.nonce,
-            &self.position,
-            &self.rounds,
-        );
-        out.extend_from_slice(&self.signature.to_bytes());
+    /// followed by the 64-byte signature. This is the durable form —
+    /// what the evidence ledger stores and what
+    /// [`Transcript::from_canonical`] parses back — so re-encoding a
+    /// parsed transcript is always byte-identical.
+    fn canonical_bytes(&self) -> Bytes {
+        let mut out = self.signing_bytes_of();
+        out.extend_from_slice(&self.signature().to_bytes());
         Bytes::from(out)
     }
 
@@ -118,12 +261,12 @@ impl SignedTranscript {
     ///
     /// Returns [`TranscriptDecodeError`] describing the first malformed
     /// field encountered.
-    pub fn from_canonical(bytes: &Bytes) -> Result<SignedTranscript, TranscriptDecodeError> {
+    fn from_canonical(bytes: &Bytes) -> Result<Self, TranscriptDecodeError> {
         use TranscriptDecodeError as E;
-        let mut c = crate::cursor::ByteCursor::new(bytes);
+        let mut c = ByteCursor::new(bytes);
         let trunc = |_| E::Truncated;
 
-        if c.take(TRANSCRIPT_MAGIC.len()).map_err(trunc)?.as_ref() != TRANSCRIPT_MAGIC {
+        if c.take(Self::MAGIC.len()).map_err(trunc)?.as_ref() != Self::MAGIC {
             return Err(E::BadMagic);
         }
         let fid_len = c.take_u32().map_err(trunc)? as usize;
@@ -132,6 +275,7 @@ impl SignedTranscript {
             .map_err(|_| E::BadFileId)?
             .to_owned();
         let nonce = c.take_array::<32>().map_err(trunc)?;
+        let binding = Self::read_binding(&mut c).map_err(trunc)?;
         let lat = c.take_f64_bits().map_err(trunc)?;
         let lon = c.take_f64_bits().map_err(trunc)?;
         if !lat.is_finite()
@@ -147,44 +291,76 @@ impl SignedTranscript {
         for _ in 0..n_rounds {
             let index = c.take_u64().map_err(trunc)?;
             let rtt = SimDuration::from_nanos(c.take_u64().map_err(trunc)?);
-            let seg_len = c.take_u32().map_err(trunc)? as usize;
-            let segment = c.take(seg_len).map_err(trunc)?;
-            rounds.push(TimedRound {
-                index,
-                segment,
-                rtt,
-            });
+            rounds.push(Self::Round::decode(index, rtt, &mut c)?);
         }
         let signature = Signature::from_bytes(&c.take_array::<SIGNATURE_LEN>().map_err(trunc)?);
         if !c.at_end() {
             return Err(E::TrailingBytes);
         }
-        Ok(SignedTranscript {
+        Ok(Self::assemble(
+            file_id, nonce, binding, position, rounds, signature,
+        ))
+    }
+
+    /// The signed part of a canonical encoding that
+    /// [`Transcript::from_canonical`] accepted: a zero-copy view of every
+    /// byte but the trailing 64-byte signature. Because the parse is
+    /// strict, this equals [`Transcript::signing_bytes_of`] the parsed
+    /// transcript, so a signature can be checked without re-encoding it.
+    fn signed_prefix(canonical: &Bytes) -> Bytes {
+        canonical.slice(..canonical.len().saturating_sub(SIGNATURE_LEN))
+    }
+}
+
+impl Transcript for SignedTranscript {
+    type Round = TimedRound;
+    type Binding = ();
+    const MAGIC: &'static [u8] = b"geoproof-transcript-v1";
+
+    fn write_binding(_binding: &(), _out: &mut Vec<u8>) {}
+    fn read_binding(_c: &mut ByteCursor<'_>) -> Result<(), Truncated> {
+        Ok(())
+    }
+    fn assemble(
+        file_id: String,
+        nonce: [u8; 32],
+        _binding: (),
+        position: GeoPoint,
+        rounds: Vec<TimedRound>,
+        signature: Signature,
+    ) -> Self {
+        SignedTranscript {
             file_id,
             nonce,
             position,
             rounds,
             signature,
-        })
+        }
     }
 
-    /// The signed part of a canonical encoding that
-    /// [`SignedTranscript::from_canonical`] accepted: a zero-copy view
-    /// of every byte but the trailing 64-byte signature. Because the
-    /// parse is strict, this equals [`SignedTranscript::signing_bytes`]
-    /// of the parsed fields, so a signature can be checked without
-    /// re-encoding the transcript.
-    pub fn signed_prefix(canonical: &Bytes) -> Bytes {
-        canonical.slice(..canonical.len().saturating_sub(SIGNATURE_LEN))
+    fn file_id(&self) -> &str {
+        &self.file_id
+    }
+    fn nonce(&self) -> &[u8; 32] {
+        &self.nonce
+    }
+    fn binding(&self) -> &() {
+        &()
+    }
+    fn position(&self) -> &GeoPoint {
+        &self.position
+    }
+    fn rounds(&self) -> &[TimedRound] {
+        &self.rounds
+    }
+    fn signature(&self) -> &Signature {
+        &self.signature
     }
 }
 
-/// Domain-separation prefix of the canonical transcript encoding.
-const TRANSCRIPT_MAGIC: &[u8] = b"geoproof-transcript-v1";
-
 /// Length of the Schnorr signature that ends every canonical transcript
 /// encoding, static and dynamic.
-pub(crate) const SIGNATURE_LEN: usize = 64;
+const SIGNATURE_LEN: usize = 64;
 
 /// Why a canonical transcript encoding failed to parse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,93 +482,99 @@ mod tests {
         }
     }
 
-    #[test]
-    fn canonical_roundtrip_is_identity() {
-        let t = transcript();
-        let bytes = t.canonical_bytes();
-        let parsed = SignedTranscript::from_canonical(&bytes).expect("parse");
-        assert_eq!(parsed, t);
-        assert_eq!(parsed.canonical_bytes(), bytes, "re-encode must match");
-    }
-
-    #[test]
-    fn signed_prefix_is_the_signing_bytes() {
-        // k = 0, 1 and 200; round 0 carries an empty segment.
-        for k in [0u64, 1, 200] {
-            let rounds: Vec<TimedRound> = (0..k)
-                .map(|j| TimedRound {
-                    index: j * 13,
-                    segment: Bytes::from(vec![j as u8; (j % 3 * 50) as usize]),
-                    rtt: SimDuration::from_nanos(j * 1_001),
-                })
-                .collect();
-            let t = SignedTranscript {
-                rounds,
-                ..transcript()
-            };
-            let bytes = t.canonical_bytes();
-            assert_eq!(SignedTranscript::from_canonical(&bytes), Ok(t.clone()));
-            let prefix = SignedTranscript::signed_prefix(&bytes);
-            let signing =
-                SignedTranscript::signing_bytes(&t.file_id, &t.nonce, &t.position, &t.rounds);
-            assert_eq!(prefix.as_ref(), signing.as_slice(), "k = {k}");
-            assert!(prefix.aliases(&bytes.slice(..bytes.len() - SIGNATURE_LEN)));
+    /// A dynamic transcript of `k` rounds cycling through a proven
+    /// segment, an empty segment under an empty-sibling proof, and a
+    /// deeper proof.
+    fn dyn_transcript(k: u64) -> crate::dynamic_audit::DynSignedTranscript {
+        use crate::dynamic_audit::{DynSignedTranscript, DynTimedRound};
+        use geoproof_por::merkle::MerkleProof;
+        let rounds = (0..k)
+            .map(|j| DynTimedRound {
+                index: j * 7,
+                segment: Bytes::from(vec![j as u8; (j % 3 * 40) as usize]),
+                proof: MerkleProof {
+                    index: j * 7,
+                    siblings: (0..j % 3).map(|d| ([d as u8; 32], d == 1)).collect(),
+                },
+                rtt: SimDuration::from_nanos(j * 999),
+            })
+            .collect();
+        DynSignedTranscript {
+            file_id: "df".into(),
+            nonce: [3u8; 32],
+            digest: geoproof_por::dynamic::DynamicDigest {
+                root: [0x77u8; 32],
+                segments: 4096,
+            },
+            position: GeoPoint::new(-27.5, 153.0),
+            rounds,
+            signature: Signature::from_bytes(&[0x21u8; 64]),
         }
     }
 
-    #[test]
-    fn canonical_parse_is_zero_copy_for_segments() {
-        let t = transcript();
-        let bytes = t.canonical_bytes();
-        let parsed = SignedTranscript::from_canonical(&bytes).expect("parse");
-        // A round's segment must be a window into the input buffer, not a
-        // copy: slicing the input at the same offset yields an alias.
-        let seg = &parsed.rounds[0].segment;
-        let hay = bytes.as_ref();
-        let needle = seg.as_ref();
-        let off = hay
-            .windows(needle.len().max(1))
-            .position(|w| w == needle)
-            .expect("segment bytes present");
-        assert!(
-            seg.aliases(&bytes.slice(off..off + needle.len())),
-            "parsed segment must alias the canonical buffer"
-        );
+    /// A static transcript of `k` rounds; every third segment is empty.
+    fn static_transcript(k: u64) -> SignedTranscript {
+        let rounds = (0..k)
+            .map(|j| TimedRound {
+                index: j * 13,
+                segment: Bytes::from(vec![j as u8; (j % 3 * 50) as usize]),
+                rtt: SimDuration::from_nanos(j * 1_001),
+            })
+            .collect();
+        SignedTranscript {
+            rounds,
+            ..transcript()
+        }
     }
 
-    #[test]
-    fn canonical_parse_rejects_malformed_input_without_panicking() {
-        let t = transcript();
-        let good = t.canonical_bytes();
-        // Empty, truncated at every boundary, and trailing garbage.
-        assert!(SignedTranscript::from_canonical(&Bytes::new()).is_err());
-        for cut in 0..good.len() {
+    /// The codec's contract for one transcript of either kind: parsing
+    /// the encoding gives the transcript back with zero-copy segments,
+    /// the signed prefix is the signing bytes, and every truncation, one
+    /// trailing byte, a wrong magic and a NaN latitude are refused
+    /// without panicking.
+    fn check_codec<T: Transcript + PartialEq + std::fmt::Debug>(t: &T) {
+        use TranscriptDecodeError as E;
+        let k = t.rounds().len();
+        let bytes = t.canonical_bytes();
+        let parsed = T::from_canonical(&bytes).expect("parse");
+        assert_eq!(&parsed, t, "k = {k}");
+        let buffer = bytes.as_ptr_range();
+        for round in parsed.rounds().iter().filter(|r| !r.segment().is_empty()) {
+            assert!(buffer.contains(&round.segment().as_ptr()), "k = {k}");
+        }
+        let prefix = T::signed_prefix(&bytes);
+        assert_eq!(prefix.as_ref(), t.signing_bytes_of().as_slice(), "k = {k}");
+        assert!(prefix.aliases(&bytes.slice(..bytes.len() - SIGNATURE_LEN)));
+
+        for cut in 0..bytes.len() {
             assert!(
-                SignedTranscript::from_canonical(&good.slice(..cut)).is_err(),
-                "truncation at {cut} must fail"
+                T::from_canonical(&bytes.slice(..cut)).is_err(),
+                "k = {k}, cut {cut}"
             );
         }
-        let mut extra = good.to_vec();
-        extra.push(0);
+        let mutated = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut raw = bytes.to_vec();
+            edit(&mut raw);
+            T::from_canonical(&Bytes::from(raw)).err()
+        };
+        assert_eq!(mutated(&|raw| raw.push(0)), Some(E::TrailingBytes));
+        assert_eq!(mutated(&|raw| raw[0] ^= 1), Some(E::BadMagic));
+        let mut binding = Vec::new();
+        T::write_binding(t.binding(), &mut binding);
+        let lat = T::MAGIC.len() + 4 + t.file_id().len() + 32 + binding.len();
+        let nan = f64::NAN.to_bits().to_be_bytes();
         assert_eq!(
-            SignedTranscript::from_canonical(&Bytes::from(extra)),
-            Err(TranscriptDecodeError::TrailingBytes)
+            mutated(&|raw| raw[lat..lat + 8].copy_from_slice(&nan)),
+            Some(E::BadPosition)
         );
-        // Wrong magic.
-        let mut wrong = good.to_vec();
-        wrong[0] ^= 1;
-        assert_eq!(
-            SignedTranscript::from_canonical(&Bytes::from(wrong)),
-            Err(TranscriptDecodeError::BadMagic)
-        );
-        // Non-finite latitude: flip its bits to an NaN pattern.
-        let lat_off = TRANSCRIPT_MAGIC.len() + 4 + 1 + 32;
-        let mut nan = good.to_vec();
-        nan[lat_off..lat_off + 8].copy_from_slice(&f64::NAN.to_bits().to_be_bytes());
-        assert_eq!(
-            SignedTranscript::from_canonical(&Bytes::from(nan)),
-            Err(TranscriptDecodeError::BadPosition)
-        );
+    }
+
+    #[test]
+    fn canonical_codec_holds_for_both_transcript_kinds() {
+        for k in [0, 1, 2, 200] {
+            check_codec(&static_transcript(k));
+            check_codec(&dyn_transcript(k));
+        }
     }
 
     #[test]

@@ -14,14 +14,14 @@
 use crate::dynamic_audit::{
     DynAuditRequest, DynSegmentProvider, DynSignedTranscript, DynTimedRound,
 };
-use crate::messages::{AuditRequest, SignedTranscript, TimedRound};
+use crate::messages::{AuditRequest, Round, SignedTranscript, TimedRound, Transcript};
 use crate::provider::SegmentProvider;
 use bytes::Bytes;
 use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::gps::GpsReceiver;
-use geoproof_por::dynamic::ProvenSegment;
+use geoproof_por::dynamic::{DynamicDigest, ProvenSegment};
 use geoproof_por::merkle::MerkleProof;
 use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::SimDuration;
@@ -30,19 +30,31 @@ use std::io;
 
 /// What a static and a dynamic audit differ in. Everything else — the
 /// draw of k distinct indices, round order, the GPS fix and the
-/// signature — is [`AuditRun`]'s and [`VerifierDevice`]'s.
+/// signature — is [`AuditRun`]'s and [`VerifierDevice`]'s; the transcript
+/// codec is [`Transcript`]'s and the check sequence
+/// [`crate::auditor::VerifyChecks`]'s.
 pub trait Audit: Clone {
     /// What the prover serves for one challenge.
     type Reply;
     /// One timed round of the transcript.
-    type Round;
+    type Round: Round;
     /// The signed transcript.
-    type Transcript;
+    type Transcript: Transcript<Round = Self::Round>;
     /// The simulated prover that serves this kind of challenge.
     type Provider: ?Sized;
 
     /// The segment count the challenge indices are drawn from, and k.
     fn challenges(&self) -> (u64, u32);
+
+    /// File under audit.
+    fn file_id(&self) -> &str;
+
+    /// The fresh nonce N.
+    fn nonce(&self) -> &[u8; 32];
+
+    /// What the transcript must echo after the nonce
+    /// ([`Transcript::Binding`]).
+    fn binding(&self) -> <Self::Transcript as Transcript>::Binding;
 
     /// A served reply (`None`: the prover had nothing) and its Δt as a
     /// round. A missing reply is still signed, and can never verify.
@@ -51,11 +63,28 @@ pub trait Audit: Clone {
     /// Signs the canonical bytes of `(self, position, rounds)` with `sign`
     /// and assembles the transcript.
     fn sign(
-        self,
+        &self,
         position: GeoPoint,
         rounds: Vec<Self::Round>,
         sign: impl FnOnce(&[u8]) -> Signature,
-    ) -> Self::Transcript;
+    ) -> Self::Transcript {
+        let binding = self.binding();
+        let message = Self::Transcript::signing_message(
+            self.file_id(),
+            self.nonce(),
+            &binding,
+            &position,
+            &rounds,
+        );
+        Self::Transcript::assemble(
+            self.file_id().to_owned(),
+            *self.nonce(),
+            binding,
+            position,
+            rounds,
+            sign(&message),
+        )
+    }
 
     /// Serves challenge `index` on simulated time: the reply and the
     /// service time to charge to the device's clock.
@@ -76,27 +105,21 @@ impl Audit for AuditRequest {
         (self.n_segments, self.k)
     }
 
+    fn file_id(&self) -> &str {
+        &self.file_id
+    }
+
+    fn nonce(&self) -> &[u8; 32] {
+        &self.nonce
+    }
+
+    fn binding(&self) {}
+
     fn round(index: u64, reply: Option<Bytes>, rtt: SimDuration) -> TimedRound {
         TimedRound {
             index,
             segment: reply.unwrap_or_default(),
             rtt,
-        }
-    }
-
-    fn sign(
-        self,
-        position: GeoPoint,
-        rounds: Vec<TimedRound>,
-        sign: impl FnOnce(&[u8]) -> Signature,
-    ) -> SignedTranscript {
-        let bytes = SignedTranscript::signing_bytes(&self.file_id, &self.nonce, &position, &rounds);
-        SignedTranscript {
-            signature: sign(&bytes),
-            file_id: self.file_id,
-            nonce: self.nonce,
-            position,
-            rounds,
         }
     }
 
@@ -119,6 +142,18 @@ impl Audit for DynAuditRequest {
         (self.digest.segments, self.k)
     }
 
+    fn file_id(&self) -> &str {
+        &self.file_id
+    }
+
+    fn nonce(&self) -> &[u8; 32] {
+        &self.nonce
+    }
+
+    fn binding(&self) -> DynamicDigest {
+        self.digest
+    }
+
     fn round(index: u64, reply: Option<ProvenSegment>, rtt: SimDuration) -> DynTimedRound {
         let ProvenSegment { segment, proof } = reply.unwrap_or(ProvenSegment {
             segment: Bytes::new(),
@@ -132,29 +167,6 @@ impl Audit for DynAuditRequest {
             segment,
             proof,
             rtt,
-        }
-    }
-
-    fn sign(
-        self,
-        position: GeoPoint,
-        rounds: Vec<DynTimedRound>,
-        sign: impl FnOnce(&[u8]) -> Signature,
-    ) -> DynSignedTranscript {
-        let bytes = DynSignedTranscript::signing_bytes(
-            &self.file_id,
-            &self.nonce,
-            &self.digest,
-            &position,
-            &rounds,
-        );
-        DynSignedTranscript {
-            signature: sign(&bytes),
-            file_id: self.file_id,
-            nonce: self.nonce,
-            digest: self.digest,
-            position,
-            rounds,
         }
     }
 

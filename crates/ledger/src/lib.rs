@@ -80,9 +80,7 @@ pub mod writer;
 pub use chain::{forest_push, genesis_hash, seal_hash, Digest, FOREST_EMPTY};
 pub use proof::{CheckpointBinding, InclusionProof, VerifiedEvidence};
 pub use reader::{Checkpoint, Continuation, Entry, Header, Ledger, Record};
-pub use record::{
-    DigestOp, DigestRecord, DynEvidenceRecord, EvidenceRecord, PositionRecord, NO_DIGEST,
-};
+pub use record::{DigestOp, DigestRecord, EvidenceKind, EvidenceRecord, PositionRecord, NO_DIGEST};
 pub use segment::{
     compact, discover, prove_global, rotate, verify_chain, ChainOutcome, CompactionOutcome,
     RotationOutcome, SegmentSource, SegmentSummary,

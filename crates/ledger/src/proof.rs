@@ -14,12 +14,13 @@
 use crate::chain::{seal_hash, Digest};
 use crate::reader::{checkpoint_message, checkpoint_message_v2, Entry};
 use crate::record::{
-    DigestRecord, DynEvidenceRecord, EvidenceRecord, PositionRecord, TAG_DIGEST, TAG_DYN_EVIDENCE,
-    TAG_EVIDENCE, TAG_POSITION,
+    DigestRecord, EvidenceRecord, PositionRecord, TAG_DIGEST, TAG_DYN_EVIDENCE, TAG_EVIDENCE,
+    TAG_POSITION,
 };
 use crate::verify::{replay_dyn_record, replay_position_record, replay_record};
 use crate::LedgerError;
 use bytes::Bytes;
+use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_crypto::schnorr::{Signature, VerifyingKey};
 use geoproof_por::merkle::{verify_proof, MerkleProof};
 
@@ -110,7 +111,7 @@ impl VerifiedEvidence {
     }
 
     /// The proven dynamic evidence record, if that is what was proven.
-    pub fn dyn_evidence(&self) -> Option<&DynEvidenceRecord> {
+    pub fn dyn_evidence(&self) -> Option<&EvidenceRecord<DynAuditRequest>> {
         match &self.entry {
             Entry::DynEvidence(e) => Some(e),
             _ => None,
@@ -286,7 +287,7 @@ impl InclusionProof {
                 Entry::Evidence(evidence)
             }
             Some(&TAG_DYN_EVIDENCE) => {
-                let evidence = DynEvidenceRecord::decode(&self.body)
+                let evidence = EvidenceRecord::decode(&self.body)
                     .map_err(|_| LedgerError::BadProof("dynamic evidence body"))?;
                 replay_dyn_record(&evidence, self.evidence_index)?;
                 Entry::DynEvidence(evidence)

@@ -28,11 +28,12 @@
 use crate::chain::{genesis_hash, seal_hash, Digest};
 use crate::proof::{CheckpointBinding, InclusionProof};
 use crate::record::{
-    DigestRecord, DynEvidenceRecord, EvidenceRecord, PositionRecord, TAG_CHECKPOINT, TAG_DIGEST,
-    TAG_DYN_EVIDENCE, TAG_EVIDENCE, TAG_POSITION,
+    DigestRecord, EvidenceRecord, PositionRecord, TAG_CHECKPOINT, TAG_DIGEST, TAG_DYN_EVIDENCE,
+    TAG_EVIDENCE, TAG_POSITION,
 };
 use crate::{LedgerError, MAGIC, VERSION, VERSION_SEGMENTED};
 use bytes::Bytes;
+use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_core::pool::run_ordered;
 use geoproof_por::merkle::MerkleTree;
 use std::path::Path;
@@ -242,7 +243,7 @@ pub enum Entry {
     /// One audit verdict.
     Evidence(EvidenceRecord),
     /// One dynamic-audit verdict.
-    DynEvidence(DynEvidenceRecord),
+    DynEvidence(EvidenceRecord<DynAuditRequest>),
     /// One owner digest transition of a dynamic file.
     Digest(DigestRecord),
     /// One multi-vantage position estimate.
@@ -281,8 +282,8 @@ pub struct Ledger {
     head: Digest,
     records: Vec<Record>,
     /// Positions (into `records`) of sealed leaves — every non-checkpoint
-    /// entry (static evidence, dynamic evidence, digest transitions), in
-    /// order. Checkpoint coverage counts and Merkle leaf indices live in
+    /// entry (static evidence, dynamic evidence, digest transitions,
+    /// position estimates), in order. Checkpoint coverage counts and Merkle leaf indices live in
     /// this ordinal space.
     sealed_at: Vec<usize>,
     /// Positions (into `records`) of checkpoint entries, in order.
@@ -404,7 +405,7 @@ fn scan_range(
                 Entry::Evidence(EvidenceRecord::decode(&body).map_err(malformed)?)
             }
             Some(&TAG_DYN_EVIDENCE) => {
-                Entry::DynEvidence(DynEvidenceRecord::decode(&body).map_err(malformed)?)
+                Entry::DynEvidence(EvidenceRecord::decode(&body).map_err(malformed)?)
             }
             Some(&TAG_DIGEST) => Entry::Digest(DigestRecord::decode(&body).map_err(malformed)?),
             Some(&TAG_POSITION) => {
@@ -500,8 +501,9 @@ impl Ledger {
     }
 
     /// Number of sealed leaves — every non-checkpoint record (static
-    /// evidence, dynamic evidence, digest transitions). This is the
-    /// ordinal space checkpoints cover and [`Ledger::prove`] indexes.
+    /// evidence, dynamic evidence, digest transitions, position
+    /// estimates). This is the ordinal space checkpoints cover and
+    /// [`Ledger::prove`] indexes.
     pub fn sealed_count(&self) -> u64 {
         self.sealed_at.len() as u64
     }
@@ -539,7 +541,7 @@ impl Ledger {
     }
 
     /// Dynamic evidence records with their 0-based sealed ordinals.
-    pub fn dyn_evidence(&self) -> impl Iterator<Item = (u64, &DynEvidenceRecord)> {
+    pub fn dyn_evidence(&self) -> impl Iterator<Item = (u64, &EvidenceRecord<DynAuditRequest>)> {
         self.sealed_at
             .iter()
             .enumerate()

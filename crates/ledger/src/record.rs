@@ -1,9 +1,11 @@
-//! The evidence record: the binary body carrying one audit verdict.
+//! The ledger's record bodies. Evidence records of both audit kinds
+//! share one layout and one codec, [`EvidenceRecord`]; the kind's
+//! [`EvidenceKind`] supplies the tag and the request fields.
 //!
-//! A record body is `tag ‖ identity ‖ acceptance-parameters ‖ request ‖
-//! MAC bits ‖ canonical report bytes ‖ canonical transcript bytes`, all
-//! length-delimited and order-fixed. The transcript bytes are the exact
-//! [`geoproof_core::messages::SignedTranscript::canonical_bytes`] the
+//! An evidence body is `tag ‖ identity ‖ acceptance-parameters ‖ request
+//! ‖ MAC bits ‖ canonical report bytes ‖ canonical transcript bytes`,
+//! all length-delimited and order-fixed. The transcript bytes are the
+//! exact [`geoproof_core::messages::Transcript::canonical_bytes`] the
 //! TPA verified — they are carried as a refcounted [`Bytes`] view so
 //! encoding a record for the write path never copies the payload
 //! ([`EvidenceRecord::encode_prefix`] emits everything *before* the
@@ -11,14 +13,15 @@
 
 use bytes::Bytes;
 use geoproof_core::auditor::AuditReport;
-use geoproof_core::dynamic_audit::{DynAuditRequest, DynSignedTranscript};
+use geoproof_core::cursor::{ByteCursor, Truncated};
+use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_core::evidence::{
-    decode_report, encode_report, DynEvidenceBundle, EvidenceBundle, PositionBundle,
-    ReportDecodeError,
+    decode_report, encode_report, EvidenceBundle, PositionBundle, ReportDecodeError,
 };
-use geoproof_core::messages::{AuditRequest, SignedTranscript, TranscriptDecodeError};
+use geoproof_core::messages::{AuditRequest, Transcript, TranscriptDecodeError};
 use geoproof_core::policy::TimingPolicy;
 use geoproof_core::vantage::{aggregate_vantages, MultiVantageEstimate};
+use geoproof_core::verifier::Audit;
 use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::triangulation::RangeMeasurement;
 use geoproof_por::dynamic::DynamicDigest;
@@ -41,11 +44,90 @@ pub(crate) const TAG_DIGEST: u8 = 4;
 /// Body tag of a multi-vantage position-estimate record.
 pub(crate) const TAG_POSITION: u8 = 5;
 
-/// One audit verdict, durably: who was audited, under which acceptance
-/// parameters, the request, the per-round MAC verdicts, the verdict's
-/// canonical bytes, and the canonical signed transcript.
+/// What one audit kind's evidence record adds to the common layout: its
+/// body tag and its request fields. Implemented for [`AuditRequest`]
+/// (tag `0x01`) and [`DynAuditRequest`] (tag `0x03`); the transcript the
+/// record carries is the kind's [`Audit::Transcript`].
+pub trait EvidenceKind: Audit + Sized {
+    /// Body tag.
+    const TAG: u8;
+    /// The decode error for a body carrying another tag.
+    const WRONG_TAG: &'static str;
+    /// The decode error for nonzero padding after the per-round bits.
+    const BIT_PADDING: &'static str;
+    /// Length of what [`EvidenceKind::write_request`] appends.
+    fn request_len(&self) -> usize;
+    /// Appends the request: `u16 len ‖ file id ‖ scope ‖ u32 k ‖ nonce`,
+    /// where the scope is `u64 n_segments` for a static audit and the
+    /// audited `digest root ‖ u64 segments` for a dynamic one.
+    fn write_request(&self, out: &mut Vec<u8>);
+    /// Parses what [`EvidenceKind::write_request`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// The first malformed field's name.
+    fn read_request(c: &mut ByteCursor<'_>) -> Result<Self, &'static str>;
+}
+
+impl EvidenceKind for AuditRequest {
+    const TAG: u8 = TAG_EVIDENCE;
+    const WRONG_TAG: &'static str = "not an evidence record";
+    const BIT_PADDING: &'static str = "nonzero MAC padding bits";
+
+    fn request_len(&self) -> usize {
+        2 + self.file_id.len() + 8 + 4 + 32
+    }
+    fn write_request(&self, out: &mut Vec<u8>) {
+        put_str16(out, &self.file_id);
+        out.extend_from_slice(&self.n_segments.to_be_bytes());
+        out.extend_from_slice(&self.k.to_be_bytes());
+        out.extend_from_slice(&self.nonce);
+    }
+    fn read_request(c: &mut ByteCursor<'_>) -> Result<Self, &'static str> {
+        Ok(AuditRequest {
+            file_id: take_str16(c, "file id not UTF-8")?,
+            n_segments: c.take_u64().map_err(trunc)?,
+            k: c.take_u32().map_err(trunc)?,
+            nonce: c.take_array::<32>().map_err(trunc)?,
+        })
+    }
+}
+
+impl EvidenceKind for DynAuditRequest {
+    const TAG: u8 = TAG_DYN_EVIDENCE;
+    const WRONG_TAG: &'static str = "not a dynamic evidence record";
+    const BIT_PADDING: &'static str = "nonzero tag padding bits";
+
+    fn request_len(&self) -> usize {
+        2 + self.file_id.len() + 32 + 8 + 4 + 32
+    }
+    fn write_request(&self, out: &mut Vec<u8>) {
+        put_str16(out, &self.file_id);
+        out.extend_from_slice(&self.digest.root);
+        out.extend_from_slice(&self.digest.segments.to_be_bytes());
+        out.extend_from_slice(&self.k.to_be_bytes());
+        out.extend_from_slice(&self.nonce);
+    }
+    fn read_request(c: &mut ByteCursor<'_>) -> Result<Self, &'static str> {
+        Ok(DynAuditRequest {
+            file_id: take_str16(c, "file id not UTF-8")?,
+            digest: DynamicDigest {
+                root: c.take_array::<32>().map_err(trunc)?,
+                segments: c.take_u64().map_err(trunc)?,
+            },
+            k: c.take_u32().map_err(trunc)?,
+            nonce: c.take_array::<32>().map_err(trunc)?,
+        })
+    }
+}
+
+/// One audit verdict of either kind `R`, durably: who was audited, under
+/// which acceptance parameters, the request, the per-round keyed
+/// verdicts, the verdict's canonical bytes, and the canonical signed
+/// transcript. A dynamic record's Merkle proofs travel inside the
+/// transcript and are *recomputed* on replay.
 #[derive(Clone, Debug, PartialEq)]
-pub struct EvidenceRecord {
+pub struct EvidenceRecord<R = AuditRequest> {
     /// The prover (cloud site) this verdict speaks about.
     pub prover: String,
     /// 0-based ordinal of this audit of this prover.
@@ -59,10 +141,11 @@ pub struct EvidenceRecord {
     /// The Δt_max policy the verdict was derived under.
     pub policy: TimingPolicy,
     /// The audit request that triggered the transcript.
-    pub request: AuditRequest,
-    /// Per-round segment-MAC verdicts, transcript order. The one input
-    /// an offline replay must take on trust (checking them needs the
-    /// owner's secret MAC key).
+    pub request: R,
+    /// Per-round keyed verdicts, transcript order: segment MACs of a
+    /// static audit, segment tags of a dynamic one. The one input an
+    /// offline replay must take on trust (checking them needs the
+    /// owner's secret key).
     pub mac_ok: Vec<bool>,
     /// The recorded verdict, canonically encoded
     /// ([`geoproof_core::evidence::encode_report`]).
@@ -71,10 +154,10 @@ pub struct EvidenceRecord {
     pub transcript: Bytes,
 }
 
-impl EvidenceRecord {
+impl<R: EvidenceKind> EvidenceRecord<R> {
     /// Builds a record from the bundle a verification path emitted. The
     /// transcript `Bytes` is aliased, not copied.
-    pub fn from_bundle(bundle: &EvidenceBundle) -> Self {
+    pub fn from_bundle(bundle: &EvidenceBundle<R>) -> Self {
         EvidenceRecord {
             prover: bundle.prover.clone(),
             epoch: bundle.epoch,
@@ -104,8 +187,8 @@ impl EvidenceRecord {
     /// # Errors
     ///
     /// Propagates the transcript decoder's reason.
-    pub fn parse_transcript(&self) -> Result<SignedTranscript, TranscriptDecodeError> {
-        SignedTranscript::from_canonical(&self.transcript)
+    pub fn parse_transcript(&self) -> Result<R::Transcript, TranscriptDecodeError> {
+        R::Transcript::from_canonical(&self.transcript)
     }
 
     /// Total body length on disk (prefix + transcript bytes).
@@ -116,11 +199,7 @@ impl EvidenceRecord {
             + 32
             + 8 * 3 // sla lat/lon + tolerance
             + 8 * 2 // policy
-            + 2
-            + self.request.file_id.len()
-            + 8
-            + 4
-            + 32
+            + self.request.request_len()
             + 4
             + self.mac_ok.len().div_ceil(8)
             + 4
@@ -134,9 +213,8 @@ impl EvidenceRecord {
     /// payload out of the prefix is what lets the writer seal and write
     /// a record without copying the transcript.
     pub fn encode_prefix(&self, out: &mut Vec<u8>) {
-        out.push(TAG_EVIDENCE);
-        out.extend_from_slice(&(self.prover.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.prover.as_bytes());
+        out.push(R::TAG);
+        put_str16(out, &self.prover);
         out.extend_from_slice(&self.epoch.to_be_bytes());
         out.extend_from_slice(&self.device_key);
         out.extend_from_slice(&self.sla_location.lat.to_bits().to_be_bytes());
@@ -144,19 +222,9 @@ impl EvidenceRecord {
         out.extend_from_slice(&self.location_tolerance.0.to_bits().to_be_bytes());
         out.extend_from_slice(&self.policy.max_network.as_nanos().to_be_bytes());
         out.extend_from_slice(&self.policy.max_lookup.as_nanos().to_be_bytes());
-        out.extend_from_slice(&(self.request.file_id.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.request.file_id.as_bytes());
-        out.extend_from_slice(&self.request.n_segments.to_be_bytes());
-        out.extend_from_slice(&self.request.k.to_be_bytes());
-        out.extend_from_slice(&self.request.nonce);
+        self.request.write_request(out);
         out.extend_from_slice(&(self.mac_ok.len() as u32).to_be_bytes());
-        let mut packed = vec![0u8; self.mac_ok.len().div_ceil(8)];
-        for (i, &ok) in self.mac_ok.iter().enumerate() {
-            if ok {
-                packed[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&packed);
+        pack_bits(&self.mac_ok, out);
         out.extend_from_slice(&(self.report_bytes.len() as u32).to_be_bytes());
         out.extend_from_slice(&self.report_bytes);
         out.extend_from_slice(&(self.transcript.len() as u32).to_be_bytes());
@@ -169,25 +237,12 @@ impl EvidenceRecord {
     ///
     /// Returns the first malformed field's name; the reader wraps it
     /// into [`crate::LedgerError::Malformed`]. Never panics.
-    pub fn decode(body: &Bytes) -> Result<EvidenceRecord, &'static str> {
-        let mut c = geoproof_core::cursor::ByteCursor::new(body);
-        let trunc = |_| "body truncated";
-        let take_f64 = |c: &mut geoproof_core::cursor::ByteCursor<'_>| {
-            let v = c.take_f64_bits().map_err(trunc)?;
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err("non-finite float")
-            }
-        };
-
-        if c.take_array::<1>().map_err(trunc)? != [TAG_EVIDENCE] {
-            return Err("not an evidence record");
+    pub fn decode(body: &Bytes) -> Result<Self, &'static str> {
+        let mut c = ByteCursor::new(body);
+        if c.take_array::<1>().map_err(trunc)? != [R::TAG] {
+            return Err(R::WRONG_TAG);
         }
-        let prover_len = c.take_u16().map_err(trunc)? as usize;
-        let prover = std::str::from_utf8(&c.take(prover_len).map_err(trunc)?)
-            .map_err(|_| "prover id not UTF-8")?
-            .to_owned();
+        let prover = take_str16(&mut c, "prover id not UTF-8")?;
         let epoch = c.take_u64().map_err(trunc)?;
         let device_key = c.take_array::<32>().map_err(trunc)?;
         let lat = take_f64(&mut c)?;
@@ -201,32 +256,9 @@ impl EvidenceRecord {
             max_network: SimDuration::from_nanos(c.take_u64().map_err(trunc)?),
             max_lookup: SimDuration::from_nanos(c.take_u64().map_err(trunc)?),
         };
-        let fid_len = c.take_u16().map_err(trunc)? as usize;
-        let file_id = std::str::from_utf8(&c.take(fid_len).map_err(trunc)?)
-            .map_err(|_| "file id not UTF-8")?
-            .to_owned();
-        let n_segments = c.take_u64().map_err(trunc)?;
-        let k = c.take_u32().map_err(trunc)?;
-        let nonce = c.take_array::<32>().map_err(trunc)?;
-        let request = AuditRequest {
-            file_id,
-            n_segments,
-            k,
-            nonce,
-        };
+        let request = R::read_request(&mut c)?;
         let mac_count = c.take_u32().map_err(trunc)? as usize;
-        let packed = c.take(mac_count.div_ceil(8)).map_err(trunc)?;
-        let mut mac_ok = Vec::with_capacity(mac_count);
-        for i in 0..mac_count {
-            mac_ok.push(packed[i / 8] & (1 << (i % 8)) != 0);
-        }
-        // Unused pad bits must be zero so encodings stay canonical.
-        if let Some(last) = packed.last() {
-            let used = mac_count - (mac_count / 8) * 8;
-            if used != 0 && last >> used != 0 {
-                return Err("nonzero MAC padding bits");
-            }
-        }
+        let mac_ok = unpack_bits(&mut c, mac_count, R::BIT_PADDING)?;
         let report_len = c.take_u32().map_err(trunc)? as usize;
         let report_bytes = c.take(report_len).map_err(trunc)?;
         let transcript_len = c.take_u32().map_err(trunc)? as usize;
@@ -249,212 +281,62 @@ impl EvidenceRecord {
     }
 }
 
-/// One *dynamic* audit verdict, durably: the static record's fields with
-/// the request carrying the audited [`DynamicDigest`] and the keyed-tag
-/// bits in place of the MAC bits. The Merkle membership proofs travel
-/// inside the canonical transcript and are *recomputed* on replay — the
-/// tag bits are the only trusted input without the owner's secret.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DynEvidenceRecord {
-    /// The prover (cloud site) this verdict speaks about.
-    pub prover: String,
-    /// 0-based ordinal of this audit of this prover.
-    pub epoch: u64,
-    /// The verifier device's registered public key (compressed).
-    pub device_key: [u8; 32],
-    /// Where the SLA says the data lives.
-    pub sla_location: GeoPoint,
-    /// Accepted GPS offset from the SLA location.
-    pub location_tolerance: Km,
-    /// The Δt_max policy the verdict was derived under.
-    pub policy: TimingPolicy,
-    /// The dynamic audit request (carries the audited digest).
-    pub request: DynAuditRequest,
-    /// Per-round keyed-tag verdicts, transcript order.
-    pub tag_ok: Vec<bool>,
-    /// The recorded verdict, canonically encoded.
-    pub report_bytes: Bytes,
-    /// The canonical signed dynamic-transcript bytes.
-    pub transcript: Bytes,
+/// Every body decoder's name for a field cut short.
+fn trunc(_: Truncated) -> &'static str {
+    "body truncated"
 }
 
-impl DynEvidenceRecord {
-    /// Builds a record from a [`DynEvidenceBundle`]. The transcript
-    /// `Bytes` is aliased, not copied.
-    pub fn from_bundle(bundle: &DynEvidenceBundle) -> Self {
-        DynEvidenceRecord {
-            prover: bundle.prover.clone(),
-            epoch: bundle.epoch,
-            device_key: bundle.device_key,
-            sla_location: bundle.sla_location,
-            location_tolerance: bundle.location_tolerance,
-            policy: bundle.policy,
-            request: bundle.request.clone(),
-            tag_ok: bundle.tag_ok.clone(),
-            report_bytes: Bytes::from(encode_report(&bundle.report)),
-            transcript: bundle.transcript.clone(),
+/// Reads a big-endian `f64` that must be finite.
+fn take_f64(c: &mut ByteCursor<'_>) -> Result<f64, &'static str> {
+    let v = c.take_f64_bits().map_err(trunc)?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err("non-finite float")
+    }
+}
+
+/// Appends a `u16`-length-prefixed string (the writer caps the length).
+fn put_str16(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u16).to_be_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads a `u16`-length-prefixed UTF-8 string; `not_utf8` names the
+/// field when it is not UTF-8.
+fn take_str16(c: &mut ByteCursor<'_>, not_utf8: &'static str) -> Result<String, &'static str> {
+    let len = c.take_u16().map_err(trunc)? as usize;
+    let raw = c.take(len).map_err(trunc)?;
+    Ok(std::str::from_utf8(&raw).map_err(|_| not_utf8)?.to_owned())
+}
+
+/// Appends `bits` packed LSB-first, eight to a byte, the unused high bits
+/// of the last byte zero.
+fn pack_bits(bits: &[bool], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + bits.len().div_ceil(8), 0);
+    for (i, _) in bits.iter().enumerate().filter(|(_, &bit)| bit) {
+        out[start + i / 8] |= 1 << (i % 8);
+    }
+}
+
+/// Reads `count` bits written by [`pack_bits`]. Nonzero padding bits are
+/// refused with `padding_error`, so two encodings of the same bits never
+/// both parse.
+fn unpack_bits(
+    c: &mut ByteCursor<'_>,
+    count: usize,
+    padding_error: &'static str,
+) -> Result<Vec<bool>, &'static str> {
+    let packed = c.take(count.div_ceil(8)).map_err(trunc)?;
+    if let Some(last) = packed.last() {
+        if count % 8 != 0 && last >> (count % 8) != 0 {
+            return Err(padding_error);
         }
     }
-
-    /// Decodes the recorded verdict.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the report decoder's reason.
-    pub fn report(&self) -> Result<AuditReport, ReportDecodeError> {
-        decode_report(&self.report_bytes)
-    }
-
-    /// Parses the canonical dynamic transcript. Round segments alias the
-    /// record's buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the transcript decoder's reason.
-    pub fn parse_transcript(&self) -> Result<DynSignedTranscript, TranscriptDecodeError> {
-        DynSignedTranscript::from_canonical(&self.transcript)
-    }
-
-    /// Total body length on disk (prefix + transcript bytes).
-    pub fn body_len(&self) -> usize {
-        1 + 2
-            + self.prover.len()
-            + 8
-            + 32
-            + 8 * 3 // sla lat/lon + tolerance
-            + 8 * 2 // policy
-            + 2
-            + self.request.file_id.len()
-            + 32 // digest root
-            + 8 // digest segments
-            + 4
-            + 32
-            + 4
-            + self.tag_ok.len().div_ceil(8)
-            + 4
-            + self.report_bytes.len()
-            + 4
-            + self.transcript.len()
-    }
-
-    /// Appends everything *except* the trailing transcript bytes to
-    /// `out` (the writer streams the transcript payload zero-copy).
-    pub fn encode_prefix(&self, out: &mut Vec<u8>) {
-        out.push(TAG_DYN_EVIDENCE);
-        out.extend_from_slice(&(self.prover.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.prover.as_bytes());
-        out.extend_from_slice(&self.epoch.to_be_bytes());
-        out.extend_from_slice(&self.device_key);
-        out.extend_from_slice(&self.sla_location.lat.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.sla_location.lon.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.location_tolerance.0.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.policy.max_network.as_nanos().to_be_bytes());
-        out.extend_from_slice(&self.policy.max_lookup.as_nanos().to_be_bytes());
-        out.extend_from_slice(&(self.request.file_id.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.request.file_id.as_bytes());
-        out.extend_from_slice(&self.request.digest.root);
-        out.extend_from_slice(&self.request.digest.segments.to_be_bytes());
-        out.extend_from_slice(&self.request.k.to_be_bytes());
-        out.extend_from_slice(&self.request.nonce);
-        out.extend_from_slice(&(self.tag_ok.len() as u32).to_be_bytes());
-        let mut packed = vec![0u8; self.tag_ok.len().div_ceil(8)];
-        for (i, &ok) in self.tag_ok.iter().enumerate() {
-            if ok {
-                packed[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out.extend_from_slice(&packed);
-        out.extend_from_slice(&(self.report_bytes.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.report_bytes);
-        out.extend_from_slice(&(self.transcript.len() as u32).to_be_bytes());
-    }
-
-    /// Decodes a record body (tag included). `report_bytes` and
-    /// `transcript` are zero-copy slices of `body`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first malformed field's name. Never panics.
-    pub fn decode(body: &Bytes) -> Result<DynEvidenceRecord, &'static str> {
-        let mut c = geoproof_core::cursor::ByteCursor::new(body);
-        let trunc = |_| "body truncated";
-        let take_f64 = |c: &mut geoproof_core::cursor::ByteCursor<'_>| {
-            let v = c.take_f64_bits().map_err(trunc)?;
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err("non-finite float")
-            }
-        };
-
-        if c.take_array::<1>().map_err(trunc)? != [TAG_DYN_EVIDENCE] {
-            return Err("not a dynamic evidence record");
-        }
-        let prover_len = c.take_u16().map_err(trunc)? as usize;
-        let prover = std::str::from_utf8(&c.take(prover_len).map_err(trunc)?)
-            .map_err(|_| "prover id not UTF-8")?
-            .to_owned();
-        let epoch = c.take_u64().map_err(trunc)?;
-        let device_key = c.take_array::<32>().map_err(trunc)?;
-        let lat = take_f64(&mut c)?;
-        let lon = take_f64(&mut c)?;
-        if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lon) {
-            return Err("SLA location out of range");
-        }
-        let sla_location = GeoPoint { lat, lon };
-        let location_tolerance = Km(take_f64(&mut c)?);
-        let policy = TimingPolicy {
-            max_network: SimDuration::from_nanos(c.take_u64().map_err(trunc)?),
-            max_lookup: SimDuration::from_nanos(c.take_u64().map_err(trunc)?),
-        };
-        let fid_len = c.take_u16().map_err(trunc)? as usize;
-        let file_id = std::str::from_utf8(&c.take(fid_len).map_err(trunc)?)
-            .map_err(|_| "file id not UTF-8")?
-            .to_owned();
-        let digest = DynamicDigest {
-            root: c.take_array::<32>().map_err(trunc)?,
-            segments: c.take_u64().map_err(trunc)?,
-        };
-        let k = c.take_u32().map_err(trunc)?;
-        let nonce = c.take_array::<32>().map_err(trunc)?;
-        let request = DynAuditRequest {
-            file_id,
-            digest,
-            k,
-            nonce,
-        };
-        let tag_count = c.take_u32().map_err(trunc)? as usize;
-        let packed = c.take(tag_count.div_ceil(8)).map_err(trunc)?;
-        let mut tag_ok = Vec::with_capacity(tag_count);
-        for i in 0..tag_count {
-            tag_ok.push(packed[i / 8] & (1 << (i % 8)) != 0);
-        }
-        if let Some(last) = packed.last() {
-            let used = tag_count - (tag_count / 8) * 8;
-            if used != 0 && last >> used != 0 {
-                return Err("nonzero tag padding bits");
-            }
-        }
-        let report_len = c.take_u32().map_err(trunc)? as usize;
-        let report_bytes = c.take(report_len).map_err(trunc)?;
-        let transcript_len = c.take_u32().map_err(trunc)? as usize;
-        let transcript = c.take(transcript_len).map_err(trunc)?;
-        if !c.at_end() {
-            return Err("trailing bytes in body");
-        }
-        Ok(DynEvidenceRecord {
-            prover,
-            epoch,
-            device_key,
-            sla_location,
-            location_tolerance,
-            policy,
-            request,
-            tag_ok,
-            report_bytes,
-            transcript,
-        })
-    }
+    Ok((0..count)
+        .map(|i| packed[i / 8] & (1 << (i % 8)) != 0)
+        .collect())
 }
 
 /// Which owner operation a [`DigestRecord`] chains.
@@ -542,8 +424,7 @@ impl DigestRecord {
     /// Encodes the full body (digest records have no streamed payload).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.push(TAG_DIGEST);
-        out.extend_from_slice(&(self.file_id.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.file_id.as_bytes());
+        put_str16(out, &self.file_id);
         out.push(match self.op {
             DigestOp::Init => 0,
             DigestOp::Update => 1,
@@ -563,15 +444,11 @@ impl DigestRecord {
     ///
     /// Returns the first malformed field's name. Never panics.
     pub fn decode(body: &Bytes) -> Result<DigestRecord, &'static str> {
-        let mut c = geoproof_core::cursor::ByteCursor::new(body);
-        let trunc = |_| "body truncated";
+        let mut c = ByteCursor::new(body);
         if c.take_array::<1>().map_err(trunc)? != [TAG_DIGEST] {
             return Err("not a digest record");
         }
-        let fid_len = c.take_u16().map_err(trunc)? as usize;
-        let file_id = std::str::from_utf8(&c.take(fid_len).map_err(trunc)?)
-            .map_err(|_| "file id not UTF-8")?
-            .to_owned();
+        let file_id = take_str16(&mut c, "file id not UTF-8")?;
         let op = match c.take_array::<1>().map_err(trunc)?[0] {
             0 => DigestOp::Init,
             1 => DigestOp::Update,
@@ -722,8 +599,7 @@ impl PositionRecord {
     /// Encodes the full body (position records have no streamed payload).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.push(TAG_POSITION);
-        out.extend_from_slice(&(self.prover.len() as u16).to_be_bytes());
-        out.extend_from_slice(self.prover.as_bytes());
+        put_str16(out, &self.prover);
         out.extend_from_slice(&self.first_epoch.to_be_bytes());
         out.extend_from_slice(&self.sla_location.lat.to_bits().to_be_bytes());
         out.extend_from_slice(&self.sla_location.lon.to_bits().to_be_bytes());
@@ -743,13 +619,7 @@ impl PositionRecord {
                 out.extend_from_slice(&est.position.lon.to_bits().to_be_bytes());
                 out.extend_from_slice(&est.discrepancy.0.to_bits().to_be_bytes());
                 out.extend_from_slice(&est.rms_inlier_residual.0.to_bits().to_be_bytes());
-                let mut packed = vec![0u8; est.inliers.len().div_ceil(8)];
-                for (i, &inlier) in est.inliers.iter().enumerate() {
-                    if inlier {
-                        packed[i / 8] |= 1 << (i % 8);
-                    }
-                }
-                out.extend_from_slice(&packed);
+                pack_bits(&est.inliers, out);
                 out.push(u8::from(est.consistent));
             }
         }
@@ -762,23 +632,11 @@ impl PositionRecord {
     ///
     /// Returns the first malformed field's name. Never panics.
     pub fn decode(body: &Bytes) -> Result<PositionRecord, &'static str> {
-        let mut c = geoproof_core::cursor::ByteCursor::new(body);
-        let trunc = |_| "body truncated";
-        let take_f64 = |c: &mut geoproof_core::cursor::ByteCursor<'_>| {
-            let v = c.take_f64_bits().map_err(trunc)?;
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err("non-finite float")
-            }
-        };
+        let mut c = ByteCursor::new(body);
         if c.take_array::<1>().map_err(trunc)? != [TAG_POSITION] {
             return Err("not a position record");
         }
-        let prover_len = c.take_u16().map_err(trunc)? as usize;
-        let prover = std::str::from_utf8(&c.take(prover_len).map_err(trunc)?)
-            .map_err(|_| "prover id not UTF-8")?
-            .to_owned();
+        let prover = take_str16(&mut c, "prover id not UTF-8")?;
         let first_epoch = c.take_u64().map_err(trunc)?;
         let sla_location = GeoPoint {
             lat: take_f64(&mut c)?,
@@ -805,18 +663,7 @@ impl PositionRecord {
                 };
                 let discrepancy = Km(take_f64(&mut c)?);
                 let rms_inlier_residual = Km(take_f64(&mut c)?);
-                let packed = c.take(n_vantages.div_ceil(8)).map_err(trunc)?;
-                let mut inliers = Vec::with_capacity(n_vantages);
-                for i in 0..n_vantages {
-                    inliers.push(packed[i / 8] & (1 << (i % 8)) != 0);
-                }
-                // Unused pad bits must be zero so encodings stay canonical.
-                if let Some(last) = packed.last() {
-                    let used = n_vantages - (n_vantages / 8) * 8;
-                    if used != 0 && last >> used != 0 {
-                        return Err("nonzero inlier padding bits");
-                    }
-                }
+                let inliers = unpack_bits(&mut c, n_vantages, "nonzero inlier padding bits")?;
                 let consistent = match c.take_array::<1>().map_err(trunc)?[0] {
                     0 => false,
                     1 => true,
@@ -853,8 +700,10 @@ impl PositionRecord {
 pub(crate) mod tests {
     use super::*;
     use geoproof_core::auditor::Violation;
-    use geoproof_core::messages::TimedRound;
+    use geoproof_core::dynamic_audit::{DynSignedTranscript, DynTimedRound};
+    use geoproof_core::messages::{SignedTranscript, TimedRound};
     use geoproof_crypto::schnorr::Signature;
+    use geoproof_por::merkle::MerkleProof;
 
     pub(crate) fn sample_record(k: usize) -> EvidenceRecord {
         let report = AuditReport {
@@ -902,57 +751,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn encode_full(r: &EvidenceRecord) -> Bytes {
-        let mut out = Vec::new();
-        r.encode_prefix(&mut out);
-        out.extend_from_slice(&r.transcript);
-        Bytes::from(out)
-    }
-
-    #[test]
-    fn roundtrip_and_body_len_agree() {
-        for k in [0usize, 1, 7, 8, 9, 20] {
-            let r = sample_record(k);
-            let body = encode_full(&r);
-            assert_eq!(body.len(), r.body_len(), "k={k}");
-            let back = EvidenceRecord::decode(&body).expect("decode");
-            assert_eq!(back, r, "k={k}");
-        }
-    }
-
-    #[test]
-    fn decode_aliases_the_body_buffer() {
-        let r = sample_record(5);
-        let body = encode_full(&r);
-        let back = EvidenceRecord::decode(&body).expect("decode");
-        let tail = body.slice(body.len() - r.transcript.len()..);
-        assert!(
-            back.transcript.aliases(&tail),
-            "decoded transcript must be a zero-copy view of the body"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_malformed_bodies_without_panicking() {
-        let r = sample_record(4);
-        let body = encode_full(&r);
-        for cut in 0..body.len() {
-            assert!(
-                EvidenceRecord::decode(&body.slice(..cut)).is_err(),
-                "cut {cut}"
-            );
-        }
-        let mut extra = body.to_vec();
-        extra.push(0);
-        assert!(EvidenceRecord::decode(&Bytes::from(extra)).is_err());
-        let mut wrong_tag = body.to_vec();
-        wrong_tag[0] = 9;
-        assert!(EvidenceRecord::decode(&Bytes::from(wrong_tag)).is_err());
-    }
-
-    pub(crate) fn sample_dyn_record(k: usize) -> DynEvidenceRecord {
-        use geoproof_core::dynamic_audit::DynTimedRound;
-        use geoproof_por::merkle::MerkleProof;
+    fn sample_dyn_record(k: usize) -> EvidenceRecord<DynAuditRequest> {
         let report = AuditReport {
             violations: vec![Violation::BadProof {
                 round: 0,
@@ -985,7 +784,7 @@ pub(crate) mod tests {
             signature: Signature::from_bytes(&[0x21u8; 64]),
         }
         .canonical_bytes();
-        DynEvidenceRecord {
+        EvidenceRecord {
             prover: "prover-dyn".into(),
             epoch: 1,
             device_key: [8u8; 32],
@@ -998,7 +797,7 @@ pub(crate) mod tests {
                 k: k as u32,
                 nonce: [3u8; 32],
             },
-            tag_ok: (0..k).map(|i| i % 2 == 0).collect(),
+            mac_ok: (0..k).map(|i| i % 2 == 0).collect(),
             report_bytes: Bytes::from(encode_report(&report)),
             transcript,
         }
@@ -1020,43 +819,56 @@ pub(crate) mod tests {
         }
     }
 
-    fn encode_full_dyn(r: &DynEvidenceRecord) -> Bytes {
+    fn encode_full<R: EvidenceKind>(r: &EvidenceRecord<R>) -> Bytes {
         let mut out = Vec::new();
         r.encode_prefix(&mut out);
         out.extend_from_slice(&r.transcript);
         Bytes::from(out)
     }
 
-    #[test]
-    fn dyn_record_roundtrip_and_body_len_agree() {
+    /// The evidence record codec's contract for one kind: bodies
+    /// round-trip, agree with `body_len` and alias the transcript; every
+    /// truncation, one trailing byte, the other kind's tag and a set
+    /// padding bit after the per-round bits are refused without
+    /// panicking.
+    fn check_record_codec<R: EvidenceKind + PartialEq + std::fmt::Debug>(
+        sample: fn(usize) -> EvidenceRecord<R>,
+        other_tag: u8,
+    ) {
         for k in [0usize, 1, 7, 8, 9, 20] {
-            let r = sample_dyn_record(k);
-            let body = encode_full_dyn(&r);
+            let r = sample(k);
+            let body = encode_full(&r);
             assert_eq!(body.len(), r.body_len(), "k={k}");
-            let back = DynEvidenceRecord::decode(&body).expect("decode");
+            let back = EvidenceRecord::<R>::decode(&body).expect("decode");
             assert_eq!(back, r, "k={k}");
-            // The decoded transcript aliases the body buffer.
             let tail = body.slice(body.len() - r.transcript.len()..);
-            assert!(back.transcript.aliases(&tail));
+            assert!(back.transcript.aliases(&tail), "k={k}");
         }
-    }
-
-    #[test]
-    fn dyn_record_decode_rejects_malformed_without_panicking() {
-        let r = sample_dyn_record(4);
-        let body = encode_full_dyn(&r);
+        let r = sample(4);
+        let body = encode_full(&r);
         for cut in 0..body.len() {
             assert!(
-                DynEvidenceRecord::decode(&body.slice(..cut)).is_err(),
+                EvidenceRecord::<R>::decode(&body.slice(..cut)).is_err(),
                 "cut {cut}"
             );
         }
-        let mut extra = body.to_vec();
-        extra.push(0);
-        assert!(DynEvidenceRecord::decode(&Bytes::from(extra)).is_err());
-        let mut wrong_tag = body.to_vec();
-        wrong_tag[0] = TAG_EVIDENCE;
-        assert!(DynEvidenceRecord::decode(&Bytes::from(wrong_tag)).is_err());
+        let mutated = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut raw = body.to_vec();
+            edit(&mut raw);
+            EvidenceRecord::<R>::decode(&Bytes::from(raw)).err()
+        };
+        assert_eq!(mutated(&|raw| raw.push(0)), Some("trailing bytes in body"));
+        assert_eq!(mutated(&|raw| raw[0] = other_tag), Some(R::WRONG_TAG));
+        // Four bits use half of the one packed byte, which sits right
+        // before `u32 len ‖ report ‖ u32 len ‖ transcript`.
+        let packed = body.len() - r.transcript.len() - 4 - r.report_bytes.len() - 4 - 1;
+        assert_eq!(mutated(&|raw| raw[packed] |= 1 << 6), Some(R::BIT_PADDING));
+    }
+
+    #[test]
+    fn evidence_record_codec_holds_for_both_kinds() {
+        check_record_codec(sample_record, TAG_DYN_EVIDENCE);
+        check_record_codec(sample_dyn_record, TAG_EVIDENCE);
     }
 
     #[test]
@@ -1200,34 +1012,6 @@ pub(crate) mod tests {
         assert_eq!(
             PositionRecord::decode(&Bytes::from(padded)),
             Err("nonzero inlier padding bits")
-        );
-    }
-
-    #[test]
-    fn nonzero_mac_padding_is_rejected() {
-        // 4 MAC bits occupy half a byte; set a pad bit and expect refusal
-        // (two encodings of the same bits must not both parse).
-        let r = sample_record(4);
-        let mut raw = encode_full(&r).to_vec();
-        // Locate the packed MAC byte: it sits 4 + 1 bytes after the fixed
-        // prefix; compute from field layout instead of magic offsets.
-        let mac_byte_at = 1
-            + 2
-            + r.prover.len()
-            + 8
-            + 32
-            + 24
-            + 16
-            + 2
-            + r.request.file_id.len()
-            + 8
-            + 4
-            + 32
-            + 4;
-        raw[mac_byte_at] |= 1 << 6;
-        assert_eq!(
-            EvidenceRecord::decode(&Bytes::from(raw)),
-            Err("nonzero MAC padding bits")
         );
     }
 }

@@ -4,6 +4,7 @@
 
 use crate::writer::{LedgerWriter, Recovery};
 use crate::LedgerError;
+use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_core::evidence::{EvidenceBundle, EvidenceSink};
 use geoproof_crypto::schnorr::SigningKey;
 use parking_lot::Mutex;
@@ -93,11 +94,8 @@ impl EvidenceSink for LedgerSink {
         self.writer.lock().append_bundle(bundle)
     }
 
-    fn record_dynamic(
-        &self,
-        bundle: &geoproof_core::evidence::DynEvidenceBundle,
-    ) -> std::io::Result<()> {
-        self.writer.lock().append_dyn_bundle(bundle)
+    fn record_dynamic(&self, bundle: &EvidenceBundle<DynAuditRequest>) -> std::io::Result<()> {
+        self.writer.lock().append_bundle(bundle)
     }
 
     fn record_position(

@@ -41,14 +41,15 @@
 //! alone.
 
 use crate::reader::{checkpoint_message_for, parallelism, Entry, Header, Ledger, Record};
-use crate::record::{DigestOp, DynEvidenceRecord, EvidenceRecord, PositionRecord};
+use crate::record::{DigestOp, EvidenceKind, EvidenceRecord, PositionRecord};
 use crate::{Digest, LedgerError};
 use bytes::Bytes;
-use geoproof_core::auditor::VerifyChecks;
-use geoproof_core::dynamic_audit::{judge_round, DynSignedTranscript};
+use geoproof_core::auditor::{AuditReport, VerifyChecks};
+use geoproof_core::dynamic_audit::{judge_round, DynAuditRequest, DynSignedTranscript};
 use geoproof_core::evidence::encode_report;
-use geoproof_core::messages::SignedTranscript;
+use geoproof_core::messages::{AuditRequest, Round, SignedTranscript, Transcript};
 use geoproof_core::pool::run_ordered;
+use geoproof_core::verifier::Audit;
 use geoproof_crypto::schnorr::{batch_verify_each, BatchEntry, Signature, VerifyingKey};
 use geoproof_por::dynamic::DynamicDigest;
 use geoproof_por::merkle::MerkleAccumulator;
@@ -131,16 +132,73 @@ pub struct ReplayOutcome {
 pub fn replay_record(
     record: &EvidenceRecord,
     evidence: u64,
-) -> Result<geoproof_core::messages::SignedTranscript, LedgerError> {
-    let device_key = VerifyingKey::from_bytes(&record.device_key)
+) -> Result<SignedTranscript, LedgerError> {
+    let (key, transcript, sig_ok) = settle_record(record, evidence)?;
+    check_evidence_verdict(record, evidence, &key, &transcript, sig_ok)?;
+    Ok(transcript)
+}
+
+/// Replays one *dynamic* evidence record: as [`replay_record`], with
+/// every Merkle membership proof **recomputed** against the recorded
+/// digest (unkeyed — no trust involved) and the recorded tag bits for
+/// the keyed half.
+///
+/// # Errors
+///
+/// As [`replay_record`].
+pub fn replay_dyn_record(
+    record: &EvidenceRecord<DynAuditRequest>,
+    evidence: u64,
+) -> Result<DynSignedTranscript, LedgerError> {
+    let (key, transcript, sig_ok) = settle_record(record, evidence)?;
+    check_dyn_verdict(record, evidence, &key, &transcript, sig_ok)?;
+    Ok(transcript)
+}
+
+/// The structural half of replaying one evidence record of either kind:
+/// its device key, its parsed transcript, and whether the signature over
+/// the recorded signed bytes holds.
+fn settle_record<R: EvidenceKind>(
+    record: &EvidenceRecord<R>,
+    evidence: u64,
+) -> Result<(VerifyingKey, R::Transcript, bool), LedgerError> {
+    let key = VerifyingKey::from_bytes(&record.device_key)
         .ok_or(LedgerError::BadDeviceKey { evidence })?;
     let transcript = record
         .parse_transcript()
         .map_err(|source| LedgerError::Transcript { evidence, source })?;
-    let signed = SignedTranscript::signed_prefix(&record.transcript);
-    let sig_ok = device_key.verify(&signed, &transcript.signature);
-    check_evidence_verdict(record, evidence, &device_key, &transcript, sig_ok)?;
-    Ok(transcript)
+    let signed = R::Transcript::signed_prefix(&record.transcript);
+    let sig_ok = key.verify(&signed, transcript.signature());
+    Ok((key, transcript, sig_ok))
+}
+
+/// The check sequence a record's verdict was derived under, rebuilt from
+/// the record: its acceptance parameters, its request's segment count,
+/// and the recorded device key.
+fn recorded_checks<'a, R: EvidenceKind>(
+    record: &'a EvidenceRecord<R>,
+    device_key: &'a VerifyingKey,
+) -> VerifyChecks<'a> {
+    VerifyChecks {
+        file_id: record.request.file_id(),
+        n_segments: record.request.challenges().0,
+        device_key,
+        sla_location: record.sla_location,
+        location_tolerance: record.location_tolerance,
+        policy: &record.policy,
+    }
+}
+
+/// Byte-compares a re-derived report against the recorded one.
+fn verdict_matches<R>(
+    record: &EvidenceRecord<R>,
+    replayed: &AuditReport,
+    evidence: u64,
+) -> Result<(), LedgerError> {
+    if encode_report(replayed) != record.report_bytes.as_ref() {
+        return Err(LedgerError::VerdictMismatch { evidence });
+    }
+    Ok(())
 }
 
 /// The verdict re-derivation half of [`replay_record`], with the
@@ -155,79 +213,34 @@ fn check_evidence_verdict(
     transcript: &SignedTranscript,
     sig_ok: bool,
 ) -> Result<(), LedgerError> {
-    let checks = VerifyChecks {
-        file_id: &record.request.file_id,
-        n_segments: record.request.n_segments,
-        device_key,
-        sla_location: record.sla_location,
-        location_tolerance: record.location_tolerance,
-        policy: &record.policy,
-    };
     // Same closure shape as the live engine: absent bits read as false.
-    let replayed =
-        checks.verify_transcript_presigned(&record.request, transcript, sig_ok, |i, _round| {
-            record.mac_ok.get(i).copied().unwrap_or(false)
-        });
-    if encode_report(&replayed) != record.report_bytes.as_ref() {
-        return Err(LedgerError::VerdictMismatch { evidence });
-    }
-    Ok(())
-}
-
-/// Replays one *dynamic* evidence record: parses the canonical dynamic
-/// transcript, **recomputes every Merkle membership proof** against the
-/// recorded digest (unkeyed — no trust involved), takes the recorded tag
-/// bits for the keyed half, re-derives the verdict through the same
-/// [`VerifyChecks`] the live TPA used, and byte-compares it.
-///
-/// # Errors
-///
-/// Structural failures and [`LedgerError::VerdictMismatch`] when the
-/// re-derived report's canonical bytes differ.
-pub fn replay_dyn_record(
-    record: &DynEvidenceRecord,
-    evidence: u64,
-) -> Result<geoproof_core::dynamic_audit::DynSignedTranscript, LedgerError> {
-    let device_key = VerifyingKey::from_bytes(&record.device_key)
-        .ok_or(LedgerError::BadDeviceKey { evidence })?;
-    let transcript = record
-        .parse_transcript()
-        .map_err(|source| LedgerError::Transcript { evidence, source })?;
-    let signed = DynSignedTranscript::signed_prefix(&record.transcript);
-    let sig_ok = device_key.verify(&signed, &transcript.signature);
-    check_dyn_verdict(record, evidence, &device_key, &transcript, sig_ok)?;
-    Ok(transcript)
+    let replayed = recorded_checks(record, device_key).verify_transcript_presigned(
+        &record.request,
+        transcript,
+        sig_ok,
+        |i, _round| record.mac_ok.get(i).copied().unwrap_or(false),
+    );
+    verdict_matches(record, &replayed, evidence)
 }
 
 /// The verdict re-derivation half of [`replay_dyn_record`] (see
-/// [`check_evidence_verdict`] for the `sig_ok` contract).
+/// [`check_evidence_verdict`] for the `sig_ok` contract): each round's
+/// proof is recomputed, its tag bit read from the record.
 fn check_dyn_verdict(
-    record: &DynEvidenceRecord,
+    record: &EvidenceRecord<DynAuditRequest>,
     evidence: u64,
     device_key: &VerifyingKey,
     transcript: &DynSignedTranscript,
     sig_ok: bool,
 ) -> Result<(), LedgerError> {
-    let checks = VerifyChecks {
-        file_id: &record.request.file_id,
-        n_segments: record.request.digest.segments,
-        device_key,
-        sla_location: record.sla_location,
-        location_tolerance: record.location_tolerance,
-        policy: &record.policy,
-    };
-    let replayed =
-        checks.verify_dyn_transcript_presigned(&record.request, transcript, sig_ok, |i, round| {
-            judge_round(
-                &record.request.digest.root,
-                round,
-                record.tag_ok.get(i).copied(),
-            )
-        });
-    if encode_report(&replayed) != record.report_bytes.as_ref() {
-        return Err(LedgerError::VerdictMismatch { evidence });
-    }
-    Ok(())
+    let root = &record.request.digest.root;
+    let replayed = recorded_checks(record, device_key).verify_transcript_presigned(
+        &record.request,
+        transcript,
+        sig_ok,
+        |i, round| judge_round(root, round, record.mac_ok.get(i).copied()),
+    );
+    verdict_matches(record, &replayed, evidence)
 }
 
 /// Replays one position record: recomputes the aggregate estimate from
@@ -259,24 +272,24 @@ pub fn replay_position_record(
 /// everything the verdict checks and the in-order walk need so nothing
 /// is decoded twice.
 enum Prep {
-    /// Static evidence: decoded device key, parsed transcript, index of
-    /// its signature task in the chunk's batch.
-    Evidence {
-        key: VerifyingKey,
-        transcript: SignedTranscript,
-        task: usize,
-    },
-    /// Dynamic evidence, same shape.
-    Dyn {
-        key: VerifyingKey,
-        transcript: DynSignedTranscript,
-        task: usize,
-    },
+    /// Static evidence.
+    Evidence(Parsed<AuditRequest>),
+    /// Dynamic evidence.
+    Dyn(Parsed<DynAuditRequest>),
     /// Checkpoint: only its TPA-signature task index.
     Checkpoint { task: usize },
     /// Digest transition or position estimate — no signature involved;
     /// the checks read the record itself.
     Plain,
+}
+
+/// An evidence record of kind `R` parsed in the first pass: its decoded
+/// device key, parsed transcript, and the index of its signature task in
+/// the chunk's batch.
+struct Parsed<R: Audit> {
+    key: VerifyingKey,
+    transcript: R::Transcript,
+    task: usize,
 }
 
 /// One signature to settle. An evidence message is a view of the
@@ -338,22 +351,12 @@ fn settle_chunk(
         .enumerate()
         .find_map(|(j, (record, prep))| {
             let verdict = match (&record.entry, prep) {
-                (
-                    Entry::Evidence(e),
-                    Prep::Evidence {
-                        key,
-                        transcript,
-                        task,
-                    },
-                ) => check_evidence_verdict(e, ordinal, key, transcript, sig_ok[*task]),
-                (
-                    Entry::DynEvidence(e),
-                    Prep::Dyn {
-                        key,
-                        transcript,
-                        task,
-                    },
-                ) => check_dyn_verdict(e, ordinal, key, transcript, sig_ok[*task]),
+                (Entry::Evidence(e), Prep::Evidence(p)) => {
+                    check_evidence_verdict(e, ordinal, &p.key, &p.transcript, sig_ok[p.task])
+                }
+                (Entry::DynEvidence(e), Prep::Dyn(p)) => {
+                    check_dyn_verdict(e, ordinal, &p.key, &p.transcript, sig_ok[p.task])
+                }
                 (Entry::Position(p), Prep::Plain) => {
                     replay_position_record(p, &record.body, record.index)
                 }
@@ -395,97 +398,81 @@ fn prepare_chunk(
     let mut preps = Vec::with_capacity(chunk.len());
     let mut tasks = Vec::new();
     for record in chunk {
-        match &record.entry {
+        let prep = match &record.entry {
             Entry::Evidence(e) => {
-                let Some(key) = *keys
-                    .entry(e.device_key)
-                    .or_insert_with(|| VerifyingKey::from_bytes(&e.device_key))
-                else {
-                    return (
-                        preps,
-                        tasks,
-                        Some(LedgerError::BadDeviceKey { evidence: sealed }),
-                    );
-                };
-                let transcript = match e.parse_transcript() {
-                    Ok(t) => t,
-                    Err(source) => {
-                        return (
-                            preps,
-                            tasks,
-                            Some(LedgerError::Transcript {
-                                evidence: sealed,
-                                source,
-                            }),
-                        )
-                    }
-                };
-                let task = tasks.len();
-                tasks.push(SigTask {
-                    key,
-                    message: SignedTranscript::signed_prefix(&e.transcript),
-                    signature: transcript.signature,
-                });
-                preps.push(Prep::Evidence {
-                    key,
-                    transcript,
-                    task,
-                });
-                sealed += 1;
+                parse_evidence(e, sealed, &mut keys, &mut tasks).map(Prep::Evidence)
             }
             Entry::DynEvidence(e) => {
-                let Some(key) = *keys
-                    .entry(e.device_key)
-                    .or_insert_with(|| VerifyingKey::from_bytes(&e.device_key))
-                else {
-                    return (
-                        preps,
-                        tasks,
-                        Some(LedgerError::BadDeviceKey { evidence: sealed }),
-                    );
-                };
-                let transcript = match e.parse_transcript() {
-                    Ok(t) => t,
-                    Err(source) => {
-                        return (
-                            preps,
-                            tasks,
-                            Some(LedgerError::Transcript {
-                                evidence: sealed,
-                                source,
-                            }),
-                        )
-                    }
-                };
-                let task = tasks.len();
-                tasks.push(SigTask {
-                    key,
-                    message: DynSignedTranscript::signed_prefix(&e.transcript),
-                    signature: transcript.signature,
-                });
-                preps.push(Prep::Dyn {
-                    key,
-                    transcript,
-                    task,
-                });
-                sealed += 1;
+                parse_evidence(e, sealed, &mut keys, &mut tasks).map(Prep::Dyn)
             }
-            Entry::Digest(_) | Entry::Position(_) => {
-                preps.push(Prep::Plain);
-                sealed += 1;
-            }
+            Entry::Digest(_) | Entry::Position(_) => Ok(Prep::Plain),
             Entry::Checkpoint(c) => {
-                let task = tasks.len();
                 tasks.push(SigTask {
                     key: *tpa,
                     message: checkpoint_message_for(header, c.covered, &c.root).into(),
                     signature: Signature::from_bytes(&c.signature),
                 });
-                preps.push(Prep::Checkpoint { task });
+                Ok(Prep::Checkpoint {
+                    task: tasks.len() - 1,
+                })
             }
+        };
+        match prep {
+            Ok(prep) => preps.push(prep),
+            Err(err) => return (preps, tasks, Some(err)),
+        }
+        if record.entry.is_sealed_leaf() {
+            sealed += 1;
         }
     }
     (preps, tasks, None)
+}
+
+/// [`prepare_chunk`]'s work for one evidence record of either kind:
+/// decode its device key (through the chunk's cache), parse its
+/// transcript, and queue its signature — a view of the recorded signed
+/// bytes — as a task.
+fn parse_evidence<R: EvidenceKind>(
+    record: &EvidenceRecord<R>,
+    evidence: u64,
+    keys: &mut HashMap<[u8; 32], Option<VerifyingKey>>,
+    tasks: &mut Vec<SigTask>,
+) -> Result<Parsed<R>, LedgerError> {
+    let key = keys
+        .entry(record.device_key)
+        .or_insert_with(|| VerifyingKey::from_bytes(&record.device_key))
+        .ok_or(LedgerError::BadDeviceKey { evidence })?;
+    let transcript = record
+        .parse_transcript()
+        .map_err(|source| LedgerError::Transcript { evidence, source })?;
+    tasks.push(SigTask {
+        key,
+        message: R::Transcript::signed_prefix(&record.transcript),
+        signature: *transcript.signature(),
+    });
+    Ok(Parsed {
+        key,
+        transcript,
+        task: tasks.len() - 1,
+    })
+}
+
+/// Re-derives every round's keyed bit with `derive` (the owner's secret
+/// at work) and compares it with the recorded one; returns how many it
+/// checked.
+fn rederive_bits<R: EvidenceKind>(
+    record: &EvidenceRecord<R>,
+    transcript: &R::Transcript,
+    evidence: u64,
+    derive: impl Fn(&str, u64, &[u8]) -> bool,
+) -> Result<u64, LedgerError> {
+    for (i, round) in transcript.rounds().iter().enumerate() {
+        let derived = derive(record.request.file_id(), round.index(), round.segment());
+        if derived != record.mac_ok.get(i).copied().unwrap_or(false) {
+            return Err(LedgerError::MacMismatch { evidence });
+        }
+    }
+    Ok(transcript.rounds().len() as u64)
 }
 
 /// Replays the whole ledger (see the module docs for what is checked
@@ -579,34 +566,19 @@ fn replay_impl(
             failure,
         } = settled;
         for (record, prep) in chunks[at].iter().zip(&preps) {
-            match (&record.entry, prep) {
-                (Entry::Evidence(e), Prep::Evidence { transcript, .. }) => {
+            // An evidence record's recorded verdict, read straight from
+            // the bytes the settle pass proved re-derivable.
+            let verdict = match (&record.entry, prep) {
+                (Entry::Evidence(e), Prep::Evidence(p)) => {
                     if let Some(mac) = mac_check {
-                        for (i, round) in transcript.rounds.iter().enumerate() {
-                            let derived =
-                                mac.verify(&e.request.file_id, round.index, &round.segment);
-                            if derived != e.mac_ok.get(i).copied().unwrap_or(false) {
-                                return Err(LedgerError::MacMismatch { evidence: sealed });
-                            }
-                            macs_checked += 1;
-                        }
+                        macs_checked += rederive_bits(e, &p.transcript, sealed, |fid, i, seg| {
+                            mac.verify(fid, i, seg)
+                        })?;
                     }
-                    // Accept/reject straight from the recorded bytes we
-                    // just proved re-derivable.
-                    let report = e.report().map_err(|source| LedgerError::Report {
-                        evidence: sealed,
-                        source,
-                    })?;
-                    if report.accepted() {
-                        accepted += 1;
-                    } else {
-                        rejected += 1;
-                    }
-                    seals.push(&record.seal);
-                    sealed += 1;
                     evidence += 1;
+                    Some(e.report())
                 }
-                (Entry::DynEvidence(e), Prep::Dyn { transcript, .. }) => {
+                (Entry::DynEvidence(e), Prep::Dyn(p)) => {
                     // The audited digest must be the chain's current one
                     // for this file. A ledger with no digest records for
                     // the file has no chain to hold the audit against (a
@@ -621,27 +593,12 @@ fn replay_impl(
                         }
                     }
                     if let Some(mac) = mac_check {
-                        for (i, round) in transcript.rounds.iter().enumerate() {
-                            let derived =
-                                mac.verify_dynamic(&e.request.file_id, round.index, &round.segment);
-                            if derived != e.tag_ok.get(i).copied().unwrap_or(false) {
-                                return Err(LedgerError::MacMismatch { evidence: sealed });
-                            }
-                            macs_checked += 1;
-                        }
+                        macs_checked += rederive_bits(e, &p.transcript, sealed, |fid, i, seg| {
+                            mac.verify_dynamic(fid, i, seg)
+                        })?;
                     }
-                    let report = e.report().map_err(|source| LedgerError::Report {
-                        evidence: sealed,
-                        source,
-                    })?;
-                    if report.accepted() {
-                        accepted += 1;
-                    } else {
-                        rejected += 1;
-                    }
-                    seals.push(&record.seal);
-                    sealed += 1;
                     dynamic += 1;
+                    Some(e.report())
                 }
                 (Entry::Digest(d), Prep::Plain) => {
                     // Structural invariants were re-checked at decode;
@@ -667,14 +624,12 @@ fn replay_impl(
                         }
                     }
                     current_digest.insert(d.file_id.as_str(), d.new);
-                    seals.push(&record.seal);
-                    sealed += 1;
                     digests += 1;
+                    None
                 }
                 (Entry::Position(_), Prep::Plain) => {
-                    seals.push(&record.seal);
-                    sealed += 1;
                     positions += 1;
+                    None
                 }
                 (Entry::Checkpoint(c), Prep::Checkpoint { task }) => {
                     if !sig_ok[*task] {
@@ -696,8 +651,24 @@ fn replay_impl(
                         });
                     }
                     checkpoints += 1;
+                    None
                 }
                 _ => unreachable!("prep shape always matches its entry"),
+            };
+            if let Some(report) = verdict {
+                let report = report.map_err(|source| LedgerError::Report {
+                    evidence: sealed,
+                    source,
+                })?;
+                if report.accepted() {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+            if record.entry.is_sealed_leaf() {
+                seals.push(&record.seal);
+                sealed += 1;
             }
         }
         // Only once every record before it has replayed clean may the

@@ -26,7 +26,7 @@
 
 use crate::chain::{genesis_hash, seal_hash, Digest};
 use crate::reader::{checkpoint_message_for, scan, Checkpoint, Continuation, Entry, Header};
-use crate::record::{DigestRecord, DynEvidenceRecord, EvidenceRecord, PositionRecord};
+use crate::record::{DigestRecord, EvidenceKind, EvidenceRecord, PositionRecord};
 use crate::{LedgerError, VERSION, VERSION_SEGMENTED};
 use bytes::Bytes;
 use geoproof_core::evidence::EvidenceBundle;
@@ -37,6 +37,25 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
+
+/// A record the writer refuses: it would not replay.
+fn invalid(what: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, what)
+}
+
+/// Refuses a `u16`-length-prefixed field the record format cannot carry:
+/// a silent `as` truncation would seal a record the decoder can never
+/// parse — bricking the whole file.
+fn fits_u16(what: &str, field: &str) -> std::io::Result<()> {
+    if field.len() > usize::from(u16::MAX) {
+        return Err(invalid(format!(
+            "{what} is {} bytes; the record format caps it at {}",
+            field.len(),
+            u16::MAX
+        )));
+    }
+    Ok(())
+}
 
 /// Cached telemetry handles (see `geoproof_obs`): appends/bytes count
 /// every sealed record (evidence, dynamic, digest, position and
@@ -303,16 +322,12 @@ impl LedgerWriter {
         let mut per_prover: HashMap<String, u64> = HashMap::new();
         for record in &parsed.records {
             match &record.entry {
-                Entry::Evidence(e) => {
+                Entry::Evidence(EvidenceRecord { prover, .. })
+                | Entry::DynEvidence(EvidenceRecord { prover, .. }) => {
                     seals.push(&record.seal);
-                    *per_prover.entry(e.prover.clone()).or_insert(0) += 1;
+                    *per_prover.entry(prover.clone()).or_insert(0) += 1;
                 }
-                Entry::DynEvidence(e) => {
-                    seals.push(&record.seal);
-                    *per_prover.entry(e.prover.clone()).or_insert(0) += 1;
-                }
-                Entry::Digest(_) => seals.push(&record.seal),
-                Entry::Position(_) => seals.push(&record.seal),
+                Entry::Digest(_) | Entry::Position(_) => seals.push(&record.seal),
                 Entry::Checkpoint(c) => {
                     // Seals are unkeyed, so a crafted file can chain a
                     // checkpoint with any `covered` claim; taking it at
@@ -521,9 +536,9 @@ impl LedgerWriter {
         Ok(seal)
     }
 
-    /// Appends one evidence record. The transcript [`Bytes`] inside is
-    /// not copied. Automatically checkpoints when the configured
-    /// interval fills.
+    /// Appends one evidence record of either audit kind (tag `0x01` or
+    /// `0x03`). The transcript [`Bytes`] inside is not copied.
+    /// Automatically checkpoints when the configured interval fills.
     ///
     /// The record is validated to *replay* before it is sealed: its
     /// transcript and report bytes must round-trip through the strict
@@ -543,26 +558,10 @@ impl LedgerWriter {
     /// valid; if rollback itself fails the writer refuses all further
     /// appends (a crash at that point still recovers via
     /// [`LedgerWriter::open`]'s torn-tail truncation).
-    pub fn append(&mut self, record: &EvidenceRecord) -> std::io::Result<()> {
+    pub fn append<R: EvidenceKind>(&mut self, record: &EvidenceRecord<R>) -> std::io::Result<()> {
         self.check_poisoned()?;
-        let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-        // Field-width limits: the encoder writes these lengths as
-        // u16/u32, and a silent `as` truncation would seal a record the
-        // decoder can never parse — bricking the whole file.
-        if record.prover.len() > usize::from(u16::MAX) {
-            return Err(invalid(format!(
-                "prover id is {} bytes; the record format caps it at {}",
-                record.prover.len(),
-                u16::MAX
-            )));
-        }
-        if record.request.file_id.len() > usize::from(u16::MAX) {
-            return Err(invalid(format!(
-                "file id is {} bytes; the record format caps it at {}",
-                record.request.file_id.len(),
-                u16::MAX
-            )));
-        }
+        fits_u16("prover id", &record.prover)?;
+        fits_u16("file id", record.request.file_id())?;
         if record.mac_ok.len() as u64 > u64::from(u32::MAX)
             || record.report_bytes.len() as u64 > u64::from(u32::MAX)
             || record.transcript.len() as u64 > u64::from(u32::MAX)
@@ -611,77 +610,16 @@ impl LedgerWriter {
         Ok(())
     }
 
-    /// Converts and appends an [`EvidenceBundle`].
+    /// Converts and appends an [`EvidenceBundle`] of either audit kind.
     ///
     /// # Errors
     ///
     /// As [`LedgerWriter::append`].
-    pub fn append_bundle(&mut self, bundle: &EvidenceBundle) -> std::io::Result<()> {
-        self.append(&EvidenceRecord::from_bundle(bundle))
-    }
-
-    /// Appends one dynamic-audit evidence record — same contract as
-    /// [`LedgerWriter::append`]: zero-copy transcript payload, validated
-    /// to replay (canonical dynamic transcript and report must parse,
-    /// field widths must fit their prefixes) before it is sealed.
-    ///
-    /// # Errors
-    ///
-    /// As [`LedgerWriter::append`].
-    pub fn append_dynamic(&mut self, record: &DynEvidenceRecord) -> std::io::Result<()> {
-        self.check_poisoned()?;
-        let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-        if record.prover.len() > usize::from(u16::MAX) {
-            return Err(invalid(format!(
-                "prover id is {} bytes; the record format caps it at {}",
-                record.prover.len(),
-                u16::MAX
-            )));
-        }
-        if record.request.file_id.len() > usize::from(u16::MAX) {
-            return Err(invalid(format!(
-                "file id is {} bytes; the record format caps it at {}",
-                record.request.file_id.len(),
-                u16::MAX
-            )));
-        }
-        if record.tag_ok.len() as u64 > u64::from(u32::MAX)
-            || record.report_bytes.len() as u64 > u64::from(u32::MAX)
-            || record.transcript.len() as u64 > u64::from(u32::MAX)
-        {
-            return Err(invalid("record field exceeds the u32 length prefix".into()));
-        }
-        if let Err(e) = record.parse_transcript() {
-            return Err(invalid(format!(
-                "refusing unreplayable record: dynamic transcript bytes: {e}"
-            )));
-        }
-        if let Err(e) = record.report() {
-            return Err(invalid(format!(
-                "refusing unreplayable record: report bytes: {e}"
-            )));
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0u8; 4]); // length placeholder
-        record.encode_prefix(&mut self.scratch);
-        let payload = record.transcript.clone();
-        let seal = self.write_record(&payload)?;
-        self.seals.push(&seal);
-        *self.per_prover.entry(record.prover.clone()).or_insert(0) += 1;
-        self.auto_checkpoint()
-    }
-
-    /// Converts and appends a
-    /// [`geoproof_core::evidence::DynEvidenceBundle`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LedgerWriter::append_dynamic`].
-    pub fn append_dyn_bundle(
+    pub fn append_bundle<R: EvidenceKind>(
         &mut self,
-        bundle: &geoproof_core::evidence::DynEvidenceBundle,
+        bundle: &EvidenceBundle<R>,
     ) -> std::io::Result<()> {
-        self.append_dynamic(&DynEvidenceRecord::from_bundle(bundle))
+        self.append(&EvidenceRecord::from_bundle(bundle))
     }
 
     /// Appends one owner digest transition. The record's structural
@@ -696,14 +634,7 @@ impl LedgerWriter {
     /// [`LedgerWriter::append`].
     pub fn append_digest(&mut self, record: &DigestRecord) -> std::io::Result<()> {
         self.check_poisoned()?;
-        let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-        if record.file_id.len() > usize::from(u16::MAX) {
-            return Err(invalid(format!(
-                "file id is {} bytes; the record format caps it at {}",
-                record.file_id.len(),
-                u16::MAX
-            )));
-        }
+        fits_u16("file id", &record.file_id)?;
         if let Err(what) = record.validate() {
             return Err(invalid(format!("refusing invalid digest record: {what}")));
         }
@@ -729,14 +660,7 @@ impl LedgerWriter {
     /// [`LedgerWriter::append`].
     pub fn append_position(&mut self, record: &PositionRecord) -> std::io::Result<()> {
         self.check_poisoned()?;
-        let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
-        if record.prover.len() > usize::from(u16::MAX) {
-            return Err(invalid(format!(
-                "prover id is {} bytes; the record format caps it at {}",
-                record.prover.len(),
-                u16::MAX
-            )));
-        }
+        fits_u16("prover id", &record.prover)?;
         if record.vantages.len() as u64 > u64::from(u32::MAX) {
             return Err(invalid("record field exceeds the u32 length prefix".into()));
         }

@@ -118,7 +118,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
         let epoch = w.next_epoch("acme");
         let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
         assert!(report.accepted(), "round {round}: {:?}", report.violations);
-        w.append_dyn_bundle(&bundle).expect("append evidence");
+        w.append_bundle(&bundle).expect("append evidence");
 
         if round == 0 {
             let (tagged, next) = r.owner.tag_update(4, b"v2", &r.keys).unwrap();
@@ -169,7 +169,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
         .violations
         .iter()
         .any(|v| matches!(v, Violation::BadProof { .. })));
-    w.append_dyn_bundle(&bundle).expect("append reject");
+    w.append_bundle(&bundle).expect("append reject");
     w.finish().expect("finish");
     drop(w);
 
@@ -255,7 +255,7 @@ fn audit_against_non_current_digest_breaks_the_chain() {
     let t = r.verifier.run_audit(&req, &mut stale_provider);
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
     assert!(report.accepted(), "self-consistent against the old digest");
-    w.append_dyn_bundle(&bundle).expect("append");
+    w.append_bundle(&bundle).expect("append");
     w.finish().expect("finish");
     drop(w);
 
@@ -360,7 +360,7 @@ fn writer_refuses_structurally_invalid_dynamic_records() {
     let t = r2.verifier.run_audit(&req, &mut r2.provider);
     let (_report, mut bundle) = r2.auditor.verify_evidence(&req, &t, "p", 0);
     bundle.transcript = Bytes::from(vec![0xeeu8; 40]);
-    let err = w.append_dyn_bundle(&bundle).expect_err("must refuse");
+    let err = w.append_bundle(&bundle).expect_err("must refuse");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(w.record_count(), 0, "nothing was written");
     std::fs::remove_file(&path).ok();
@@ -426,7 +426,7 @@ fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
     let t = r.verifier.run_audit(&req, &mut r.provider);
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
     assert!(report.accepted(), "{:?}", report.violations);
-    w.append_dyn_bundle(&bundle).expect("dynamic accept");
+    w.append_bundle(&bundle).expect("dynamic accept");
 
     // The owner updates; the provider keeps serving its stale copy.
     let (_tagged, d1) = r.owner.tag_update(4, b"v2", &r.keys).unwrap();
@@ -445,7 +445,7 @@ fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
         .violations
         .iter()
         .any(|v| matches!(v, Violation::BadProof { .. })));
-    w.append_dyn_bundle(&bundle).expect("dynamic reject");
+    w.append_bundle(&bundle).expect("dynamic reject");
     w.finish().expect("finish");
     drop(w);
 

@@ -220,7 +220,7 @@ fn build(interval: u64) -> Vec<u8> {
             let t = r.verifier.run_audit(&req, &mut r.provider);
             let epoch = w.next_epoch("acme");
             let (_, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
-            w.append_dyn_bundle(&bundle).expect("dynamic");
+            w.append_bundle(&bundle).expect("dynamic");
         } else if s % 389 == 200 {
             let at = s % 16;
             let (tagged, next) = r.owner.tag_update(at, &s.to_be_bytes(), &r.keys).unwrap();

@@ -13,6 +13,7 @@ use super::store::{dyn_owner, read_dyn_store, read_store};
 use super::{fresh_seed, fresh_seed_u64, hex, open_ledger, parse_addr, tpa_ledger_key, CliResult};
 use geoproof::core::auditor::{AuditReport, Auditor};
 use geoproof::core::dynamic_audit::DynAuditor;
+use geoproof::core::messages::Transcript;
 use geoproof::core::policy::TimingPolicy;
 use geoproof::crypto::chacha::ChaChaRng;
 use geoproof::crypto::schnorr::SigningKey;
@@ -276,8 +277,12 @@ fn dynamic(s: &Session) -> CliResult {
     s.save_transcript("dynamic ", &transcript.canonical_bytes())?;
     let (ledger, epoch) = s.ledger(nonce_seed(&request.nonce))?;
     let (report, bundle) = auditor.verify_evidence(&request, &transcript, &*s.prover, epoch);
-    let append = |w: &mut LedgerWriter| w.append_dyn_bundle(&bundle);
-    s.seal(ledger, append, "dynamic record", Some(epoch))?;
+    s.seal(
+        ledger,
+        |w| w.append_bundle(&bundle),
+        "dynamic record",
+        Some(epoch),
+    )?;
     let headline = format!(
         "dynamic audit of {} @ {}: {} challenges against digest root {} ({} segments)",
         meta.file_id,

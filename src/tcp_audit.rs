@@ -117,7 +117,7 @@ mod tests {
     use super::*;
     use geoproof_core::auditor::Auditor;
     use geoproof_core::dynamic_audit::DynAuditor;
-    use geoproof_core::messages::SignedTranscript;
+    use geoproof_core::messages::{SignedTranscript, Transcript};
     use geoproof_core::policy::TimingPolicy;
     use geoproof_crypto::chacha::ChaChaRng;
     use geoproof_geo::coords::places::BRISBANE;

@@ -11,6 +11,7 @@ mod support;
 
 use bytes::Bytes;
 use geoproof::core::dynamic_audit::DynSignedTranscript;
+use geoproof::core::messages::Transcript;
 use geoproof::ledger::{Entry, Ledger};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};

@@ -8,7 +8,7 @@
 
 use geoproof::core::auditor::Auditor;
 use geoproof::core::dynamic_audit::{DynAuditor, LocalDynProvider};
-use geoproof::core::messages::SignedTranscript;
+use geoproof::core::messages::{SignedTranscript, Transcript};
 use geoproof::core::policy::TimingPolicy;
 use geoproof::core::provider::LocalProvider;
 use geoproof::core::verifier::VerifierDevice;
