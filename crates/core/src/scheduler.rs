@@ -70,8 +70,8 @@ fn metrics() -> &'static SchedulerMetrics {
 
 /// Knobs for the continuous audit loop.
 ///
-/// Parsed from the `--schedule` CLI flag via [`SchedulePolicy::parse`]:
-/// a comma-separated `key=value` list, e.g.
+/// Parsed by [`SchedulePolicy::parse`] from a comma-separated
+/// `key=value` list, e.g.
 /// `cadence=30s,jitter=0.2,reject-cadence=5s,reject-rounds=3,max-in-flight=64,rate=200`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SchedulePolicy {
@@ -127,7 +127,7 @@ fn parse_duration(v: &str) -> Result<Duration, String> {
 }
 
 impl SchedulePolicy {
-    /// Parse a `--schedule` argument. Unspecified keys keep their
+    /// Parse a policy string. Unspecified keys keep their
     /// defaults; unknown keys and malformed values are errors (a typo'd
     /// policy silently running defaults would be an audit-coverage
     /// hole).

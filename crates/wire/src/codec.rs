@@ -30,17 +30,6 @@ pub enum WireMessage {
         /// from a frame buffer) carries no payload copy.
         segment: Option<Bytes>,
     },
-    /// TPA → verifier: start an audit (ñ, k, nonce as in Fig. 5).
-    StartAudit {
-        /// File identifier.
-        file_id: String,
-        /// Total segments ñ.
-        n_segments: u64,
-        /// Challenge count k.
-        k: u32,
-        /// Audit nonce N.
-        nonce: [u8; 32],
-    },
     /// Graceful connection close.
     Bye,
     /// Verifier → prover (dynamic flow): fetch segment `index` of
@@ -105,6 +94,10 @@ pub enum CodecError {
     BadString,
     /// A Merkle proof field failed its strict canonical parse.
     BadProof,
+    /// An option's presence byte was neither 0 (absent) nor 1 (present).
+    BadOption(u8),
+    /// Bytes left over after a complete message.
+    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for CodecError {
@@ -115,6 +108,8 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown message tag {t}"),
             CodecError::BadString => write!(f, "invalid UTF-8 in string field"),
             CodecError::BadProof => write!(f, "malformed Merkle proof field"),
+            CodecError::BadOption(b) => write!(f, "option presence byte {b} is neither 0 nor 1"),
+            CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the message"),
         }
     }
 }
@@ -123,7 +118,6 @@ impl std::error::Error for CodecError {}
 
 const TAG_CHALLENGE: u8 = 1;
 const TAG_RESPONSE: u8 = 2;
-const TAG_START_AUDIT: u8 = 3;
 const TAG_BYE: u8 = 4;
 const TAG_DYN_CHALLENGE: u8 = 5;
 const TAG_DYN_RESPONSE: u8 = 6;
@@ -167,18 +161,6 @@ impl WireMessage {
                     }
                     None => payload.put_u8(0),
                 }
-            }
-            WireMessage::StartAudit {
-                file_id,
-                n_segments,
-                k,
-                nonce,
-            } => {
-                payload.put_u8(TAG_START_AUDIT);
-                put_str(&mut payload, file_id);
-                payload.put_u64(*n_segments);
-                payload.put_u32(*k);
-                payload.put_slice(nonce);
             }
             WireMessage::Bye => payload.put_u8(TAG_BYE),
             WireMessage::DynChallenge { file_id, index } => {
@@ -270,83 +252,56 @@ impl WireMessage {
             return Err(CodecError::Truncated);
         }
         let tag = buf.get_u8();
-        match tag {
+        let msg = match tag {
             TAG_CHALLENGE => {
                 let file_id = get_str(&mut buf)?;
                 if buf.remaining() < 8 {
                     return Err(CodecError::Truncated);
                 }
-                Ok(WireMessage::Challenge {
+                WireMessage::Challenge {
                     file_id,
                     index: buf.get_u64(),
-                })
-            }
-            TAG_RESPONSE => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                match buf.get_u8() {
-                    0 => Ok(WireMessage::Response { segment: None }),
-                    // Slice the frame buffer instead of copying out.
-                    _ => Ok(WireMessage::Response {
-                        segment: Some(get_shared_bytes(payload, &mut buf)?),
-                    }),
                 }
             }
-            TAG_START_AUDIT => {
-                let file_id = get_str(&mut buf)?;
-                if buf.remaining() < 8 + 4 + 32 {
-                    return Err(CodecError::Truncated);
-                }
-                let n_segments = buf.get_u64();
-                let k = buf.get_u32();
-                let mut nonce = [0u8; 32];
-                nonce.copy_from_slice(&buf[..32]);
-                Ok(WireMessage::StartAudit {
-                    file_id,
-                    n_segments,
-                    k,
-                    nonce,
-                })
-            }
-            TAG_BYE => Ok(WireMessage::Bye),
+            TAG_RESPONSE => WireMessage::Response {
+                // Slice the frame buffer instead of copying out.
+                segment: if get_present(&mut buf)? {
+                    Some(get_shared_bytes(payload, &mut buf)?)
+                } else {
+                    None
+                },
+            },
+            TAG_BYE => WireMessage::Bye,
             TAG_DYN_CHALLENGE => {
                 let file_id = get_str(&mut buf)?;
                 if buf.remaining() < 8 {
                     return Err(CodecError::Truncated);
                 }
-                Ok(WireMessage::DynChallenge {
+                WireMessage::DynChallenge {
                     file_id,
                     index: buf.get_u64(),
-                })
-            }
-            TAG_DYN_RESPONSE => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
                 }
-                match buf.get_u8() {
-                    0 => Ok(WireMessage::DynResponse { segment: None }),
-                    _ => {
-                        if buf.remaining() < 4 {
-                            return Err(CodecError::Truncated);
-                        }
-                        let proof_len = buf.get_u32() as usize;
-                        if proof_len > MAX_FRAME {
-                            return Err(CodecError::FrameTooLarge(proof_len));
-                        }
-                        if buf.remaining() < proof_len {
-                            return Err(CodecError::Truncated);
-                        }
-                        let proof = MerkleProof::from_bytes(&buf[..proof_len])
-                            .ok_or(CodecError::BadProof)?;
-                        buf.advance(proof_len);
-                        let segment = get_shared_bytes(payload, &mut buf)?;
-                        Ok(WireMessage::DynResponse {
-                            segment: Some((segment, proof)),
-                        })
+            }
+            TAG_DYN_RESPONSE => WireMessage::DynResponse {
+                segment: if get_present(&mut buf)? {
+                    if buf.remaining() < 4 {
+                        return Err(CodecError::Truncated);
                     }
-                }
-            }
+                    let proof_len = buf.get_u32() as usize;
+                    if proof_len > MAX_FRAME {
+                        return Err(CodecError::FrameTooLarge(proof_len));
+                    }
+                    if buf.remaining() < proof_len {
+                        return Err(CodecError::Truncated);
+                    }
+                    let proof =
+                        MerkleProof::from_bytes(&buf[..proof_len]).ok_or(CodecError::BadProof)?;
+                    buf.advance(proof_len);
+                    Some((get_shared_bytes(payload, &mut buf)?, proof))
+                } else {
+                    None
+                },
+            },
             TAG_UPDATE => {
                 let file_id = get_str(&mut buf)?;
                 if buf.remaining() < 8 + 64 {
@@ -357,12 +312,12 @@ impl WireMessage {
                 sig.copy_from_slice(&buf[..64]);
                 buf.advance(64);
                 let tagged = get_shared_bytes(payload, &mut buf)?;
-                Ok(WireMessage::Update {
+                WireMessage::Update {
                     file_id,
                     index,
                     tagged,
                     sig,
-                })
+                }
             }
             TAG_APPEND => {
                 let file_id = get_str(&mut buf)?;
@@ -373,36 +328,46 @@ impl WireMessage {
                 sig.copy_from_slice(&buf[..64]);
                 buf.advance(64);
                 let tagged = get_shared_bytes(payload, &mut buf)?;
-                Ok(WireMessage::Append {
+                WireMessage::Append {
                     file_id,
                     tagged,
                     sig,
-                })
-            }
-            TAG_UPDATE_ACK => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
                 }
-                match buf.get_u8() {
-                    0 => Ok(WireMessage::UpdateAck { new_digest: None }),
-                    _ => {
-                        if buf.remaining() < 32 + 8 {
-                            return Err(CodecError::Truncated);
-                        }
-                        let mut root = [0u8; 32];
-                        root.copy_from_slice(&buf[..32]);
-                        buf.advance(32);
-                        Ok(WireMessage::UpdateAck {
-                            new_digest: Some(DynamicDigest {
-                                root,
-                                segments: buf.get_u64(),
-                            }),
-                        })
+            }
+            TAG_UPDATE_ACK => WireMessage::UpdateAck {
+                new_digest: if get_present(&mut buf)? {
+                    if buf.remaining() < 32 + 8 {
+                        return Err(CodecError::Truncated);
                     }
-                }
-            }
-            t => Err(CodecError::BadTag(t)),
+                    let mut root = [0u8; 32];
+                    root.copy_from_slice(&buf[..32]);
+                    buf.advance(32);
+                    Some(DynamicDigest {
+                        root,
+                        segments: buf.get_u64(),
+                    })
+                } else {
+                    None
+                },
+            },
+            t => return Err(CodecError::BadTag(t)),
+        };
+        if !buf.is_empty() {
+            return Err(CodecError::TrailingBytes(buf.len()));
         }
+        Ok(msg)
+    }
+}
+
+/// Reads an option's presence byte: exactly 0 (absent) or 1 (present).
+fn get_present(buf: &mut &[u8]) -> Result<bool, CodecError> {
+    if buf.is_empty() {
+        return Err(CodecError::Truncated);
+    }
+    match buf.get_u8() {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(CodecError::BadOption(b)),
     }
 }
 
@@ -501,12 +466,6 @@ mod tests {
             segment: Some(vec![1, 2, 3].into()),
         });
         roundtrip(WireMessage::Response { segment: None });
-        roundtrip(WireMessage::StartAudit {
-            file_id: "audit-file".into(),
-            n_segments: 1_000_000,
-            k: 1000,
-            nonce: [7u8; 32],
-        });
         roundtrip(WireMessage::Bye);
         roundtrip(WireMessage::DynChallenge {
             file_id: "dyn".into(),
@@ -578,43 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn dyn_frames_reject_truncation_everywhere() {
-        for msg in [
-            WireMessage::DynChallenge {
-                file_id: "f".into(),
-                index: 2,
-            },
-            WireMessage::DynResponse {
-                segment: Some((vec![1u8; 10].into(), sample_proof())),
-            },
-            WireMessage::Update {
-                file_id: "f".into(),
-                index: 1,
-                tagged: vec![2u8; 10].into(),
-                sig: [0x21u8; 64],
-            },
-            WireMessage::Append {
-                file_id: "f".into(),
-                tagged: vec![3u8; 10].into(),
-                sig: [0x22u8; 64],
-            },
-            WireMessage::UpdateAck {
-                new_digest: Some(DynamicDigest {
-                    root: [4u8; 32],
-                    segments: 5,
-                }),
-            },
-        ] {
-            let frame = msg.encode();
-            let payload = &frame[4..];
-            for cut in 1..payload.len() {
-                let r = WireMessage::decode(&payload[..cut]);
-                assert!(r.is_err(), "{msg:?} cut at {cut} decoded to {r:?}");
-            }
-        }
-    }
-
-    #[test]
     fn frame_length_prefix_is_exact() {
         let msg = WireMessage::Challenge {
             file_id: "abc".into(),
@@ -628,22 +550,6 @@ mod tests {
     #[test]
     fn decode_rejects_bad_tag() {
         assert_eq!(WireMessage::decode(&[99]), Err(CodecError::BadTag(99)));
-    }
-
-    #[test]
-    fn decode_rejects_truncation_everywhere() {
-        let msg = WireMessage::StartAudit {
-            file_id: "f".into(),
-            n_segments: 10,
-            k: 5,
-            nonce: [1u8; 32],
-        };
-        let frame = msg.encode();
-        let payload = &frame[4..];
-        for cut in 1..payload.len() {
-            let r = WireMessage::decode(&payload[..cut]);
-            assert!(r.is_err(), "cut at {cut} decoded to {r:?}");
-        }
     }
 
     #[test]

@@ -61,8 +61,7 @@ pub(crate) enum Step {
 
 /// One connection's whole server-side state: a frame buffer, a queue of
 /// refcounted reply parts and at most one parked frame. Creating it
-/// takes the next connection id from the service; dropping it evicts
-/// the connection's sessions.
+/// takes the next connection id from the service.
 pub(crate) struct Conn {
     id: u64,
     service: Arc<MuxService>,
@@ -137,7 +136,7 @@ impl Conn {
                     Err(_) => return Step::Close,
                 },
             };
-            match self.service.handle(self.id, msg) {
+            match self.service.handle(msg) {
                 FrameOutcome::Reply(reply) => {
                     let (head, tail) = reply.encode_parts();
                     self.out_bytes += head.len();
@@ -242,12 +241,6 @@ impl Conn {
     }
 }
 
-impl Drop for Conn {
-    fn drop(&mut self) {
-        self.service.on_close(self.id);
-    }
-}
-
 fn backlog_drops() -> &'static geoproof_obs::Counter {
     static DROPS: std::sync::OnceLock<Arc<geoproof_obs::Counter>> = std::sync::OnceLock::new();
     DROPS.get_or_init(|| geoproof_obs::counter("reactor_conns_dropped_total{reason=\"backlog\"}"))
@@ -327,15 +320,8 @@ mod tests {
         let service = service(83, Duration::ZERO);
         let d2 = service.dynamic.challenge("d", 2).expect("dynamic segment");
         let script: Vec<(WireMessage, Option<WireMessage>)> = vec![
-            (
-                WireMessage::StartAudit {
-                    file_id: "f".to_owned(),
-                    n_segments: 4,
-                    k: 3,
-                    nonce: [9u8; 32],
-                },
-                None,
-            ),
+            // A reply frame from the client is consumed silently.
+            (WireMessage::UpdateAck { new_digest: None }, None),
             (
                 challenge("f", 1),
                 Some(WireMessage::Response {

@@ -2,15 +2,16 @@
 //!
 //! Wire-level transport for GeoProof:
 //!
-//! * [`codec`] — length-prefixed frames for challenge/response and audit
-//!   control messages, with strict parsing (size caps, UTF-8 checks,
-//!   truncation detection);
+//! * [`codec`] — length-prefixed frames for challenge/response and
+//!   dynamic-file messages, with strict parsing (size caps, UTF-8 checks,
+//!   truncation, trailing-byte and option-byte rejection);
 //! * [`tcp`] — the wall-clock timing client and the segment store type,
 //!   so the timed challenge–response phase can run over a real socket
 //!   rather than the simulator;
 //! * [`mux`] — the prover server behind `geoproof serve`: many
-//!   connections, sessions multiplexed per connection, a sharded session
-//!   table, per-session statistics, graceful shutdown.
+//!   connections, each answering challenges for any file with no
+//!   per-connection state beyond its frame buffer, aggregate counters,
+//!   graceful shutdown.
 //!
 //! Each server connection is one socket-free state machine (`conn`):
 //! bytes and timer fires in; bytes to write, a park request and close
@@ -41,5 +42,5 @@ pub mod tcp;
 
 pub use codec::{read_frame, write_frame, CodecError, WireMessage, MAX_FRAME};
 pub use geoproof_reactor::raise_nofile_limit;
-pub use mux::{MuxProverServer, MuxStats, SessionKey, SessionStats, MAX_SESSIONS_PER_CONNECTION};
+pub use mux::{MuxProverServer, MuxStats};
 pub use tcp::{SegmentStore, TcpChallenger};

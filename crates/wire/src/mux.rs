@@ -1,15 +1,15 @@
-//! The prover server: multi-connection, session-multiplexing.
+//! The prover server: multi-connection, stateless per challenge.
 //!
 //! `MuxProverServer` is the one server behind `geoproof serve`:
 //!
-//! * many simultaneous connections, each able to interleave challenges
-//!   for several audit sessions (a session = one `(connection, file)`
-//!   pair, opened implicitly or via a `StartAudit` frame);
+//! * many simultaneous connections, each free to interleave challenges
+//!   for any number of files;
 //! * static (`Challenge`) and dynamic (`DynChallenge`/`Update`/`Append`)
 //!   files on the same socket;
-//! * a **sharded session table** (per-shard `parking_lot` mutexes keyed
-//!   by session), so hot sessions on different shards never contend;
-//! * graceful shutdown, and aggregate statistics so operators can see
+//! * no per-connection or per-file bookkeeping: a challenge is a store
+//!   look-up and a reply, so the server adds nothing to the timed round
+//!   beyond the look-up itself (Fig. 5: V sends c_j, P returns S_cj);
+//! * graceful shutdown, and aggregate counters so operators can see
 //!   load.
 //!
 //! Every connection is one `conn::Conn` machine over the shared
@@ -23,246 +23,67 @@ use crate::codec::WireMessage;
 use crate::conn::{Conn, Step};
 use crate::tcp::{store_segments, SegmentStore};
 use bytes::Bytes;
-use geoproof_crypto::fnv::Fnv1a;
 use geoproof_por::dynamic::DynamicDigest;
 use geoproof_storage::dynamic::DynamicRegistry;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cached telemetry handles (see `geoproof_obs`). The counters shadow
 /// the server's own cumulative [`MuxStats`] so a scrape endpoint sees
-/// the same monotone totals; the latency histogram covers each
-/// session's open-to-eviction lifetime.
+/// the same monotone totals.
 struct MuxMetrics {
-    connections: std::sync::Arc<geoproof_obs::Counter>,
-    sessions: std::sync::Arc<geoproof_obs::Counter>,
-    challenges: std::sync::Arc<geoproof_obs::Counter>,
-    hits: std::sync::Arc<geoproof_obs::Counter>,
-    frames: std::sync::Arc<geoproof_obs::Counter>,
-    closed_complete: std::sync::Arc<geoproof_obs::Counter>,
-    closed_incomplete: std::sync::Arc<geoproof_obs::Counter>,
-    latency: std::sync::Arc<geoproof_obs::Histogram>,
+    connections: Arc<geoproof_obs::Counter>,
+    challenges: Arc<geoproof_obs::Counter>,
+    hits: Arc<geoproof_obs::Counter>,
+    frames: Arc<geoproof_obs::Counter>,
 }
 
 fn mux_metrics() -> &'static MuxMetrics {
     static METRICS: std::sync::OnceLock<MuxMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| MuxMetrics {
         connections: geoproof_obs::counter("mux_connections_total"),
-        sessions: geoproof_obs::counter("mux_sessions_opened_total"),
         challenges: geoproof_obs::counter("mux_challenges_total"),
         hits: geoproof_obs::counter("mux_hits_total"),
         frames: geoproof_obs::counter("mux_frames_total"),
-        closed_complete: geoproof_obs::counter("mux_sessions_closed_total{outcome=\"complete\"}"),
-        closed_incomplete: geoproof_obs::counter(
-            "mux_sessions_closed_total{outcome=\"incomplete\"}",
-        ),
-        latency: geoproof_obs::histogram("mux_session_latency_us"),
     })
 }
 
-/// Number of shards in the session table. A power of two; sized so a
-/// few hundred concurrent sessions rarely share a shard lock.
-const SESSION_SHARDS: usize = 16;
-
-/// Hard cap on live sessions a single connection can open. A session
-/// entry costs heap per `(connection, file)` pair, so without a cap one
-/// hostile connection spamming `StartAudit`/`Challenge` frames with
-/// unique file ids grows the table without bound. Honest audits touch a
-/// handful of files per connection; 64 is far above any legitimate use.
-pub const MAX_SESSIONS_PER_CONNECTION: u64 = 64;
-
-/// Identifies one audit session on the server: a connection and the file
-/// it is challenging.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SessionKey {
-    /// Server-assigned connection number (accept order).
-    pub connection: u64,
-    /// File under audit.
-    pub file_id: String,
-}
-
-/// Per-session bookkeeping.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Challenges answered for this session.
-    pub challenges: u64,
-    /// Challenges that found the segment.
-    pub hits: u64,
-    /// Announced challenge count k, when the client sent `StartAudit`.
-    pub announced_k: Option<u32>,
-    /// When the session opened (server clock) — drives the
-    /// session-lifetime histogram at eviction.
-    pub started: Option<Instant>,
-}
-
-/// Aggregate server statistics. Every field is **monotone** over the
-/// server's lifetime: closing a connection folds its sessions' counts
-/// into retirement totals instead of discarding them, so two
-/// [`MuxProverServer::stats`] snapshots always satisfy `earlier ≤ later`
-/// field-wise — reconnecting clients can never make a total go
-/// backwards.
+/// Aggregate server statistics. Every field is a counter over the
+/// server's lifetime, so two [`MuxProverServer::stats`] snapshots always
+/// satisfy `earlier ≤ later` field-wise.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MuxStats {
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
-    /// Sessions ever opened (connection × file pairs).
-    pub sessions: u64,
-    /// Total challenges served.
+    /// Challenges served, static and dynamic.
     pub challenges: u64,
-    /// Challenges that found their segment, across live **and** closed
-    /// sessions.
+    /// Challenges that found their segment.
     pub hits: u64,
-    /// Closed sessions that had answered at least their announced `k`
-    /// challenges with hits.
-    pub sessions_complete: u64,
-    /// Closed sessions that ended early, or never announced a `k`.
-    pub sessions_incomplete: u64,
-}
-
-/// FNV-1a over the session key — deterministic shard choice (std's
-/// `RandomState` would randomise it per process, which makes load
-/// investigations unrepeatable).
-fn shard_of(key: &SessionKey) -> usize {
-    let mut h = Fnv1a::new();
-    h.write(&key.connection.to_be_bytes())
-        .write(key.file_id.as_bytes());
-    (h.finish() as usize) % SESSION_SHARDS
-}
-
-/// Sharded session table shared by all connection threads.
-#[derive(Debug, Default)]
-struct SessionTable {
-    shards: [Mutex<HashMap<SessionKey, SessionStats>>; SESSION_SHARDS],
-    opened: AtomicU64,
-    /// Live sessions per connection, for the per-connection cap.
-    per_conn: Mutex<HashMap<u64, u64>>,
-    /// Hits folded out of sessions evicted at connection close — added
-    /// to the live sums so [`MuxStats::hits`] is monotone.
-    retired_hits: AtomicU64,
-    /// Evicted sessions that served their announced `k` in hits.
-    retired_complete: AtomicU64,
-    /// Evicted sessions that ended short (or unannounced).
-    retired_incomplete: AtomicU64,
-}
-
-impl SessionTable {
-    /// Updates an existing session's stats, or opens a new session when
-    /// allowed: the file must actually exist (`known_file`) and the
-    /// connection must be under [`MAX_SESSIONS_PER_CONNECTION`]. A
-    /// refused session simply records nothing — the challenge itself is
-    /// still answered (protocol behaviour is unchanged; only the
-    /// unbounded bookkeeping is). Both refusals close resource
-    /// exhaustion: a hostile connection spamming frames with unique
-    /// file ids used to allocate a table entry per frame.
-    fn with_session(&self, key: &SessionKey, known_file: bool, f: impl FnOnce(&mut SessionStats)) {
-        let mut shard = self.shards[shard_of(key)].lock();
-        match shard.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => f(e.get_mut()),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                if !known_file {
-                    return;
-                }
-                {
-                    let mut counts = self.per_conn.lock();
-                    let count = counts.entry(key.connection).or_insert(0);
-                    if *count >= MAX_SESSIONS_PER_CONNECTION {
-                        return;
-                    }
-                    *count += 1;
-                }
-                self.opened.fetch_add(1, Ordering::Relaxed);
-                mux_metrics().sessions.inc();
-                f(v.insert(SessionStats {
-                    started: Some(Instant::now()),
-                    ..SessionStats::default()
-                }));
-            }
-        }
-    }
-
-    fn snapshot(&self) -> Vec<(SessionKey, SessionStats)> {
-        let mut all: Vec<(SessionKey, SessionStats)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by(|a, b| (a.0.connection, &a.0.file_id).cmp(&(b.0.connection, &b.0.file_id)));
-        all
-    }
-
-    /// Drops every session belonging to a closed connection, folding
-    /// each evicted session's counters into the retirement totals first
-    /// — aggregate statistics stay monotone while per-session state
-    /// stays bounded by current concurrency, not server lifetime. Each
-    /// close is also classified (did the session serve its announced
-    /// `k`?) and its lifetime recorded.
-    fn evict_connection(&self, conn_id: u64) {
-        let now = Instant::now();
-        let m = mux_metrics();
-        for shard in &self.shards {
-            shard.lock().retain(|k, s| {
-                if k.connection != conn_id {
-                    return true;
-                }
-                self.retired_hits.fetch_add(s.hits, Ordering::Relaxed);
-                let complete = s.announced_k.is_some_and(|k| s.hits >= u64::from(k));
-                if complete {
-                    self.retired_complete.fetch_add(1, Ordering::Relaxed);
-                    m.closed_complete.inc();
-                } else {
-                    self.retired_incomplete.fetch_add(1, Ordering::Relaxed);
-                    m.closed_incomplete.inc();
-                }
-                if let Some(started) = s.started {
-                    m.latency
-                        .record_duration_us(now.saturating_duration_since(started));
-                }
-                false
-            });
-        }
-        self.per_conn.lock().remove(&conn_id);
-    }
-
-    /// Hits across live sessions plus everything already retired.
-    fn total_hits(&self) -> u64 {
-        let live: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.lock().values().map(|v| v.hits).sum::<u64>())
-            .sum();
-        self.retired_hits.load(Ordering::Relaxed) + live
-    }
 }
 
 /// What one frame's handling asks of the connection.
 pub(crate) enum FrameOutcome {
     /// Send this reply.
     Reply(WireMessage),
-    /// Frame consumed, nothing to send (StartAudit, ignored replies).
+    /// Frame consumed, nothing to send (a reply frame sent by a client).
     Silent,
     /// Polite end of connection (Bye).
     Close,
 }
 
-/// The protocol semantics: every lookup, every session-table touch,
-/// every metric and every reply choice. Its one caller is the
-/// connection machine (`conn::Conn`), whichever shell drives it.
+/// The protocol semantics: every lookup, every counter, every metric and
+/// every reply choice. Its one caller is the connection machine
+/// (`conn::Conn`), whichever shell drives it.
 pub(crate) struct MuxService {
     store: SegmentStore,
     pub(crate) dynamic: DynamicRegistry,
-    sessions: SessionTable,
     /// Connections accepted; each accept takes the next id.
     connections: AtomicU64,
     challenges: AtomicU64,
+    hits: AtomicU64,
     /// Per-challenge service delay (the simulated storage look-up).
     delay: Duration,
 }
@@ -272,9 +93,9 @@ impl MuxService {
         MuxService {
             store,
             dynamic: DynamicRegistry::new(),
-            sessions: SessionTable::default(),
             connections: AtomicU64::new(0),
             challenges: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
             delay,
         }
     }
@@ -294,69 +115,34 @@ impl MuxService {
         self.connections.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Counts one answered challenge.
+    fn served(&self, hit: bool) {
+        self.challenges.fetch_add(1, Ordering::Relaxed);
+        let m = mux_metrics();
+        m.challenges.inc();
+        if hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            m.hits.inc();
+        }
+    }
+
     /// Handles one inbound frame.
-    pub(crate) fn handle(&self, conn_id: u64, msg: WireMessage) -> FrameOutcome {
+    pub(crate) fn handle(&self, msg: WireMessage) -> FrameOutcome {
         mux_metrics().frames.inc();
         match msg {
-            WireMessage::StartAudit { file_id, k, .. } => {
-                let known =
-                    self.store.lock().contains_key(&file_id) || self.dynamic.contains(&file_id);
-                let key = SessionKey {
-                    connection: conn_id,
-                    file_id,
-                };
-                self.sessions
-                    .with_session(&key, known, |s| s.announced_k = Some(k));
-                FrameOutcome::Silent
-            }
             WireMessage::Challenge { file_id, index } => {
-                let (known, segment) = {
-                    let guard = self.store.lock();
-                    let file = guard.get(&file_id);
-                    (
-                        file.is_some(),
-                        file.and_then(|segs| segs.get(index as usize)).cloned(),
-                    )
-                };
-                let key = SessionKey {
-                    connection: conn_id,
-                    file_id,
-                };
-                let hit = segment.is_some();
-                self.sessions.with_session(&key, known, |s| {
-                    s.challenges += 1;
-                    if hit {
-                        s.hits += 1;
-                    }
-                });
-                self.challenges.fetch_add(1, Ordering::Relaxed);
-                let m = mux_metrics();
-                m.challenges.inc();
-                if hit {
-                    m.hits.inc();
-                }
+                let segment = self
+                    .store
+                    .lock()
+                    .get(&file_id)
+                    .and_then(|segs| segs.get(index as usize))
+                    .cloned();
+                self.served(segment.is_some());
                 FrameOutcome::Reply(WireMessage::Response { segment })
             }
             WireMessage::DynChallenge { file_id, index } => {
-                let known = self.dynamic.contains(&file_id);
                 let served = self.dynamic.challenge(&file_id, index);
-                let key = SessionKey {
-                    connection: conn_id,
-                    file_id,
-                };
-                let hit = served.is_some();
-                self.sessions.with_session(&key, known, |s| {
-                    s.challenges += 1;
-                    if hit {
-                        s.hits += 1;
-                    }
-                });
-                self.challenges.fetch_add(1, Ordering::Relaxed);
-                let m = mux_metrics();
-                m.challenges.inc();
-                if hit {
-                    m.hits.inc();
-                }
+                self.served(served.is_some());
                 FrameOutcome::Reply(WireMessage::DynResponse {
                     segment: served.map(|p| (p.segment, p.proof)),
                 })
@@ -387,11 +173,6 @@ impl MuxService {
             | WireMessage::DynResponse { .. }
             | WireMessage::UpdateAck { .. } => FrameOutcome::Silent,
         }
-    }
-
-    /// A connection ended (for whatever reason); release its state.
-    pub(crate) fn on_close(&self, conn_id: u64) {
-        self.sessions.evict_connection(conn_id);
     }
 }
 
@@ -441,7 +222,7 @@ impl AcceptPark {
     }
 }
 
-/// The multi-connection, session-multiplexing prover server.
+/// The multi-connection prover server.
 pub struct MuxProverServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -618,20 +399,9 @@ impl MuxProverServer {
         let s = &self.service;
         MuxStats {
             connections: s.connections.load(Ordering::Relaxed),
-            sessions: s.sessions.opened.load(Ordering::Relaxed),
             challenges: s.challenges.load(Ordering::Relaxed),
-            hits: s.sessions.total_hits(),
-            sessions_complete: s.sessions.retired_complete.load(Ordering::Relaxed),
-            sessions_incomplete: s.sessions.retired_incomplete.load(Ordering::Relaxed),
+            hits: s.hits.load(Ordering::Relaxed),
         }
-    }
-
-    /// Per-session statistics for **live** connections, sorted by
-    /// `(connection, file_id)`. A connection's sessions are evicted when
-    /// it closes (their totals stay in [`MuxProverServer::stats`]), so
-    /// this stays bounded by current concurrency, not server lifetime.
-    pub fn sessions(&self) -> Vec<(SessionKey, SessionStats)> {
-        self.service.sessions.snapshot()
     }
 
     /// Stops accepting, then joins the accept loop **and every
@@ -729,6 +499,7 @@ fn serve_blocking(mut stream: TcpStream, mut conn: Conn, stop: &AtomicBool) -> s
 mod tests {
     use super::*;
     use crate::tcp::TcpChallenger;
+    use std::collections::HashMap;
 
     #[test]
     fn finished_connection_threads_are_reaped_without_a_next_accept() {
@@ -748,18 +519,9 @@ mod tests {
             assert!(seg.is_some());
             c.bye().unwrap();
         }
-        // All eight connections have said Bye; wait for their threads to
-        // finish (eviction of the last session is the finish line).
-        for _ in 0..300 {
-            if server.stats().sessions_complete + server.stats().sessions_incomplete == 8
-                && server.sessions().is_empty()
-            {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // No further accepts happen. A stats read — the operator's
-        // natural touchpoint — must reap the finished handles.
+        // All eight connections have said Bye and no further accepts
+        // happen. A stats read — the operator's natural touchpoint — must
+        // reap the handles once their threads finish.
         for _ in 0..300 {
             let _ = server.stats();
             if server.conn_handles.lock().is_empty() {

@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use geoproof_wire::codec::{read_frame, write_frame, WireMessage};
 use geoproof_wire::tcp::SegmentStore;
-use geoproof_wire::{MuxProverServer, MuxStats, TcpChallenger, MAX_SESSIONS_PER_CONNECTION};
+use geoproof_wire::{MuxProverServer, MuxStats, TcpChallenger};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -56,29 +56,10 @@ fn shutdown_within(mut server: MuxProverServer, limit: Duration) -> bool {
     finished.recv_timeout(limit).is_ok()
 }
 
-/// Polls `cond` for up to `tries` × 10 ms.
-fn eventually(tries: u32, mut cond: impl FnMut() -> bool) {
-    for _ in 0..tries {
-        if cond() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 fn challenge(file_id: &str, index: u64) -> WireMessage {
     WireMessage::Challenge {
         file_id: file_id.to_owned(),
         index,
-    }
-}
-
-fn start_audit(file_id: &str, k: u32) -> WireMessage {
-    WireMessage::StartAudit {
-        file_id: file_id.to_owned(),
-        n_segments: 4,
-        k,
-        nonce: [0u8; 32],
     }
 }
 
@@ -234,7 +215,7 @@ fn put_file_updates_store() {
 fn multiplexes_sessions_across_connections_and_files() {
     for (shell, server) in shells(store_with(&[("a", 8), ("b", 8)]), Duration::ZERO) {
         let addr = server.addr();
-        // Keep all four connections open while inspecting live sessions.
+        // Keep all four connections open while reading the counters.
         let clients: Vec<TcpChallenger> = (0..4)
             .map(|_| {
                 let mut c = TcpChallenger::connect(addr).unwrap();
@@ -249,37 +230,23 @@ fn multiplexes_sessions_across_connections_and_files() {
             .collect();
         let stats = server.stats();
         assert_eq!(stats.connections, 4, "{shell}");
-        assert_eq!(stats.sessions, 8, "{shell}: 4 connections × 2 files");
         assert_eq!(stats.challenges, 32, "{shell}");
-        let per_session = server.sessions();
-        assert_eq!(per_session.len(), 8, "{shell}");
-        assert!(
-            per_session.iter().all(|(_, s)| s.challenges == 4),
-            "{shell}"
-        );
-        assert!(per_session.iter().all(|(_, s)| s.hits == 4), "{shell}");
+        assert_eq!(stats.hits, 32, "{shell}");
         drop(clients);
-        // Closed connections release their per-session state (aggregate
-        // totals survive) — a long-running server stays bounded.
-        eventually(200, || server.sessions().is_empty());
-        assert!(server.sessions().is_empty(), "{shell}");
-        assert_eq!(server.stats().challenges, 32, "{shell}");
-        assert_eq!(server.stats().sessions, 8, "{shell}");
+        assert_eq!(server.stats(), stats, "{shell}: closing changes no total");
     }
 }
 
 #[test]
 fn stats_stay_monotone_across_reconnects() {
-    // Regression: evicting a closed connection's sessions used to
-    // discard their SessionStats outright, so a fleet of short-lived
-    // audit connections left `hits` (and any session classification)
-    // permanently undercounted. Closes now fold into retirement totals.
+    // Regression: closing a connection used to discard its per-file
+    // counts, so a fleet of short-lived audit connections left `hits`
+    // permanently undercounted. Every total must survive a close.
     for (shell, server) in shells(store_with(&[("f", 4)]), Duration::ZERO) {
         let addr = server.addr();
         let mut last = MuxStats::default();
         for round in 0..3u64 {
             let mut raw = TcpStream::connect(addr).unwrap();
-            write_frame(&mut raw, &start_audit("f", 3)).unwrap();
             for i in 0..3u64 {
                 write_frame(&mut raw, &challenge("f", i)).unwrap();
                 let reply = read_frame(&mut raw).unwrap();
@@ -287,50 +254,18 @@ fn stats_stay_monotone_across_reconnects() {
             }
             write_frame(&mut raw, &WireMessage::Bye).unwrap();
             drop(raw);
-            eventually(200, || server.stats().sessions_complete == round + 1);
             let stats = server.stats();
+            assert_eq!(stats.connections, round + 1, "{shell}");
+            assert_eq!(stats.challenges, (round + 1) * 3, "{shell}");
             assert_eq!(stats.hits, (round + 1) * 3, "{shell}: hits lost at close");
-            assert_eq!(stats.sessions_complete, round + 1, "{shell}");
-            assert_eq!(stats.sessions_incomplete, 0, "{shell}");
             assert!(
                 stats.connections >= last.connections
-                    && stats.sessions >= last.sessions
                     && stats.challenges >= last.challenges
-                    && stats.hits >= last.hits
-                    && stats.sessions_complete >= last.sessions_complete
-                    && stats.sessions_incomplete >= last.sessions_incomplete,
+                    && stats.hits >= last.hits,
                 "{shell}: stats went backwards across a reconnect: {last:?} -> {stats:?}"
             );
             last = stats;
         }
-        // A session that ends short of its announced k retires as
-        // incomplete — its hits still fold in.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        write_frame(&mut raw, &start_audit("f", 4)).unwrap();
-        write_frame(&mut raw, &challenge("f", 0)).unwrap();
-        let reply = read_frame(&mut raw).unwrap();
-        assert!(matches!(reply, WireMessage::Response { segment: Some(_) }));
-        write_frame(&mut raw, &WireMessage::Bye).unwrap();
-        drop(raw);
-        eventually(200, || server.stats().sessions_incomplete == 1);
-        let stats = server.stats();
-        assert_eq!(stats.sessions_incomplete, 1, "{shell}");
-        assert_eq!(stats.sessions_complete, 3, "{shell}");
-        assert_eq!(stats.hits, 10, "{shell}: incomplete session's hits fold in");
-    }
-}
-
-#[test]
-fn start_audit_announces_session() {
-    for (shell, server) in shells(store_with(&[("f", 4)]), Duration::ZERO) {
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        write_frame(&mut raw, &start_audit("f", 3)).unwrap();
-        // Wait for the (still-open) connection's session to register.
-        eventually(100, || server.stats().sessions == 1);
-        let sessions = server.sessions();
-        assert_eq!(sessions.len(), 1, "{shell}");
-        assert_eq!(sessions[0].1.announced_k, Some(3), "{shell}");
-        write_frame(&mut raw, &WireMessage::Bye).unwrap();
     }
 }
 
@@ -459,27 +394,16 @@ fn cuts_off_a_client_that_never_reads_its_responses() {
 }
 
 #[test]
-fn missing_files_are_answered_but_never_open_sessions() {
-    // Regression: an unknown file id used to allocate a session-table
-    // entry per challenge. The challenge is still answered (None); only
-    // the bookkeeping is refused.
+fn missing_files_are_answered_and_counted_as_misses() {
+    // An unknown file id or an out-of-range index is answered with None
+    // and counted as a challenge, not as a hit.
     for (shell, server) in shells(store_with(&[("f", 2)]), Duration::ZERO) {
         let mut c = TcpChallenger::connect(server.addr()).unwrap();
         assert!(c.challenge("ghost", 0).unwrap().0.is_none(), "{shell}");
         assert!(c.challenge("f", 1).unwrap().0.is_some(), "{shell}");
         // An out-of-range index on a real file is a miss, not an error.
         assert!(c.challenge("f", 99).unwrap().0.is_none(), "{shell}");
-        // Inspect while the connection is still open (sessions are live
-        // per-connection state): only the real file has a session.
-        let sessions = server.sessions();
-        assert!(
-            sessions.iter().all(|(k, _)| k.file_id != "ghost"),
-            "{shell}"
-        );
-        let real = sessions.iter().find(|(k, _)| k.file_id == "f").unwrap();
-        assert_eq!(real.1.challenges, 2, "{shell}");
-        assert_eq!(real.1.hits, 1, "{shell}");
-        assert_eq!(server.stats().sessions, 1, "{shell}");
+        assert_eq!(server.stats().hits, 1, "{shell}");
         assert_eq!(
             server.stats().challenges,
             3,
@@ -490,61 +414,38 @@ fn missing_files_are_answered_but_never_open_sessions() {
 }
 
 #[test]
-fn hostile_unique_file_id_spam_allocates_no_sessions() {
-    // One connection, hundreds of StartAudit + Challenge frames for files
-    // that do not exist: the session table must stay empty.
+fn hostile_unique_file_id_spam_is_answered_with_none() {
+    // One connection, a hundred challenges for files that do not exist:
+    // each is answered with None.
     for (shell, server) in shells(store_with(&[("f", 2)]), Duration::ZERO) {
         let mut raw = TcpStream::connect(server.addr()).unwrap();
-        for i in 0..500u32 {
-            write_frame(&mut raw, &start_audit(&format!("ghost-{i}"), 1)).unwrap();
-        }
         for i in 0..100u64 {
             write_frame(&mut raw, &challenge(&format!("phantom-{i}"), 0)).unwrap();
             let reply = read_frame(&mut raw).unwrap();
             assert_eq!(reply, WireMessage::Response { segment: None }, "{shell}");
         }
-        // The challenges round-tripped, so all prior frames are handled.
-        assert_eq!(server.stats().sessions, 0, "{shell}: spam opened sessions");
-        assert!(server.sessions().is_empty(), "{shell}");
         write_frame(&mut raw, &WireMessage::Bye).unwrap();
     }
 }
 
 #[test]
-fn per_connection_session_count_is_capped() {
-    // Even over *real* files, one connection cannot hold more than
-    // MAX_SESSIONS_PER_CONNECTION live sessions; the overflow is still
-    // served, just not tracked.
-    let files: Vec<String> = (0..MAX_SESSIONS_PER_CONNECTION + 16)
-        .map(|i| format!("file-{i:03}"))
-        .collect();
+fn one_connection_over_many_files_counts_every_hit() {
+    // Regression: hits were summed from per-(connection, file) records
+    // capped at 64 per connection, so a connection challenging more files
+    // was served but undercounted, and `stats().hits` disagreed with
+    // `mux_hits_total`.
+    let files: Vec<String> = (0..80).map(|i| format!("file-{i:03}")).collect();
     let named: Vec<(&str, usize)> = files.iter().map(|f| (f.as_str(), 1)).collect();
     for (shell, server) in shells(store_with(&named), Duration::ZERO) {
         let mut c = TcpChallenger::connect(server.addr()).unwrap();
         for f in &files {
             let (seg, _) = c.challenge(f, 0).unwrap();
-            assert!(seg.is_some(), "{shell}: {f} must be served past the cap");
+            assert!(seg.is_some(), "{shell}: {f} must be served");
         }
-        assert_eq!(
-            server.stats().sessions,
-            MAX_SESSIONS_PER_CONNECTION,
-            "{shell}"
-        );
-        assert_eq!(
-            server.sessions().len() as u64,
-            MAX_SESSIONS_PER_CONNECTION,
-            "{shell}: live sessions must be capped per connection"
-        );
-        // A second connection gets its own budget.
-        let mut c2 = TcpChallenger::connect(server.addr()).unwrap();
-        assert!(c2.challenge(&files[0], 0).unwrap().0.is_some(), "{shell}");
-        assert_eq!(
-            server.stats().sessions,
-            MAX_SESSIONS_PER_CONNECTION + 1,
-            "{shell}"
-        );
+        let stats = server.stats();
+        assert_eq!(stats.challenges, 80, "{shell}");
+        assert_eq!(stats.hits, 80, "{shell}: every served segment is a hit");
         c.bye().unwrap();
-        c2.bye().unwrap();
     }
 }
 

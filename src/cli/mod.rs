@@ -8,15 +8,13 @@
 //! (`segments.bin` + `metadata.txt`) is written sequentially from the
 //! arena. `serve` memory-maps nothing exotic: it reads `segments.bin`
 //! into one shared buffer and serves zero-copy `Bytes` slices of it
-//! from the multi-connection, session-multiplexing server (static and
-//! dynamic stores alike, with per-session statistics). Serving runs on
-//! the epoll **reactor** — every connection a non-blocking state
-//! machine on one event-loop thread — and falls back to a thread per
-//! connection only where the platform has no reactor.
-//! `--schedule <policy>` additionally runs the continuous audit
-//! scheduler: every hosted file is enrolled as a prover and re-audited
-//! over loopback TCP on the policy's cadence, REJECTs fast-tracked
-//! (see `geoproof_core::scheduler`). `audit` runs the
+//! from the multi-connection prover server (static and dynamic stores
+//! alike), which only answers challenges: the audits come from an
+//! independent `audit` client, never from the audited party itself.
+//! Serving runs on the epoll **reactor** — every connection a
+//! non-blocking state machine on one event-loop thread — and falls back
+//! to a thread per connection only where the platform has no reactor.
+//! `audit` runs the
 //! wall-clock timed challenge–response against a server and applies the
 //! Δt_max policy. The TPA's MAC key is derived from `--master`, so
 //! auditing needs the owner's secret (as in the paper, where the owner

@@ -1,5 +1,5 @@
-//! `serve` (the prover server, optionally self-auditing on a schedule)
-//! and `stats` (a one-screen rendering of its metrics scrape).
+//! `serve` (the prover server) and `stats` (a one-screen rendering of
+//! its metrics scrape).
 
 use super::args::Args;
 use super::store::{read_dyn_store, read_store};
@@ -13,11 +13,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 pub fn serve(raw: &[String]) -> CliResult {
-    let values = "--delay-ms --schedule --metrics-addr";
+    let values = "--delay-ms --metrics-addr";
     let args = Args::parse(raw, "<store-dir>", values, "")?;
     let store_dir = Path::new(args.pos(0));
     let delay_ms: u64 = args.get("--delay-ms", 0)?;
-    let schedule = args.opt_with("--schedule", geoproof::core::SchedulePolicy::parse)?;
     let delay = std::time::Duration::from_millis(delay_ms);
 
     // The scrape listener binds before the prover socket so the banner
@@ -50,18 +49,18 @@ pub fn serve(raw: &[String]) -> CliResult {
     // owner's key — updates and appends arrive over the same socket
     // audits use; a static one is served as zero-copy segment views.
     let dynamic = store_dir.join("dyn-meta.txt").exists();
-    let (file_id, segments, detail) = if dynamic {
+    let (file_id, detail) = if dynamic {
         let (tagged, meta) = read_dyn_store(store_dir)?;
         let owner_key = geoproof::crypto::schnorr::VerifyingKey::from_bytes(&meta.owner_pub)
             .ok_or("owner_pub in dyn-meta.txt is not a valid curve point")?;
         let digest = server.put_dynamic_with_owner(&meta.file_id, tagged, owner_key);
         let root = hex(&digest.root[..8]);
         let detail = format!("{} dynamic segments, digest root {root}", digest.segments);
-        (meta.file_id, digest.segments, detail)
+        (meta.file_id, detail)
     } else {
         let (segments, md) = read_store(store_dir)?;
         server.put_shared(&md.file_id, segments);
-        (md.file_id, md.segments, format!("{} segments", md.segments))
+        (md.file_id, format!("{} segments", md.segments))
     };
     let mode = if dynamic { "dynamic mode, " } else { "" };
     println!(
@@ -69,75 +68,14 @@ pub fn serve(raw: &[String]) -> CliResult {
          Ctrl-C to stop",
         server.addr()
     );
-    if let Some(policy) = schedule {
-        spawn_schedule_loop(policy, server.addr(), (file_id, segments, dynamic));
-    }
     loop {
         std::thread::sleep(std::time::Duration::from_secs(60));
         let stats = server.stats();
         println!(
-            "[stats] connections {} | sessions {} | challenges {}",
-            stats.connections, stats.sessions, stats.challenges
+            "[stats] connections {} | challenges {} | hits {}",
+            stats.connections, stats.challenges, stats.hits
         );
     }
-}
-
-/// Continuous assurance for a long-lived server: the hosted file is
-/// enrolled in the core [`AuditScheduler`](geoproof::core::AuditScheduler)
-/// as a prover, and a background thread re-audits it over loopback TCP
-/// on the policy's cadence — a failed challenge puts the file on the
-/// REJECT fast track, exactly as a TPA fleet would treat a misbehaving
-/// site.
-fn spawn_schedule_loop(
-    policy: geoproof::core::SchedulePolicy,
-    addr: std::net::SocketAddr,
-    (file_id, segments, dynamic): (String, u64, bool),
-) {
-    use geoproof::core::engine::ProverId;
-    use geoproof::wire::TcpChallenger;
-
-    std::thread::Builder::new()
-        .name("geoproof-schedule".into())
-        .spawn(move || {
-            let sched = geoproof::core::AuditScheduler::new(policy);
-            let origin = std::time::Instant::now();
-            let now_ns = || origin.elapsed().as_nanos() as u64;
-            sched.register(&ProverId(file_id.clone()), now_ns());
-            let mut round = 0u64;
-            loop {
-                for prover in sched.pop_due(now_ns()) {
-                    // Walk the file round-robin so repeated audits cover
-                    // every segment, not one lucky index.
-                    let index = round % segments.max(1);
-                    round += 1;
-                    let ok = TcpChallenger::connect(addr).is_ok_and(|mut c| {
-                        let ok = if dynamic {
-                            c.dyn_challenge(&file_id, index)
-                                .is_ok_and(|(seg, _)| seg.is_some())
-                        } else {
-                            c.challenge(&file_id, index)
-                                .is_ok_and(|(seg, _)| seg.is_some())
-                        };
-                        let _ = c.bye();
-                        ok
-                    });
-                    if !ok {
-                        println!(
-                            "[schedule] REJECT {} (segment {index}); fast-track re-audit",
-                            prover.0
-                        );
-                    }
-                    sched.complete(&prover, ok, now_ns());
-                }
-                let sleep_ns = sched
-                    .next_wakeup_ns()
-                    .map(|at| at.saturating_sub(now_ns()))
-                    .unwrap_or(500_000_000)
-                    .clamp(1_000_000, 500_000_000);
-                std::thread::sleep(std::time::Duration::from_nanos(sleep_ns));
-            }
-        })
-        .expect("spawn schedule thread");
 }
 
 pub fn stats(raw: &[String]) -> CliResult {

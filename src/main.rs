@@ -30,10 +30,7 @@ const USAGE: &str = "usage:
                    [--ledger <path>]
   geoproof append  <host:port> <store-dir> --data <file> --master <secret>
                    [--ledger <path>]
-  geoproof serve   <store-dir> [--delay-ms N] [--schedule <policy>]
-                   [--metrics-addr <ip:port>]
-                   (policy: cadence=30s,jitter=0.2,reject-cadence=5s,
-                    reject-rounds=3,max-in-flight=64,rate=200)
+  geoproof serve   <store-dir> [--delay-ms N] [--metrics-addr <ip:port>]
   geoproof audit   <host:port> <store-dir> --master <secret> [--dynamic] [--k N]
                    [--budget-ms N] [--ledger <path>] [--prover <id>]
                    [--transcript <path>] [--metrics-addr <ip:port>]

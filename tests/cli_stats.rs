@@ -73,14 +73,17 @@ fn scraped_registry_agrees_with_audits_run() {
     assert_eq!(h.count, 4, "one session latency per audit\n{text}");
     assert!(h.sum > 0.0);
 
-    // A flagless `serve` of a static store runs the session mux: the
-    // serve process recorded its side of the same four audits.
+    // The serve process recorded its side of the same four audits.
     assert_eq!(m.value("mux_connections_total"), Some(4.0), "{text}");
-    assert_eq!(m.value("mux_sessions_opened_total"), Some(4.0), "{text}");
     assert_eq!(
         m.value("mux_challenges_total"),
         Some(16.0),
         "k=4 challenges per audit\n{text}"
+    );
+    assert_eq!(
+        m.value("mux_hits_total"),
+        Some(16.0),
+        "every challenge found its segment\n{text}"
     );
 
     // A plain HTTP/1.1 client (as curl would send), not the crate's own

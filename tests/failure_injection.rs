@@ -198,24 +198,81 @@ fn tcp_missing_file_yields_none_not_error() {
     assert!(seg.is_none());
 }
 
+/// One wire-malformation table over every frame the codec knows, with
+/// both arms of each `Option`: every truncation, one trailing byte and
+/// (where the frame has one) an option presence byte of 2 are refused;
+/// the untouched frame decodes back to the message.
 #[test]
 fn codec_rejects_every_truncation_of_every_variant() {
+    use geoproof::por::dynamic::DynamicDigest;
+    use geoproof::por::merkle::MerkleProof;
+    use geoproof::wire::CodecError;
+
+    let proof = MerkleProof {
+        index: 2,
+        siblings: vec![([1u8; 32], true), ([2u8; 32], false)],
+    };
+    let digest = DynamicDigest {
+        root: [4u8; 32],
+        segments: 5,
+    };
+    // (message, whether its second payload byte is an option's presence byte)
     let messages = vec![
-        WireMessage::Challenge {
-            file_id: "abc".into(),
-            index: 123,
-        },
-        WireMessage::Response {
-            segment: Some(vec![7; 30].into()),
-        },
-        WireMessage::StartAudit {
-            file_id: "f".into(),
-            n_segments: 10,
-            k: 2,
-            nonce: [3u8; 32],
-        },
+        (
+            WireMessage::Challenge {
+                file_id: "abc".into(),
+                index: 123,
+            },
+            false,
+        ),
+        (
+            WireMessage::Response {
+                segment: Some(vec![7; 30].into()),
+            },
+            true,
+        ),
+        (WireMessage::Response { segment: None }, true),
+        (WireMessage::Bye, false),
+        (
+            WireMessage::DynChallenge {
+                file_id: "f".into(),
+                index: 2,
+            },
+            false,
+        ),
+        (
+            WireMessage::DynResponse {
+                segment: Some((vec![1u8; 10].into(), proof)),
+            },
+            true,
+        ),
+        (WireMessage::DynResponse { segment: None }, true),
+        (
+            WireMessage::Update {
+                file_id: "f".into(),
+                index: 1,
+                tagged: vec![2u8; 10].into(),
+                sig: [0x21u8; 64],
+            },
+            false,
+        ),
+        (
+            WireMessage::Append {
+                file_id: "f".into(),
+                tagged: vec![3u8; 10].into(),
+                sig: [0x22u8; 64],
+            },
+            false,
+        ),
+        (
+            WireMessage::UpdateAck {
+                new_digest: Some(digest),
+            },
+            true,
+        ),
+        (WireMessage::UpdateAck { new_digest: None }, true),
     ];
-    for msg in messages {
+    for (msg, has_option) in messages {
         let frame = msg.encode();
         let payload = &frame[4..];
         for cut in 0..payload.len() {
@@ -224,9 +281,30 @@ fn codec_rejects_every_truncation_of_every_variant() {
                 "{msg:?} truncated at {cut} decoded"
             );
         }
+        let mut trailing = payload.to_vec();
+        trailing.push(0);
+        assert_eq!(
+            WireMessage::decode(&trailing),
+            Err(CodecError::TrailingBytes(1)),
+            "{msg:?} with a trailing byte"
+        );
+        if has_option {
+            let mut bad = payload.to_vec();
+            bad[1] = 2;
+            assert_eq!(
+                WireMessage::decode(&bad),
+                Err(CodecError::BadOption(2)),
+                "{msg:?} with option byte 2"
+            );
+        }
         // Untruncated must decode.
         assert_eq!(WireMessage::decode(payload).unwrap(), msg);
     }
+    // An unassigned tag is refused, whatever follows it.
+    let mut tag3 = vec![3u8];
+    tag3.extend_from_slice(&1u32.to_be_bytes());
+    tag3.push(b'f');
+    assert_eq!(WireMessage::decode(&tag3), Err(CodecError::BadTag(3)));
 }
 
 // --- clock/GPS failures --------------------------------------------------------
