@@ -14,7 +14,7 @@
 
 use crate::keys::PorKeys;
 use crate::params::PorParams;
-use crate::stream::{ArenaSink, ChunkCoder, SegmentSink, StreamingEncoder, TaggedArena};
+use crate::stream::{ChunkCoder, StreamingEncoder, TaggedArena};
 use geoproof_crypto::hmac::TruncatedMac;
 use geoproof_ecc::block_code::{Block, BlockCode, BLOCK_BYTES};
 
@@ -126,55 +126,39 @@ impl PorEncoder {
         file_id: &str,
         threads: usize,
     ) -> TaggedArena {
-        let mut stream = self.begin_encode_threads(
-            keys,
-            file_id,
-            data.len() as u64,
-            ArenaSink::default(),
-            threads,
-        );
+        let mut stream = self.begin_encode_threads(keys, file_id, data.len() as u64, threads);
         stream.push(data);
-        let (metadata, sink) = stream.finish();
-        sink.into_arena(metadata)
+        stream.finish()
     }
 
-    /// Starts a streaming encode of a `total_len`-byte input into `sink`.
+    /// Starts a streaming encode of a `total_len`-byte input into an
+    /// encoder-owned arena.
     ///
     /// Feed the input with [`StreamingEncoder::push`] in chunks of any
-    /// size; peak working memory stays at one Reed–Solomon chunk plus the
-    /// sink itself, instead of several copies of the whole file.
-    pub fn begin_encode<S: SegmentSink>(
-        &self,
-        keys: &PorKeys,
-        file_id: &str,
-        total_len: u64,
-        sink: S,
-    ) -> StreamingEncoder<S> {
-        self.begin_encode_threads(keys, file_id, total_len, sink, 1)
+    /// size; working memory beyond the arena stays under one Reed–Solomon
+    /// chunk plus per-job scratch, instead of several copies of the whole
+    /// file. [`StreamingEncoder::finish`] returns the [`TaggedArena`].
+    pub fn begin_encode(&self, keys: &PorKeys, file_id: &str, total_len: u64) -> StreamingEncoder {
+        self.begin_encode_threads(keys, file_id, total_len, 1)
     }
 
-    /// [`PorEncoder::begin_encode`] with parallel wave dispatch: input is
-    /// buffered one *wave* at a time and each wave's Reed–Solomon chunks
-    /// are encoded, encrypted and PRP-scattered by `threads` pool workers
-    /// (when the sink offers a [`crate::stream::SinkView`]; otherwise the
-    /// path stays sequential). Output is bit-identical to `threads = 1`;
-    /// peak working memory grows to one wave (≈ 223 KiB × threads at
-    /// paper parameters).
-    pub fn begin_encode_threads<S: SegmentSink>(
+    /// [`PorEncoder::begin_encode`] on `threads` pool workers: each push's
+    /// whole Reed–Solomon chunks are encoded, encrypted and PRP-scattered
+    /// in one dispatch, and `finish` tags the segments in one more (see
+    /// [`crate::stream`]). Output is bit-identical to `threads = 1`.
+    pub fn begin_encode_threads(
         &self,
         keys: &PorKeys,
         file_id: &str,
         total_len: u64,
-        sink: S,
         threads: usize,
-    ) -> StreamingEncoder<S> {
+    ) -> StreamingEncoder {
         StreamingEncoder::new(
             self.code.clone(),
             self.params,
             keys,
             file_id,
             total_len,
-            sink,
             threads,
         )
     }

@@ -8,9 +8,9 @@
 //! * [`keys`] — per-file key derivation; the TPA receives only the MAC key;
 //! * [`encode`] — the five-step MAC-based setup (split → RS → encrypt →
 //!   permute → segment-and-tag) and the erasure-aware extractor;
-//! * [`stream`] — the same pipeline as a bounded-memory streaming encode
-//!   into a [`stream::SegmentSink`], with the contiguous
-//!   [`stream::TaggedArena`] as the zero-copy upload format
+//! * [`stream`] — the same pipeline as a bounded-memory, two-pass
+//!   streaming encode (scatter, then tag in index order) straight into
+//!   the contiguous [`stream::TaggedArena`], the zero-copy upload format
 //!   (see `docs/datapath.md`);
 //! * [`sentinel`] — the original sentinel-based variant as a baseline;
 //! * [`merkle`] / [`dynamic`] — the dynamic-POR extension the paper names
@@ -60,4 +60,4 @@ pub use keys::{AuditorKey, PorKeys};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use params::PorParams;
 pub use sentinel::{SentinelEncoder, SentinelMetadata};
-pub use stream::{ArenaSink, SegmentLayout, SegmentSink, StreamingEncoder, TaggedArena};
+pub use stream::{SegmentLayout, StreamingEncoder, TaggedArena};

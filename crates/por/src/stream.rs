@@ -1,45 +1,45 @@
-//! Streaming five-step setup: bounded-memory encoding into a
-//! [`SegmentSink`], sequentially or fanned out across a worker pool.
+//! Streaming five-step setup: bounded-memory encoding straight into the
+//! contiguous [`TaggedArena`], in two passes over a worker pool.
 //!
 //! [`crate::encode::PorEncoder::encode`] used to materialise five full
 //! copies of the file (raw blocks, RS-expanded blocks, the flat
 //! ciphertext, the permuted blocks, and the per-segment `Vec`s). This
-//! module restructures the same pipeline around a push API:
+//! module restructures the same pipeline around a push API and an
+//! encoder-owned arena:
 //!
-//! * input is fed in arbitrary-sized chunks and buffered only up to one
-//!   *wave* of Reed–Solomon chunks (one chunk when single-threaded,
-//!   [`WAVE_CHUNKS_PER_WORKER`] chunks per worker when parallel);
-//! * each chunk is RS-encoded, encrypted with one CTR call (counter =
-//!   global block index), and its block indices are permuted with one
-//!   batched PRP call; every ciphertext block is then written straight
-//!   into its *final* permuted position inside the destination
-//!   [`SegmentSink`] — no intermediate file-sized buffer exists;
-//! * a segment is MAC-tagged the moment its last block lands (the PRP
-//!   scatters blocks, so completion order is pseudorandom, not index
-//!   order).
+//! 1. **Scatter pass** ([`StreamingEncoder::push`]). Every whole
+//!    Reed–Solomon chunk a push carries is encoded in one pool dispatch,
+//!    straight from the caller's slice: each job RS-encodes a group of
+//!    chunks, encrypts each chunk with one CTR call (counter = global
+//!    block index), permutes its block indices with one batched PRP call
+//!    and writes every ciphertext block into its *final* position in the
+//!    arena. Only a partial chunk (under `rs_k × 16` bytes) is buffered
+//!    between pushes.
+//! 2. **Tag pass** ([`StreamingEncoder::finish`]). Once the last
+//!    (ragged or owed all-zero) chunk has landed, every segment is
+//!    MAC-tagged in index order, in one dispatch over contiguous segment
+//!    ranges.
 //!
-//! With `threads > 1` (see [`crate::encode::PorEncoder::begin_encode_threads`])
-//! each buffered wave is split into chunk groups and dispatched over the
-//! shared work-stealing pool (`geoproof_pool`). The RS chunk is the
-//! natural work unit: its `rs_n` output blocks depend only on its own
-//! `rs_k` input blocks, the CTR keystream is positioned by global block
-//! index, and the PRP is a bijection — so every worker writes a disjoint
-//! set of block slots and the interleaving cannot change a single output
-//! byte. Per-file key schedules (the PRP round table, the HMAC pad
-//! midstates) are built once and shared read-only across workers.
-//! Output is **bit-identical** at every thread count;
-//! `tests/golden` pins in the facade crate, `tests/stream_prop.rs`, and
-//! the differential battery in `tests/parallel_encode_prop.rs` enforce
-//! that.
+//! The RS chunk is the natural work unit of the scatter pass: its `rs_n`
+//! output blocks depend only on its own `rs_k` input blocks, the CTR
+//! keystream is positioned by global block index, and the PRP is a
+//! bijection — so every job writes a disjoint set of block slots and the
+//! interleaving cannot change a single output byte. The tag pass hands
+//! each job its own `&mut` range of the arena. Per-file key schedules
+//! (the PRP round table, the AES round keys, the HMAC pad midstates) are
+//! built once and shared read-only by the jobs. With one worker the same
+//! jobs run inline. Output is **bit-identical** at every thread count;
+//! `tests/golden_datapath.rs` in the facade crate, `tests/stream_prop.rs`,
+//! and the differential battery in `tests/parallel_encode_prop.rs`
+//! enforce that.
 //!
-//! Working memory beyond the destination is **O(wave)** data plus a
-//! 2-byte fill counter per segment (≈ 2.4 % of the stored bytes at paper
-//! parameters) plus the per-file PRP round table (≤ 1 MiB; 64 KiB for a
-//! 64 MiB file) — not O(file).
+//! Working memory beyond the arena is less than one RS chunk of input
+//! plus per-job scratch (one chunk in flight per worker) plus the
+//! per-file PRP round table (≤ 1 MiB; 64 KiB for a 64 MiB file) — not
+//! O(file).
 //!
 //! See `docs/datapath.md` for the end-to-end zero-copy story
-//! (encode → upload → disk → challenge → transcript) and the parallel
-//! lifecycle.
+//! (encode → upload → disk → challenge → transcript).
 
 use crate::encode::FileMetadata;
 use crate::keys::PorKeys;
@@ -51,38 +51,26 @@ use geoproof_crypto::prp::PrpSchedule;
 use geoproof_ecc::block_code::{Block, BlockCode, BLOCK_BYTES};
 use geoproof_ecc::DecodeError;
 use geoproof_pool::{run_jobs, Job};
-use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-/// Cached telemetry handles for the wave data path (see
-/// `geoproof_obs`): bytes counts raw input consumed, waves/chunks give
-/// dispatch occupancy, `encode_wave_mib_per_s` tracks the latest wave's
-/// encode rate over the padded chunk payload, and sealed counts
-/// tag-complete segments.
+/// Cached telemetry handles for the encoder (see `geoproof_obs`): bytes
+/// counts raw input pushed, sealed counts tagged segments.
 struct StreamMetrics {
     bytes: std::sync::Arc<geoproof_obs::Counter>,
-    waves: std::sync::Arc<geoproof_obs::Counter>,
     sealed: std::sync::Arc<geoproof_obs::Counter>,
-    chunks: std::sync::Arc<geoproof_obs::Histogram>,
-    mib_per_s: std::sync::Arc<geoproof_obs::Gauge>,
 }
 
 fn stream_metrics() -> &'static StreamMetrics {
     static METRICS: OnceLock<StreamMetrics> = OnceLock::new();
     METRICS.get_or_init(|| StreamMetrics {
         bytes: geoproof_obs::counter("encode_bytes_total"),
-        waves: geoproof_obs::counter("encode_waves_total"),
         sealed: geoproof_obs::counter("encode_segments_sealed_total"),
-        chunks: geoproof_obs::histogram("encode_wave_chunks"),
-        mib_per_s: geoproof_obs::gauge("encode_wave_mib_per_s"),
     })
 }
 
-/// Reed–Solomon chunks buffered per worker before a parallel wave is
-/// dispatched: large enough to amortise pool startup, small enough that
-/// the wave buffer (`threads × WAVE_CHUNKS_PER_WORKER × rs_k × 16` bytes
-/// — ≈ 223 KiB per worker at paper parameters) stays a small constant.
-pub const WAVE_CHUNKS_PER_WORKER: usize = 64;
+/// Jobs per worker in one dispatch: enough that stealing evens out a
+/// worker that starts late, few enough that job overhead stays nil.
+const JOBS_PER_WORKER: usize = 4;
 
 /// The encode worker count used when none is given explicitly: the
 /// `GEOPROOF_ENCODE_THREADS` environment variable when set to a positive
@@ -102,8 +90,8 @@ pub fn default_encode_threads() -> usize {
 
 /// The derived geometry of one encoded file: how `total_len` input bytes
 /// map onto blocks, Reed–Solomon chunks, and tagged segments. Pure
-/// arithmetic over [`PorParams`]; both the streaming encoder and sinks
-/// size themselves from it.
+/// arithmetic over [`PorParams`]; the streaming encoder sizes its arena
+/// from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentLayout {
     params: PorParams,
@@ -177,12 +165,9 @@ impl SegmentLayout {
         self.segments * self.segment_bytes() as u64
     }
 
-    /// Data blocks that land in segment `s` — `v`, except the final
-    /// segment which may be padded with zero blocks past `encoded_blocks`.
-    fn blocks_in_segment(&self, s: u64) -> u16 {
-        let start = s * self.params.segment_blocks as u64;
-        let end = (start + self.params.segment_blocks as u64).min(self.encoded_blocks);
-        (end - start) as u16
+    /// Raw input bytes per Reed–Solomon chunk (`rs_k × 16`).
+    fn chunk_bytes(&self) -> usize {
+        self.params.rs_k * BLOCK_BYTES
     }
 
     /// The retained metadata for this layout.
@@ -197,112 +182,48 @@ impl SegmentLayout {
     }
 }
 
-/// Destination for streamed tagged segments.
-///
-/// The encoder writes ciphertext blocks directly into sink-owned memory
-/// (the PRP scatters them, so writes are random-access) and seals each
-/// segment in place once its last block arrives. Contract:
-///
-/// * [`SegmentSink::segment_mut`] returns a buffer of exactly
-///   `layout.segment_bytes()` bytes that is **zero-initialised** on
-///   first access — trailing padding blocks and the tag area are never
-///   explicitly written before sealing;
-/// * [`SegmentSink::complete`] fires exactly once per segment, in
-///   PRP-completion order (pseudorandom, *not* ascending index);
-/// * [`SegmentSink::finish`] fires once, after every segment completed.
-pub trait SegmentSink {
-    /// Called once before any write; the sink sizes itself here.
-    fn begin(&mut self, layout: &SegmentLayout);
-
-    /// Mutable storage for segment `index` (body followed by tag area).
-    fn segment_mut(&mut self, index: u64) -> &mut [u8];
-
-    /// Segment `index` is fully written (body and tag).
-    fn complete(&mut self, index: u64) {
-        let _ = index;
-    }
-
-    /// All segments are complete.
-    fn finish(&mut self, layout: &SegmentLayout) {
-        let _ = layout;
-    }
-
-    /// A raw view over the sink's backing storage for the parallel
-    /// encoder's workers, or `None` (the default) if the sink cannot
-    /// offer one — in which case encoding stays sequential regardless of
-    /// the requested thread count.
-    ///
-    /// Implementors must return a view over one contiguous buffer of
-    /// `segments × segment_bytes` bytes at stride `segment_bytes`, valid
-    /// until the next `&mut` method call on the sink. In parallel mode
-    /// [`SegmentSink::complete`] fires after the wave that sealed the
-    /// segment, in ascending index order within the wave.
-    fn contiguous_view(&mut self) -> Option<SinkView> {
-        None
-    }
-}
-
-/// A raw, shareable window over a [`SegmentSink`]'s contiguous backing
-/// store, through which parallel encode workers write ciphertext blocks
-/// and tags.
+/// A raw, shareable pointer to the arena through which scatter jobs
+/// write ciphertext blocks.
 ///
 /// Soundness rests on the disjoint-slot invariant: the PRP is a
-/// bijection, so each of a wave's workers writes a distinct set of
-/// block-sized slots, and each segment's tag area is written by exactly
-/// one worker — the one whose block completed the segment's fill count
-/// (an `AcqRel` counter chain makes all body writes visible to it). No
-/// byte is written twice and no byte is read before its writer's
-/// increment, so the view's unsafe accessors are race-free by
-/// construction.
-#[derive(Debug)]
-pub struct SinkView {
+/// bijection, so within one dispatch each block slot is written exactly
+/// once, by exactly one job, and nothing reads the arena until the
+/// dispatch has joined.
+struct ScatterView {
     base: *mut u8,
     len: usize,
-    stride: usize,
 }
 
-// SAFETY: the view is only used under the wave protocol above — writes
-// from distinct threads never overlap and reads are ordered by the fill
-// counters.
-unsafe impl Send for SinkView {}
-unsafe impl Sync for SinkView {}
+// SAFETY: `base` points into the encoder's arena, which outlives every
+// dispatch and is not otherwise touched while one runs; `len` is never
+// written; writes through `base` from distinct threads never overlap (see
+// above).
+unsafe impl Send for ScatterView {}
+unsafe impl Sync for ScatterView {}
 
-impl SinkView {
-    /// Wraps a contiguous segment buffer of stride `stride`.
-    pub fn new(buf: &mut [u8], stride: usize) -> Self {
-        SinkView {
-            base: buf.as_mut_ptr(),
-            len: buf.len(),
-            stride,
-        }
-    }
-
-    /// Writes `bytes` at `offset` inside segment `seg`.
+impl ScatterView {
+    /// Writes one block at byte offset `at`.
     ///
     /// # Safety
     ///
-    /// No concurrent access to the same byte range; the view's buffer
-    /// must still be live.
-    unsafe fn write(&self, seg: u64, offset: usize, bytes: &[u8]) {
-        let start = seg as usize * self.stride + offset;
-        assert!(start + bytes.len() <= self.len, "write past sink view");
-        assert!(offset + bytes.len() <= self.stride, "write past segment");
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.base.add(start), bytes.len());
-    }
-
-    /// The first `len` bytes of segment `seg` (its body, when sealing).
-    ///
-    /// # Safety
-    ///
-    /// All writes to the range must happen-before this call and no
-    /// concurrent writes to it may exist; the buffer must still be live.
-    unsafe fn slice(&self, seg: u64, len: usize) -> &[u8] {
-        let start = seg as usize * self.stride;
+    /// No concurrent access to the same byte range; the arena must still
+    /// be live.
+    unsafe fn write_block(&self, at: usize, block: &[u8]) {
         assert!(
-            start + len <= self.len && len <= self.stride,
-            "read past sink view"
+            block.len() == BLOCK_BYTES && at + BLOCK_BYTES <= self.len,
+            "write past the arena"
         );
-        std::slice::from_raw_parts(self.base.add(start), len)
+        std::ptr::copy_nonoverlapping(block.as_ptr(), self.base.add(at), BLOCK_BYTES);
+    }
+}
+
+/// Runs one dispatch: inline on the calling thread with one worker (or
+/// one job), otherwise over the shared work-stealing pool.
+fn dispatch(threads: usize, jobs: Vec<Job>) {
+    if threads == 1 || jobs.len() <= 1 {
+        jobs.into_iter().for_each(|job| job());
+    } else {
+        run_jobs(threads, jobs);
     }
 }
 
@@ -313,108 +234,64 @@ impl SinkView {
 /// input length must be declared up front: the block permutation spans
 /// the whole encoded file, so its domain (and every segment's final
 /// position) depends on it.
-pub struct StreamingEncoder<S: SegmentSink> {
+pub struct StreamingEncoder {
     layout: SegmentLayout,
     coder: ChunkCoder,
     mac: TruncatedMac,
     /// Per-file MAC key schedule: HMAC pad midstates hoisted out of the
-    /// per-segment seal.
+    /// per-segment tag.
     mac_sched: HmacKeySchedule,
     file_id: String,
-    /// Raw input bytes buffered toward the current wave (one RS chunk
-    /// sequentially, `threads × WAVE_CHUNKS_PER_WORKER` chunks parallel).
-    pending: Vec<u8>,
-    /// Bytes buffered before a wave flushes.
-    wave_bytes: usize,
-    /// Worker threads for wave dispatch (1 = strictly sequential).
+    /// Worker threads per dispatch (1 = every job runs inline).
     threads: usize,
+    /// Input of the chunk in progress, always shorter than one chunk.
+    partial: Vec<u8>,
     fed: u64,
+    /// Chunks scattered so far.
     next_chunk: u64,
-    /// Blocks landed per segment; a segment seals when it hits
-    /// [`SegmentLayout::blocks_in_segment`]. Two bytes per segment — the
-    /// only per-file index the encoder keeps (≈ 2.4 % of stored bytes at
-    /// paper parameters). Atomic so parallel waves can race on the
-    /// increments; the AcqRel chain orders body writes before the seal.
-    fill: Vec<AtomicU16>,
-    sealed: u64,
-    sink: S,
+    /// The destination: segment `i` at byte `i × segment_bytes`,
+    /// zero-initialised, so padding blocks and tag areas need no write
+    /// before the tag pass.
+    arena: Vec<u8>,
 }
 
-impl<S: SegmentSink> std::fmt::Debug for StreamingEncoder<S> {
+impl std::fmt::Debug for StreamingEncoder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingEncoder")
             .field("layout", &self.layout)
             .field("fed", &self.fed)
-            .field("sealed", &self.sealed)
+            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
 
-impl<S: SegmentSink> StreamingEncoder<S> {
+impl StreamingEncoder {
     pub(crate) fn new(
         code: BlockCode,
         params: PorParams,
         keys: &PorKeys,
         file_id: &str,
         total_len: u64,
-        mut sink: S,
         threads: usize,
     ) -> Self {
         let layout = SegmentLayout::for_len(params, total_len);
-        assert!(
-            params.segment_blocks <= u16::MAX as usize,
-            "segment_blocks exceeds the fill-counter range"
-        );
-        sink.begin(&layout);
-        let threads = threads.clamp(1, 256);
-        let chunk_bytes = params.rs_k * BLOCK_BYTES;
-        // A single-threaded encoder keeps the historical one-chunk buffer
-        // (and the strict O(chunk) memory bound); parallel waves buffer
-        // enough chunks to keep every worker busy, capped at the whole
-        // (chunk-padded) input so small files don't over-allocate.
-        let wave_bytes = if threads > 1 {
-            (threads * WAVE_CHUNKS_PER_WORKER * chunk_bytes)
-                .min((layout.chunks() as usize).saturating_mul(chunk_bytes))
-                .max(chunk_bytes)
-        } else {
-            chunk_bytes
-        };
         StreamingEncoder {
             coder: ChunkCoder::new(code, keys, layout.encoded_blocks()),
             mac: TruncatedMac::new(params.tag_bits),
             mac_sched: HmacKeySchedule::new(keys.mac_key()),
             file_id: file_id.to_owned(),
-            pending: Vec::with_capacity(wave_bytes),
-            wave_bytes,
-            threads,
+            threads: threads.clamp(1, 256),
+            partial: Vec::with_capacity(layout.chunk_bytes()),
             fed: 0,
             next_chunk: 0,
-            fill: std::iter::repeat_with(|| AtomicU16::new(0))
-                .take(layout.segments() as usize)
-                .collect(),
-            sealed: 0,
-            sink,
+            arena: vec![0u8; layout.stored_bytes() as usize],
             layout,
         }
     }
 
-    /// The layout being encoded into.
-    pub fn layout(&self) -> &SegmentLayout {
-        &self.layout
-    }
-
-    /// Bytes fed so far.
-    pub fn bytes_fed(&self) -> u64 {
-        self.fed
-    }
-
-    /// Segments sealed (tag written, sink notified) so far.
-    pub fn segments_sealed(&self) -> u64 {
-        self.sealed
-    }
-
-    /// Feeds the next `data` bytes of the input. Chunking is free-form;
-    /// the encoder buffers at most one wave internally.
+    /// Feeds the next `data` bytes of the input. Chunking is free-form:
+    /// the whole chunks a push completes are encoded in one dispatch, and
+    /// only a partial chunk is kept for the next push.
     ///
     /// # Panics
     ///
@@ -427,25 +304,34 @@ impl<S: SegmentSink> StreamingEncoder<S> {
             self.fed,
             data.len()
         );
-        let chunk_bytes = self.layout.params().rs_k * BLOCK_BYTES;
-        while !data.is_empty() {
-            let take = (self.wave_bytes - self.pending.len()).min(data.len());
-            self.pending.extend_from_slice(&data[..take]);
-            self.fed += take as u64;
+        self.fed += data.len() as u64;
+        stream_metrics().bytes.add(data.len() as u64);
+        let chunk_bytes = self.layout.chunk_bytes();
+        if !self.partial.is_empty() {
+            let take = (chunk_bytes - self.partial.len()).min(data.len());
+            self.partial.extend_from_slice(&data[..take]);
             data = &data[take..];
-            if self.pending.len() == self.wave_bytes {
-                self.flush_wave((self.wave_bytes / chunk_bytes) as u64);
+            if self.partial.len() < chunk_bytes {
+                return;
             }
         }
+        let (whole, tail) = data.split_at(data.len() - data.len() % chunk_bytes);
+        // `head` is the topped-up chunk, or empty.
+        let mut head = std::mem::take(&mut self.partial);
+        let count = usize::from(!head.is_empty()) + whole.len() / chunk_bytes;
+        self.scatter(&head, whole, count);
+        head.clear();
+        head.extend_from_slice(tail);
+        self.partial = head;
     }
 
-    /// Flushes the final (possibly padded) wave, seals any remaining
-    /// segments and returns the metadata plus the filled sink.
+    /// Encodes the ragged or owed last chunk, tags every segment, and
+    /// returns the finished arena.
     ///
     /// # Panics
     ///
     /// Panics if fewer bytes than the declared total length were fed.
-    pub fn finish(mut self) -> (FileMetadata, S) {
+    pub fn finish(mut self) -> TaggedArena {
         assert_eq!(
             self.fed,
             self.layout.original_len(),
@@ -455,157 +341,87 @@ impl<S: SegmentSink> StreamingEncoder<S> {
         );
         // A ragged tail may remain, and an empty input still owes its
         // single all-zero chunk.
-        let remaining = self.layout.chunks() - self.next_chunk;
-        if remaining > 0 {
-            self.flush_wave(remaining);
-        }
-        debug_assert_eq!(self.sealed, self.layout.segments());
-        self.sink.finish(&self.layout);
-        (self.layout.metadata(&self.file_id), self.sink)
-    }
-
-    /// Processes the next `count` chunks of the file from the wave
-    /// buffer (absent bytes — the ragged tail or fully owed chunks — are
-    /// zero). Dispatches to the pool when parallel encoding is on and
-    /// the sink can take disjoint raw writes; the byte output is
-    /// identical either way.
-    fn flush_wave(&mut self, count: u64) {
-        let _span = geoproof_obs::span("encode_wave");
-        let started = std::time::Instant::now();
-        let raw_bytes = self.pending.len() as u64;
-        let sealed_before = self.sealed;
-        self.run_wave(count);
-        let m = stream_metrics();
-        m.bytes.add(raw_bytes);
-        m.waves.inc();
-        m.chunks.record(count);
-        m.sealed.add(self.sealed - sealed_before);
-        let chunk_bytes = (self.layout.params().rs_k * BLOCK_BYTES) as u64;
-        let elapsed_ns = started.elapsed().as_nanos().max(1) as u64;
-        let mib_per_s =
-            (count * chunk_bytes).saturating_mul(1_000_000_000) / elapsed_ns / (1 << 20);
-        m.mib_per_s.set(mib_per_s as i64);
-    }
-
-    fn run_wave(&mut self, count: u64) {
-        if self.threads > 1 && count > 1 {
-            if let Some(view) = self.sink.contiguous_view() {
-                let sealed = self.run_wave_parallel(count, view);
-                self.next_chunk += count;
-                self.pending.clear();
-                self.sealed += sealed.len() as u64;
-                for seg in sealed {
-                    self.sink.complete(seg);
-                }
-                return;
-            }
-        }
-        for i in 0..count {
-            self.process_chunk_sequential(i);
-        }
-        self.next_chunk += count;
-        self.pending.clear();
-    }
-
-    /// Runs wave chunk `wave_index` through [`ChunkCoder::encode`] and
-    /// writes each ciphertext block to its permuted position in the sink.
-    fn process_chunk_sequential(&mut self, wave_index: u64) {
-        let p = *self.layout.params();
-        let chunk_bytes = p.rs_k * BLOCK_BYTES;
-        let (ciphertext, dsts) = self.coder.encode(
-            self.next_chunk + wave_index,
-            wave_chunk_bytes(&self.pending, wave_index as usize, chunk_bytes),
-        );
-        for (block, dst) in ciphertext.chunks_exact(BLOCK_BYTES).zip(dsts) {
-            let seg = dst / p.segment_blocks as u64;
-            let offset = (dst % p.segment_blocks as u64) as usize * BLOCK_BYTES;
-            self.sink.segment_mut(seg)[offset..offset + BLOCK_BYTES].copy_from_slice(block);
-            let landed = self.fill[seg as usize].fetch_add(1, Ordering::Relaxed) + 1;
-            if landed == self.layout.blocks_in_segment(seg) {
-                self.seal_segment(seg);
-            }
+        let remaining = (self.layout.chunks() - self.next_chunk) as usize;
+        let tail = std::mem::take(&mut self.partial);
+        self.scatter(&[], &tail, remaining);
+        self.tag();
+        TaggedArena {
+            buf: Bytes::from(self.arena),
+            stride: self.layout.segment_bytes(),
+            metadata: self.layout.metadata(&self.file_id),
         }
     }
 
-    /// Fans `count` chunks out over the pool: each job runs a group of
-    /// chunks through [`ChunkCoder::encode`] and writes the ciphertext
-    /// through `view`, sealing any segment whose last block it lands.
-    /// Returns the segments sealed this wave, ascending.
-    fn run_wave_parallel(&self, count: u64, view: SinkView) -> Vec<u64> {
-        let p = *self.layout.params();
-        let chunk_bytes = p.rs_k * BLOCK_BYTES;
-        let body_bytes = self.layout.body_bytes();
+    /// The scatter pass over the next `count` chunks of the file, in one
+    /// dispatch: `head` (when not empty) is the first chunk, and `body`
+    /// holds the rest back to back. Absent bytes — a ragged tail, or a
+    /// chunk owed past the input — are zero.
+    fn scatter(&mut self, head: &[u8], body: &[u8], count: usize) {
+        let chunk_bytes = self.layout.chunk_bytes();
+        let v = self.layout.params().segment_blocks as u64;
+        let stride = self.layout.segment_bytes();
         let first = self.next_chunk;
-        let layout = &self.layout;
         let coder = &self.coder;
-        let mac = &self.mac;
-        let mac_sched = &self.mac_sched;
-        let fill = &self.fill;
-        let pending = &self.pending;
-        let file_id = &self.file_id;
-        let view = &view;
-        let sealed_log: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        // ~4 groups per worker so stealing can even out RS/MAC skew.
-        let group = (count as usize).div_ceil(self.threads * 4).max(1);
-        let jobs: Vec<Job> = (0..count as usize)
+        let view = &ScatterView {
+            base: self.arena.as_mut_ptr(),
+            len: self.arena.len(),
+        };
+        let input = move |i: usize| match (head.is_empty(), i) {
+            (false, 0) => head,
+            (false, i) => chunk_of(body, i - 1, chunk_bytes),
+            (true, i) => chunk_of(body, i, chunk_bytes),
+        };
+        let group = count.div_ceil(self.threads * JOBS_PER_WORKER).max(1);
+        let jobs: Vec<Job> = (0..count)
             .step_by(group)
             .map(|lo| {
-                let hi = (lo + group).min(count as usize);
-                let sealed_log = &sealed_log;
                 Box::new(move || {
-                    let mut local: Vec<u64> = Vec::new();
-                    for i in lo..hi {
-                        let (ciphertext, dsts) = coder
-                            .encode(first + i as u64, wave_chunk_bytes(pending, i, chunk_bytes));
+                    for i in lo..(lo + group).min(count) {
+                        let (ciphertext, dsts) = coder.encode(first + i as u64, input(i));
                         for (block, dst) in ciphertext.chunks_exact(BLOCK_BYTES).zip(dsts) {
-                            let seg = dst / p.segment_blocks as u64;
-                            let offset = (dst % p.segment_blocks as u64) as usize * BLOCK_BYTES;
-                            // SAFETY: the PRP is a bijection — this wave
-                            // writes each block slot exactly once, from
-                            // exactly one worker.
-                            unsafe { view.write(seg, offset, block) };
-                            let landed = fill[seg as usize].fetch_add(1, Ordering::AcqRel) + 1;
-                            if landed == layout.blocks_in_segment(seg) {
-                                // SAFETY: every writer incremented the fill
-                                // counter (AcqRel) after its write, and this
-                                // thread's RMW observed the full count — all
-                                // body writes happened-before this read. The
-                                // tag slot is written only here, once.
-                                let tag = {
-                                    let body = unsafe { view.slice(seg, body_bytes) };
-                                    let mut h = mac_sched.start();
-                                    h.update(body);
-                                    h.update(&seg.to_be_bytes());
-                                    h.update(file_id.as_bytes());
-                                    mac.truncate(&h.finalize())
-                                };
-                                unsafe { view.write(seg, body_bytes, &tag) };
-                                local.push(seg);
-                            }
+                            let at = (dst / v) as usize * stride + (dst % v) as usize * BLOCK_BYTES;
+                            // SAFETY: the PRP is a bijection — this
+                            // dispatch writes each block slot exactly
+                            // once, from exactly one job.
+                            unsafe { view.write_block(at, block) };
                         }
                     }
-                    sealed_log.lock().expect("sealed log").extend(local);
                 }) as Job
             })
             .collect();
-        run_jobs(self.threads, jobs);
-        let mut sealed = sealed_log.into_inner().expect("sealed log");
-        sealed.sort_unstable();
-        sealed
+        dispatch(self.threads, jobs);
+        self.next_chunk += count as u64;
     }
 
-    /// MACs the completed body in place and writes the tag after it.
-    fn seal_segment(&mut self, seg: u64) {
+    /// The tag pass: MACs every segment body in index order and writes
+    /// `τ_i = MAC_K′(S_i, i, fid)` after it, one job per contiguous range
+    /// of segments.
+    fn tag(&mut self) {
+        let stride = self.layout.segment_bytes();
         let body_bytes = self.layout.body_bytes();
-        let buf = self.sink.segment_mut(seg);
-        let mut h = self.mac_sched.start();
-        h.update(&buf[..body_bytes]);
-        h.update(&seg.to_be_bytes());
-        h.update(self.file_id.as_bytes());
-        let tag = self.mac.truncate(&h.finalize());
-        buf[body_bytes..].copy_from_slice(&tag);
-        self.sink.complete(seg);
-        self.sealed += 1;
+        let segments = self.layout.segments() as usize;
+        let per_job = segments.div_ceil(self.threads * JOBS_PER_WORKER).max(1);
+        let (mac, mac_sched, file_id) = (&self.mac, &self.mac_sched, self.file_id.as_bytes());
+        let jobs: Vec<Job> = self
+            .arena
+            .chunks_mut(per_job * stride)
+            .enumerate()
+            .map(|(j, range)| {
+                Box::new(move || {
+                    for (s, segment) in range.chunks_exact_mut(stride).enumerate() {
+                        let index = (j * per_job + s) as u64;
+                        let (body, tag) = segment.split_at_mut(body_bytes);
+                        let mut h = mac_sched.start();
+                        h.update(body);
+                        h.update(&index.to_be_bytes());
+                        h.update(file_id);
+                        tag.copy_from_slice(&mac.truncate(&h.finalize()));
+                    }
+                }) as Job
+            })
+            .collect();
+        dispatch(self.threads, jobs);
+        stream_metrics().sealed.add(segments as u64);
     }
 }
 
@@ -679,14 +495,14 @@ impl ChunkCoder {
     }
 }
 
-/// The raw input bytes of wave chunk `index` — possibly short (ragged
-/// tail) or empty (an owed all-zero chunk past the buffered input).
-fn wave_chunk_bytes(pending: &[u8], index: usize, chunk_bytes: usize) -> &[u8] {
+/// The raw input bytes of chunk `index` of `data` — possibly short (a
+/// ragged tail) or empty (an owed all-zero chunk past the input).
+fn chunk_of(data: &[u8], index: usize, chunk_bytes: usize) -> &[u8] {
     let start = index * chunk_bytes;
-    if start >= pending.len() {
+    if start >= data.len() {
         &[]
     } else {
-        &pending[start..(start + chunk_bytes).min(pending.len())]
+        &data[start..(start + chunk_bytes).min(data.len())]
     }
 }
 
@@ -697,49 +513,6 @@ fn build_blocks(k: usize, raw: &[u8]) -> Vec<Block> {
         slot[..piece.len()].copy_from_slice(piece);
     }
     chunk
-}
-
-// --- the contiguous-arena sink ---------------------------------------------
-
-/// A [`SegmentSink`] backing all segments with one contiguous,
-/// fixed-stride allocation — the zero-copy upload format. Freeze into a
-/// [`TaggedArena`] with [`ArenaSink::into_arena`].
-#[derive(Debug, Default)]
-pub struct ArenaSink {
-    buf: Vec<u8>,
-    stride: usize,
-}
-
-impl SegmentSink for ArenaSink {
-    fn begin(&mut self, layout: &SegmentLayout) {
-        self.stride = layout.segment_bytes();
-        self.buf = vec![0u8; layout.stored_bytes() as usize];
-    }
-
-    fn segment_mut(&mut self, index: u64) -> &mut [u8] {
-        let start = index as usize * self.stride;
-        &mut self.buf[start..start + self.stride]
-    }
-
-    fn contiguous_view(&mut self) -> Option<SinkView> {
-        Some(SinkView::new(&mut self.buf, self.stride))
-    }
-}
-
-impl ArenaSink {
-    /// Freezes the filled arena (no copy).
-    pub fn into_arena(self, metadata: FileMetadata) -> TaggedArena {
-        debug_assert_eq!(
-            self.buf.len(),
-            metadata.segments as usize * self.stride,
-            "arena size does not match metadata"
-        );
-        TaggedArena {
-            buf: Bytes::from(self.buf),
-            stride: self.stride,
-            metadata,
-        }
-    }
 }
 
 /// An encoded, tagged file in one contiguous buffer: segment `i` lives at
@@ -878,12 +651,11 @@ mod tests {
         let data = sample(5000);
         let batch = enc.encode(&data, &k, "sf");
         for chunk_size in [1usize, 7, 16, 176, 1000, 5000] {
-            let mut stream = enc.begin_encode(&k, "sf", data.len() as u64, ArenaSink::default());
+            let mut stream = enc.begin_encode(&k, "sf", data.len() as u64);
             for piece in data.chunks(chunk_size) {
                 stream.push(piece);
             }
-            let (md, sink) = stream.finish();
-            let arena = sink.into_arena(md);
+            let arena = stream.finish();
             assert_eq!(arena.metadata(), &batch.metadata, "chunk {chunk_size}");
             assert_eq!(
                 arena.segment_count() as usize,
@@ -916,47 +688,36 @@ mod tests {
     }
 
     #[test]
-    fn completion_order_is_pseudorandom_but_complete() {
-        #[derive(Default)]
-        struct Recording {
-            inner: ArenaSink,
-            order: Vec<u64>,
-        }
-        impl SegmentSink for Recording {
-            fn begin(&mut self, layout: &SegmentLayout) {
-                self.inner.begin(layout);
-            }
-            fn segment_mut(&mut self, index: u64) -> &mut [u8] {
-                self.inner.segment_mut(index)
-            }
-            fn complete(&mut self, index: u64) {
-                self.order.push(index);
-            }
-        }
-
+    fn every_worker_count_tags_every_segment_like_the_batch_encoder() {
         let enc = PorEncoder::new(PorParams::test_small());
-        let data = sample(4000);
-        let mut stream = enc.begin_encode(&keys(), "sf", data.len() as u64, Recording::default());
-        stream.push(&data);
-        let (md, sink) = stream.finish();
-        let mut seen = sink.order.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..md.segments).collect::<Vec<_>>());
-        assert_ne!(
-            sink.order,
-            (0..md.segments).collect::<Vec<_>>(),
-            "PRP scatter should not complete segments in index order"
-        );
+        let k = keys();
+        // 230 chunks of 176 B: at every worker count each push below
+        // spans several dispatch groups, and the tail chunk is ragged.
+        let data = sample(40_000 + 37);
+        let batch = enc.encode(&data, &k, "sf");
+        for threads in [1usize, 2, 4] {
+            let mut stream = enc.begin_encode_threads(&k, "sf", data.len() as u64, threads);
+            for piece in data.chunks(9_000) {
+                stream.push(piece);
+            }
+            let arena = stream.finish();
+            assert_eq!(arena.metadata(), &batch.metadata, "threads {threads}");
+            for (i, seg) in arena.iter().enumerate() {
+                assert!(
+                    enc.verify_segment(k.mac_key(), "sf", i as u64, &seg),
+                    "segment {i} fails its tag at {threads} threads"
+                );
+                assert_eq!(seg, batch.segments[i], "segment {i}, threads {threads}");
+            }
+        }
     }
 
     #[test]
     fn empty_input_produces_one_padded_chunk() {
         let enc = PorEncoder::new(PorParams::test_small());
-        let stream = enc.begin_encode(&keys(), "sf", 0, ArenaSink::default());
-        let (md, sink) = stream.finish();
-        assert_eq!(md.raw_blocks, 1);
-        assert_eq!(md.encoded_blocks, 15);
-        let arena = sink.into_arena(md);
+        let arena = enc.begin_encode(&keys(), "sf", 0).finish();
+        assert_eq!(arena.metadata().raw_blocks, 1);
+        assert_eq!(arena.metadata().encoded_blocks, 15);
         assert_eq!(arena.segment_count(), 8);
         // Must equal the batch path bit for bit.
         let batch = enc.encode(&[], &keys(), "sf");
@@ -969,7 +730,7 @@ mod tests {
     #[should_panic(expected = "push overflows")]
     fn overfeeding_panics() {
         let enc = PorEncoder::new(PorParams::test_small());
-        let mut stream = enc.begin_encode(&keys(), "sf", 4, ArenaSink::default());
+        let mut stream = enc.begin_encode(&keys(), "sf", 4);
         stream.push(&[0u8; 5]);
     }
 
@@ -977,24 +738,9 @@ mod tests {
     #[should_panic(expected = "finish called after")]
     fn underfeeding_panics() {
         let enc = PorEncoder::new(PorParams::test_small());
-        let mut stream = enc.begin_encode(&keys(), "sf", 64, ArenaSink::default());
+        let mut stream = enc.begin_encode(&keys(), "sf", 64);
         stream.push(&[0u8; 10]);
         let _ = stream.finish();
-    }
-
-    #[test]
-    fn progress_counters_track_the_stream() {
-        let enc = PorEncoder::new(PorParams::test_small());
-        let data = sample(4000);
-        let mut stream = enc.begin_encode(&keys(), "sf", data.len() as u64, ArenaSink::default());
-        assert_eq!(stream.bytes_fed(), 0);
-        stream.push(&data[..1000]);
-        assert_eq!(stream.bytes_fed(), 1000);
-        stream.push(&data[1000..]);
-        assert_eq!(stream.bytes_fed(), 4000);
-        let sealed_before_finish = stream.segments_sealed();
-        let (md, _) = stream.finish();
-        assert!(sealed_before_finish <= md.segments);
     }
 
     #[test]

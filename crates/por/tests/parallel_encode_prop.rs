@@ -1,19 +1,20 @@
 //! The differential battery pinning the parallel encode data path to the
 //! sequential one, byte for byte.
 //!
-//! The parallel encoder (see `geoproof_por::stream`) fans Reed–Solomon
-//! chunks out over the work-stealing pool and scatters ciphertext blocks
-//! through a raw [`SinkView`]; its entire correctness claim is that the
-//! output arena is **bit-identical** to `threads = 1` for every input.
-//! These tests hammer that claim across random file sizes (biased toward
-//! the padding boundaries: empty, one block, ragged tails, exact chunk
-//! multiples, whole waves), random parameter sets, thread counts
-//! {1, 2, 4, 7}, and randomized push chunkings.
+//! The parallel encoder (see `geoproof_por::stream`) fans each push's
+//! Reed–Solomon chunks out over the work-stealing pool and scatters
+//! ciphertext blocks straight into the arena, then tags the segments in
+//! a second dispatch; its entire correctness claim is that the output
+//! arena is **bit-identical** to `threads = 1` for every input. These
+//! tests hammer that claim across random file sizes (biased toward the
+//! padding boundaries: empty, one block, ragged tails, exact chunk
+//! multiples, many dispatch groups), random parameter sets, thread
+//! counts {1, 2, 4, 7}, and randomized push chunkings.
 
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
 use geoproof_por::params::PorParams;
-use geoproof_por::stream::{ArenaSink, TaggedArena, WAVE_CHUNKS_PER_WORKER};
+use geoproof_por::stream::TaggedArena;
 use proptest::prelude::*;
 
 const BLOCK: usize = 16;
@@ -74,8 +75,7 @@ fn encode_threads(
     threads: usize,
 ) -> TaggedArena {
     let encoder = PorEncoder::new(params);
-    let mut stream =
-        encoder.begin_encode_threads(keys, fid, data.len() as u64, ArenaSink::default(), threads);
+    let mut stream = encoder.begin_encode_threads(keys, fid, data.len() as u64, threads);
     if chunk == 0 {
         stream.push(data);
     } else {
@@ -83,8 +83,7 @@ fn encode_threads(
             stream.push(piece);
         }
     }
-    let (md, sink) = stream.finish();
-    sink.into_arena(md)
+    stream.finish()
 }
 
 proptest! {
@@ -105,7 +104,7 @@ proptest! {
         let chunk_bytes = params.rs_k * BLOCK;
         // Bias toward the boundaries that break scatter/padding logic:
         // empty input, one block, one block ± 1, an exact RS chunk, a
-        // chunk ± 1, and more than one full 2-thread wave.
+        // chunk ± 1, and 128 chunks plus a ragged tail.
         let len = match boundary {
             1 => 0,
             2 => BLOCK,
@@ -113,7 +112,7 @@ proptest! {
             4 => chunk_bytes,
             5 => chunk_bytes + 1,
             6 => chunk_bytes.saturating_sub(1),
-            7 => 2 * WAVE_CHUNKS_PER_WORKER * chunk_bytes + 37,
+            7 => 2 * 64 * chunk_bytes + 37,
             _ => raw_len,
         };
         let keys = PorKeys::derive(&seed.to_le_bytes(), "par");
@@ -180,8 +179,7 @@ fn paper_params_bit_identical_across_thread_counts() {
 }
 
 /// Push-boundary torture: the same input fed byte-by-byte, in one push,
-/// and in pushes straddling wave boundaries must all agree in parallel
-/// mode.
+/// and in pushes of 256 chunks ± 1 byte must all agree in parallel mode.
 #[test]
 fn push_chunking_cannot_change_parallel_output() {
     let params = PorParams {
@@ -191,17 +189,53 @@ fn push_chunking_cannot_change_parallel_output() {
         tag_bits: 16,
     };
     let chunk_bytes = params.rs_k * BLOCK;
-    let wave = 4 * WAVE_CHUNKS_PER_WORKER * chunk_bytes;
+    let many = 4 * 64 * chunk_bytes; // 256 chunks
     let keys = PorKeys::derive(b"push-boundaries", "pb");
-    let data = data_of(wave + wave / 2 + 13, 97);
+    let data = data_of(many + many / 2 + 13, 97);
     let reference = encode_threads(params, &keys, "pb", &data, 0, 4);
-    for push in [1, 3, chunk_bytes - 1, chunk_bytes, wave - 1, wave, wave + 1] {
+    for push in [1, 3, chunk_bytes - 1, chunk_bytes, many - 1, many, many + 1] {
         let got = encode_threads(params, &keys, "pb", &data, push, 4);
         assert_eq!(
             got.bytes(),
             reference.bytes(),
             "push size {push} changed the output"
         );
+    }
+}
+
+/// Mixed push schedules: a push that tops up a partial chunk, carries
+/// whole chunks and leaves a ragged tail must encode exactly like one
+/// push, at every worker count.
+#[test]
+fn pushes_that_top_up_carry_and_leave_a_tail_agree() {
+    let params = PorParams::test_small();
+    let chunk_bytes = params.rs_k * BLOCK;
+    let keys = PorKeys::derive(b"mixed-pushes", "mp");
+    let data = data_of(40 * chunk_bytes + 5, 23);
+    let reference = encode_threads(params, &keys, "mp", &data, 0, 1);
+    // Cut points: a partial first push, then pushes that each finish the
+    // carried chunk, carry several whole ones and stop mid-chunk.
+    let schedules: [&[usize]; 3] = [
+        &[7, 3 * chunk_bytes + 11, 9 * chunk_bytes + 100],
+        &[chunk_bytes - 1, chunk_bytes + 2, 20 * chunk_bytes - 3],
+        &[1, 2, 17 * chunk_bytes + chunk_bytes / 2, 5],
+    ];
+    let encoder = PorEncoder::new(params);
+    for cuts in schedules {
+        for threads in THREADS {
+            let mut stream = encoder.begin_encode_threads(&keys, "mp", data.len() as u64, threads);
+            let mut at = 0;
+            for &len in cuts {
+                stream.push(&data[at..at + len]);
+                at += len;
+            }
+            stream.push(&data[at..]);
+            assert_eq!(
+                stream.finish().bytes(),
+                reference.bytes(),
+                "pushes {cuts:?} at {threads} threads changed the output"
+            );
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
 use geoproof_por::params::PorParams;
-use geoproof_por::stream::{ArenaSink, SegmentLayout, TaggedArena};
+use geoproof_por::stream::{SegmentLayout, TaggedArena};
 use proptest::prelude::*;
 
 const BLOCK: usize = 16;
@@ -33,7 +33,7 @@ fn stream_encode(
     data: &[u8],
     chunk: usize,
 ) -> TaggedArena {
-    let mut stream = encoder.begin_encode(keys, fid, data.len() as u64, ArenaSink::default());
+    let mut stream = encoder.begin_encode(keys, fid, data.len() as u64);
     if chunk == 0 {
         stream.push(data);
     } else {
@@ -41,8 +41,7 @@ fn stream_encode(
             stream.push(piece);
         }
     }
-    let (md, sink) = stream.finish();
-    sink.into_arena(md)
+    stream.finish()
 }
 
 proptest! {

@@ -16,7 +16,7 @@ use geoproof::por::dynamic::{owner_authorization, tag_segment};
 use geoproof::por::encode::PorEncoder;
 use geoproof::por::keys::PorKeys;
 use geoproof::por::params::PorParams;
-use geoproof::por::stream::{default_encode_threads, ArenaSink};
+use geoproof::por::stream::default_encode_threads;
 use std::io::Read;
 use std::path::Path;
 
@@ -33,7 +33,7 @@ pub fn encode(raw: &[String]) -> CliResult {
     let (input, store) = (args.pos(0), args.pos(1));
     let fid: String = args.need("--fid")?;
     let master: String = args.need("--master")?;
-    // Worker threads for the encode waves: --threads, else the
+    // Worker threads for each encode dispatch: --threads, else the
     // GEOPROOF_ENCODE_THREADS env var, else the machine's parallelism.
     // Output bytes are identical at every count.
     let threads = args.get("--threads", default_encode_threads())?;
@@ -62,8 +62,8 @@ pub fn encode(raw: &[String]) -> CliResult {
             (data.len() as u64, Box::new(std::io::Cursor::new(data)))
         }
     };
-    let mut stream =
-        encoder.begin_encode_threads(&keys, &fid, total, ArenaSink::default(), threads);
+    // Each ENCODE_CHUNK read becomes one dispatch of its whole RS chunks.
+    let mut stream = encoder.begin_encode_threads(&keys, &fid, total, threads);
     let mut buf = vec![0u8; ENCODE_CHUNK];
     // The layout was sized up front; clamp to it so a file that grows
     // mid-encode yields exactly the declared prefix, and a file that
@@ -83,8 +83,7 @@ pub fn encode(raw: &[String]) -> CliResult {
         fed += n as u64;
     }
     drop(reader);
-    let (md, sink) = stream.finish();
-    let arena = sink.into_arena(md);
+    let arena = stream.finish();
     write_store(Path::new(store), &arena)?;
     let md = arena.metadata();
     println!(

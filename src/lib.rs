@@ -86,7 +86,7 @@ pub mod prelude {
     pub use geoproof_por::encode::PorEncoder;
     pub use geoproof_por::keys::PorKeys;
     pub use geoproof_por::params::PorParams;
-    pub use geoproof_por::stream::{ArenaSink, SegmentLayout, SegmentSink, TaggedArena};
+    pub use geoproof_por::stream::{SegmentLayout, TaggedArena};
     pub use geoproof_sim::simnet::SimNet;
     pub use geoproof_sim::time::{Km, SimDuration};
     pub use geoproof_storage::arena::SegmentArena;
