@@ -12,13 +12,13 @@
 //!   streaming encode (scatter, then tag in index order) straight into
 //!   the contiguous [`stream::TaggedArena`], the zero-copy upload format
 //!   (see `docs/datapath.md`);
-//! * [`sentinel`] — the original sentinel-based variant as a baseline;
 //! * [`merkle`] / [`dynamic`] — the dynamic-POR extension the paper names
 //!   (Wang et al. DPOR): Merkle-authenticated updates and appends;
 //! * [`analysis`] — detection-probability analysis reproducing §V-C(a)'s
 //!   "71.3 % per challenge" and "< 1 in 200,000 irretrievability" figures;
-//! * [`batch`] — batched MAC/sentinel/Merkle verification and
-//!   order-independent challenge planning for the concurrent audit engine.
+//! * [`batch`] — what the concurrent audit engine shares across
+//!   sessions: one segment-MAC verifier per file and order-independent
+//!   session nonces.
 //!
 //! # Examples
 //!
@@ -43,14 +43,10 @@ pub mod encode;
 pub mod keys;
 pub mod merkle;
 pub mod params;
-pub mod sentinel;
 pub mod stream;
 
 pub use analysis::{detection_probability, irretrievability_bound};
-pub use batch::{
-    plan_batch, plan_session, session_nonce, ChallengePlan, MerkleBatchVerifier,
-    SegmentBatchVerifier, SentinelBatch,
-};
+pub use batch::{session_nonce, SegmentBatchVerifier};
 pub use dynamic::{
     tag_segment, verify_challenge, verify_tagged, DynamicDigest, DynamicError, DynamicOwner,
     DynamicStore, ProvenSegment,
@@ -59,5 +55,4 @@ pub use encode::{ExtractError, FileMetadata, PorEncoder, TaggedFile};
 pub use keys::{AuditorKey, PorKeys};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use params::PorParams;
-pub use sentinel::{SentinelEncoder, SentinelMetadata};
 pub use stream::{SegmentLayout, StreamingEncoder, TaggedArena};

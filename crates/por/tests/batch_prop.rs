@@ -1,15 +1,12 @@
-//! Property tests pinning the batch layer's core claim: batched
-//! verification is **equivalent** to sequential verification for
-//! arbitrary session mixes — same verdicts, any interleaving, any mix of
-//! honest and corrupted responses — and challenge planning is a pure
-//! function of `(seed, session key)`.
+//! Property test pinning the batch layer's core claim: batched
+//! segment-MAC verification is **equivalent** to sequential verification
+//! for arbitrary session mixes — same verdicts, any interleaving, any mix
+//! of honest and corrupted responses.
 
-use geoproof_por::batch::{plan_session, MerkleBatchVerifier, SegmentBatchVerifier, SentinelBatch};
+use geoproof_por::batch::SegmentBatchVerifier;
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
-use geoproof_por::merkle::{verify_proof, MerkleTree};
 use geoproof_por::params::PorParams;
-use geoproof_por::sentinel::SentinelEncoder;
 use proptest::prelude::*;
 
 proptest! {
@@ -55,85 +52,5 @@ proptest! {
             let sequential = encoder.verify_segment(keys.mac_key(), "mix", *index, segment);
             prop_assert_eq!(batched, sequential, "index {}", index);
         }
-        prop_assert_eq!(batch.checked(), checks.len() as u64);
-    }
-
-    #[test]
-    fn batched_sentinels_equal_sequential(
-        seed in any::<u64>(),
-        sentinels in 1u64..40,
-        forge_mask in any::<u64>(),
-    ) {
-        let enc = SentinelEncoder::new(sentinels);
-        let keys = PorKeys::derive(&seed.to_le_bytes(), "sb");
-        let data: Vec<u8> = (0..1500).map(|i| (i * 3) as u8).collect();
-        let (mut stored, meta) = enc.encode(&data, &keys, "sb");
-        let batch = SentinelBatch::new(&keys, &meta);
-        // Forge an arbitrary subset of sentinel positions.
-        for j in 0..sentinels {
-            if (forge_mask >> (j % 64)) & 1 == 1 {
-                let pos = batch.position(j) as usize;
-                stored[pos][0] ^= 0x80;
-            }
-        }
-        for j in 0..sentinels {
-            let pos = SentinelEncoder::sentinel_position(&keys, &meta, j);
-            prop_assert_eq!(batch.position(j), pos);
-            let response = &stored[pos as usize];
-            prop_assert_eq!(
-                batch.verify_one(j, response),
-                SentinelEncoder::verify_sentinel(&keys, &meta, j, response),
-                "sentinel {}", j
-            );
-        }
-    }
-
-    #[test]
-    fn batched_merkle_equals_sequential(
-        n_leaves in 1usize..40,
-        seed in any::<u64>(),
-        tamper_mask in any::<u32>(),
-    ) {
-        let segs: Vec<Vec<u8>> = (0..n_leaves)
-            .map(|i| vec![(i as u64 ^ seed) as u8; 17])
-            .collect();
-        let tree = MerkleTree::build(&segs);
-        let mut batch = MerkleBatchVerifier::new(tree.root());
-        for (i, seg) in segs.iter().enumerate() {
-            let proof = tree.prove(i as u64);
-            let tampered = (tamper_mask >> (i % 32)) & 1 == 1;
-            let data: Vec<u8> = if tampered {
-                let mut d = seg.clone();
-                d[0] ^= 1;
-                d
-            } else {
-                seg.clone()
-            };
-            prop_assert_eq!(
-                batch.verify_one(&data, &proof),
-                verify_proof(&tree.root(), &data, &proof),
-                "leaf {}", i
-            );
-        }
-    }
-
-    #[test]
-    fn challenge_plans_are_pure_functions(
-        seed in any::<u64>(),
-        n in 10u64..500,
-    ) {
-        let k = (n / 2).min(20) as u32;
-        // Same inputs, same plan — regardless of any interleaved planning.
-        let a = plan_session(seed, "session-a", n, k);
-        let _noise = plan_session(seed ^ 1, "noise", n, k);
-        let b = plan_session(seed, "session-a", n, k);
-        prop_assert_eq!(&a, &b);
-        // Indices distinct and in range.
-        let set: std::collections::HashSet<u64> = a.indices.iter().copied().collect();
-        prop_assert_eq!(set.len(), k as usize);
-        prop_assert!(a.indices.iter().all(|&i| i < n));
-        // Different sessions under one seed diverge.
-        let c = plan_session(seed, "session-b", n, k);
-        prop_assert_ne!(a.nonce, c.nonce);
     }
 }

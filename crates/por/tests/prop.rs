@@ -7,7 +7,6 @@ use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
 use geoproof_por::merkle::{verify_proof, MerkleTree};
 use geoproof_por::params::{overhead_example, PorParams};
-use geoproof_por::sentinel::SentinelEncoder;
 use proptest::prelude::*;
 
 proptest! {
@@ -40,25 +39,6 @@ proptest! {
             prop_assert!(encoder.verify_segment(keys.mac_key(), "q", i as u64, seg));
             let other = (i as u64 + 1) % tagged.metadata.segments;
             prop_assert!(!encoder.verify_segment(keys.mac_key(), "q", other, seg));
-        }
-    }
-
-    #[test]
-    fn sentinel_roundtrip_and_positions_unique(
-        len in 1usize..2000,
-        sentinels in 1u64..60,
-        seed in any::<u64>(),
-    ) {
-        let enc = SentinelEncoder::new(sentinels);
-        let keys = PorKeys::derive(&seed.to_le_bytes(), "s");
-        let data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
-        let (stored, meta) = enc.encode(&data, &keys, "s");
-        prop_assert_eq!(enc.decode(&stored, &keys, &meta), data);
-        let mut positions = std::collections::HashSet::new();
-        for j in 0..sentinels {
-            let pos = SentinelEncoder::sentinel_position(&keys, &meta, j);
-            prop_assert!(positions.insert(pos), "duplicate sentinel position");
-            prop_assert!(verify_proof_is_sentinel(&enc, &keys, &meta, j, &stored));
         }
     }
 
@@ -139,15 +119,4 @@ proptest! {
         prop_assert_eq!(ex.segments, ex.encoded_blocks.div_ceil(p.segment_blocks as u64));
         prop_assert!(ex.stored_bytes > bytes, "stored must exceed original");
     }
-}
-
-fn verify_proof_is_sentinel(
-    _enc: &SentinelEncoder,
-    keys: &PorKeys,
-    meta: &geoproof_por::sentinel::SentinelMetadata,
-    j: u64,
-    stored: &[geoproof_ecc::block_code::Block],
-) -> bool {
-    let pos = SentinelEncoder::sentinel_position(keys, meta, j) as usize;
-    SentinelEncoder::verify_sentinel(keys, meta, j, &stored[pos])
 }

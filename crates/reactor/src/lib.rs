@@ -16,10 +16,10 @@
 //!   poll immediately (no sleep-loop latency).
 //!
 //! Everything reaches the kernel through direct syscalls ([`sys`]) —
-//! there is no `libc` crate in the tree. On non-Linux targets the crate
-//! compiles but every operation returns
-//! [`std::io::ErrorKind::Unsupported`]; callers (the wire servers)
-//! treat that as "reactor unavailable, use the blocking server".
+//! there is no `libc` crate in the tree. On targets other than Linux
+//! x86-64 and aarch64 the crate compiles but every operation returns
+//! [`std::io::ErrorKind::Unsupported`]; the wire server passes that on,
+//! and `geoproof serve` exits naming the requirement.
 //!
 //! ## Shape
 //!

@@ -4,11 +4,10 @@
 //! Bytes and timer fires go in; bytes to write, a park request and close
 //! come out. Everything between — frame parsing, the one call into
 //! [`MuxService::handle`], service-delay parking, Bye-then-flush and the
-//! [`MAX_WRITE_BACKLOG`] cap — lives here, once. Two shells drive it:
-//! the epoll shell (`reactor_serve`, every connection on one event-loop
-//! thread) and the blocking shell (`mux`, a thread per connection). The
-//! shells own only sockets, readiness and time; the tests below drive
-//! the machine with no socket and no thread at all.
+//! [`MAX_WRITE_BACKLOG`] cap — lives here. The epoll shell
+//! (`reactor_serve`, every connection on one event-loop thread) owns
+//! only sockets, readiness and time; the tests below drive the machine
+//! with no socket and no thread at all.
 //!
 //! A shell loops on [`Conn::step`] and answers each [`Step`]:
 //!
@@ -184,8 +183,8 @@ impl Conn {
     }
 
     /// Writes queued reply bytes to `dst`, one vectored write per call,
-    /// until the queue is empty (`Ok(true)`) or `dst` would block or
-    /// time out (`Ok(false)`, the rest stays queued).
+    /// until the queue is empty (`Ok(true)`) or `dst` would block
+    /// (`Ok(false)`, the rest stays queued).
     pub(crate) fn write_to(&mut self, dst: &mut impl Write) -> std::io::Result<bool> {
         while !self.out.is_empty() {
             let mut parts = [IoSlice::new(&[]); WRITE_PARTS];
@@ -198,9 +197,7 @@ impl Conn {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => self.sent(n),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Ok(false)
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) => return Err(e),
             }
         }

@@ -16,13 +16,13 @@
 //! Each server connection is one socket-free state machine (`conn`):
 //! bytes and timer fires in; bytes to write, a park request and close
 //! out. It parses frames, calls the protocol, parks service delays,
-//! flushes before a Bye closes and caps the write backlog. Two shells
-//! drive it: the **epoll shell** ([`MuxProverServer::spawn_reactor`] —
-//! every connection on one `geoproof_reactor` thread, so concurrency is
-//! bounded by file descriptors rather than stacks), used wherever epoll
-//! exists, and the **blocking shell** ([`MuxProverServer::spawn`] — a
-//! thread per connection with timed reads and writes), the fallback
-//! elsewhere. See `crates/wire/docs/serving.md` for the architecture.
+//! flushes before a Bye closes and caps the write backlog. The **epoll
+//! shell** ([`MuxProverServer::spawn_reactor`]) drives every connection
+//! on one `geoproof_reactor` thread, so concurrency is bounded by file
+//! descriptors rather than stacks. It is the only server: targets
+//! without the reactor (anything but Linux x86-64 and aarch64) get
+//! [`std::io::ErrorKind::Unsupported`]. See
+//! `crates/wire/docs/serving.md` for the architecture.
 //!
 //! # Examples
 //!

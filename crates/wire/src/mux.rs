@@ -13,20 +13,17 @@
 //!   load.
 //!
 //! Every connection is one `conn::Conn` machine over the shared
-//! `MuxService`. Two shells drive the machines:
-//! [`MuxProverServer::spawn_reactor`] (all of them on one epoll thread —
-//! see `reactor_serve`) wherever the reactor exists, and
-//! [`MuxProverServer::spawn`] (a blocking thread per connection, in this
-//! module) elsewhere.
+//! `MuxService`, and [`MuxProverServer::spawn_reactor`] drives all of
+//! them on one epoll thread (see `reactor_serve`). On a target without
+//! the reactor (anything but Linux x86-64 and aarch64) it returns
+//! `Unsupported`.
 
 use crate::codec::WireMessage;
-use crate::conn::{Conn, Step};
 use crate::tcp::{store_segments, SegmentStore};
 use bytes::Bytes;
 use geoproof_por::dynamic::DynamicDigest;
 use geoproof_storage::dynamic::DynamicRegistry;
-use parking_lot::Mutex;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +73,7 @@ pub(crate) enum FrameOutcome {
 
 /// The protocol semantics: every lookup, every counter, every metric and
 /// every reply choice. Its one caller is the connection machine
-/// (`conn::Conn`), whichever shell drives it.
+/// (`conn::Conn`).
 pub(crate) struct MuxService {
     store: SegmentStore,
     pub(crate) dynamic: DynamicRegistry,
@@ -176,63 +173,14 @@ impl MuxService {
     }
 }
 
-/// How long the blocking accept loop parks between accept attempts.
-/// Short, because nothing signals the condvar when a connection arrives
-/// — only shutdown does.
-const ACCEPT_PARK: Duration = Duration::from_millis(2);
-
-/// Shutdown-interruptible park for the blocking accept loop.
-///
-/// A non-blocking listener has to retry `accept`; a plain `sleep`
-/// between attempts could not be interrupted by shutdown. Parking on a
-/// condvar keeps the retry cadence but lets [`AcceptPark::wake`]
-/// (called with the stop flag set) end the wait immediately.
-struct AcceptPark {
-    lock: std::sync::Mutex<()>,
-    cv: std::sync::Condvar,
-}
-
-impl AcceptPark {
-    fn new() -> Arc<AcceptPark> {
-        Arc::new(AcceptPark {
-            lock: std::sync::Mutex::new(()),
-            cv: std::sync::Condvar::new(),
-        })
-    }
-
-    /// Parks for [`ACCEPT_PARK`] unless `stop` is already set; a
-    /// concurrent [`AcceptPark::wake`] ends the park early. Checking
-    /// `stop` under the lock closes the set-flag/park race.
-    fn park_unless(&self, stop: &AtomicBool) {
-        let guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        drop(
-            self.cv
-                .wait_timeout(guard, ACCEPT_PARK)
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-    }
-
-    /// Wakes a parked accept loop (the caller has set its stop flag).
-    fn wake(&self) {
-        drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
-        self.cv.notify_all();
-    }
-}
-
 /// The multi-connection prover server.
 pub struct MuxProverServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    loop_handle: Option<std::thread::JoinHandle<()>>,
     service: Arc<MuxService>,
-    /// Blocking shell: wakes the parked accept loop at shutdown.
-    park: Option<Arc<AcceptPark>>,
-    /// Epoll shell: interrupts the event loop's poll at shutdown.
-    waker: Option<geoproof_reactor::Waker>,
+    /// Interrupts the event loop's poll at shutdown.
+    waker: geoproof_reactor::Waker,
 }
 
 impl std::fmt::Debug for MuxProverServer {
@@ -244,92 +192,33 @@ impl std::fmt::Debug for MuxProverServer {
 }
 
 impl MuxProverServer {
-    /// Binds an ephemeral localhost port; the caller starts the loop.
-    fn bind(
-        store: SegmentStore,
-        service_delay: Duration,
-    ) -> std::io::Result<(TcpListener, MuxProverServer)> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let server = MuxProverServer {
-            addr: listener.local_addr()?,
-            stop: Arc::new(AtomicBool::new(false)),
-            accept_handle: None,
-            conn_handles: Arc::new(Mutex::new(Vec::new())),
-            service: Arc::new(MuxService::new(store, service_delay)),
-            park: None,
-            waker: None,
-        };
-        Ok((listener, server))
-    }
-
-    /// Binds to an ephemeral localhost port and serves from the blocking
-    /// shell: one thread per connection, blocking reads and writes.
-    ///
-    /// `service_delay` is added per challenge, emulating storage latency
-    /// so wall-clock experiments can contrast disk classes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn spawn(store: SegmentStore, service_delay: Duration) -> std::io::Result<MuxProverServer> {
-        let (listener, mut server) = Self::bind(store, service_delay)?;
-        listener.set_nonblocking(true)?;
-        let park = AcceptPark::new();
-        let accept_stop = server.stop.clone();
-        let accept_park = park.clone();
-        let accept_conns = server.conn_handles.clone();
-        let accept_service = server.service.clone();
-        server.accept_handle = Some(std::thread::spawn(move || {
-            while !accept_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = Conn::new(accept_service.clone());
-                        let stop = accept_stop.clone();
-                        let handle = std::thread::spawn(move || {
-                            let _ = serve_blocking(stream, conn, &stop);
-                        });
-                        // Opportunistically reap finished handles (the
-                        // stat-read path reaps too, so a burst followed
-                        // by silence doesn't hoard handles until the
-                        // next accept).
-                        reap_finished(&accept_conns);
-                        accept_conns.lock().push(handle);
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        accept_park.park_unless(&accept_stop);
-                    }
-                    Err(_) => break,
-                }
-            }
-        }));
-        server.park = Some(park);
-        Ok(server)
-    }
-
-    /// Event-driven variant of [`MuxProverServer::spawn`]: the same
-    /// connection machines over the same service, but all driven from
-    /// one epoll thread instead of a thread each, so tens of thousands
-    /// of concurrent audits fit in O(connections) heap. Service delay
-    /// runs on reactor timers.
+    /// Binds to an ephemeral localhost port and serves every connection
+    /// from one epoll thread, so tens of thousands of concurrent audits
+    /// fit in O(connections) heap. `service_delay` is added per
+    /// challenge on reactor timers, emulating storage latency so
+    /// wall-clock experiments can contrast disk classes.
     ///
     /// # Errors
     ///
     /// Propagates socket errors; [`std::io::ErrorKind::Unsupported`] on
-    /// targets without the epoll backend (use [`MuxProverServer::spawn`]
-    /// there).
+    /// targets without the epoll backend.
     pub fn spawn_reactor(
         store: SegmentStore,
         service_delay: Duration,
     ) -> std::io::Result<MuxProverServer> {
-        let (listener, mut server) = Self::bind(store, service_delay)?;
-        let (waker, handle) = crate::reactor_serve::spawn_reactor_loop(
-            listener,
-            server.service.clone(),
-            server.stop.clone(),
-        )?;
-        server.accept_handle = Some(handle);
-        server.waker = Some(waker);
-        Ok(server)
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let service = Arc::new(MuxService::new(store, service_delay));
+        let (waker, handle) =
+            crate::reactor_serve::spawn_reactor_loop(listener, service.clone(), stop.clone())?;
+        Ok(MuxProverServer {
+            addr,
+            stop,
+            loop_handle: Some(handle),
+            service,
+            waker,
+        })
     }
 
     /// The server's socket address.
@@ -389,13 +278,7 @@ impl MuxProverServer {
     }
 
     /// Aggregate statistics (monotone — see [`MuxStats`]).
-    ///
-    /// Reading stats also reaps finished connection threads in the
-    /// blocking shell: a burst of connections followed by silence used
-    /// to hoard one `JoinHandle` per past connection until the *next*
-    /// accept; any observer now releases them.
     pub fn stats(&self) -> MuxStats {
-        reap_finished(&self.conn_handles);
         let s = &self.service;
         MuxStats {
             connections: s.connections.load(Ordering::Relaxed),
@@ -404,24 +287,13 @@ impl MuxProverServer {
         }
     }
 
-    /// Stops accepting, then joins the accept loop **and every
-    /// connection thread** (the blocking shell's threads notice the stop
-    /// flag within one socket timeout, even mid-write to a peer that
-    /// never reads). In the epoll shell the waker interrupts the event
-    /// loop's poll immediately, which drops every connection machine.
+    /// Stops serving: the waker interrupts the event loop's poll
+    /// immediately, and the loop drops every connection machine before
+    /// it is joined.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(park) = &self.park {
-            park.wake();
-        }
-        if let Some(waker) = &self.waker {
-            let _ = waker.wake();
-        }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = std::mem::take(&mut *self.conn_handles.lock());
-        for h in handles {
+        let _ = self.waker.wake();
+        if let Some(h) = self.loop_handle.take() {
             let _ = h.join();
         }
     }
@@ -430,108 +302,5 @@ impl MuxProverServer {
 impl Drop for MuxProverServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Reaps (joins) connection threads that have already finished, so a
-/// long-lived server holds handles only for *live* connections. Called
-/// from the accept loop and from [`MuxProverServer::stats`].
-fn reap_finished(handles: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
-    let mut handles = handles.lock();
-    let mut i = 0;
-    while i < handles.len() {
-        if handles[i].is_finished() {
-            let _ = handles.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Longest any blocking socket call may take before the connection
-/// thread looks at the stop flag again.
-const BLOCKING_IO_TIMEOUT: Duration = Duration::from_millis(50);
-
-/// The blocking shell: drives one connection's machine on its own
-/// thread. Reads and writes time out after [`BLOCKING_IO_TIMEOUT`] and
-/// the stop flag is checked between any two socket calls, so neither a
-/// byte dribbler (slow loris) nor a peer that never reads holds up
-/// shutdown. Once a write times out, further replies only queue until
-/// the next read turn retries the write, so a peer that pipelines
-/// without reading meets the machine's backlog cap here too. A service
-/// delay is a sleep.
-fn serve_blocking(mut stream: TcpStream, mut conn: Conn, stop: &AtomicBool) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(BLOCKING_IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(BLOCKING_IO_TIMEOUT))?;
-    let mut backed_up = false;
-    while !stop.load(Ordering::Relaxed) {
-        match conn.step() {
-            Step::Write if backed_up => {}
-            Step::Write | Step::Wait => backed_up = !conn.write_to(&mut stream)?,
-            Step::Read => {
-                backed_up = !conn.write_to(&mut stream)?;
-                match conn.read_from(&mut stream) {
-                    Ok(0) => break,
-                    Ok(_) => {}
-                    // Timed out or interrupted: step again.
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock
-                                | std::io::ErrorKind::TimedOut
-                                | std::io::ErrorKind::Interrupted
-                        ) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Step::Park(delay) => {
-                std::thread::sleep(delay);
-                conn.fire();
-            }
-            Step::Close => break,
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tcp::TcpChallenger;
-    use std::collections::HashMap;
-
-    #[test]
-    fn finished_connection_threads_are_reaped_without_a_next_accept() {
-        // Regression: handles of finished connection threads were only
-        // reaped inside the accept arm, so a burst of connections
-        // followed by silence hoarded one JoinHandle per past
-        // connection indefinitely. Reading stats must release them.
-        let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
-        store
-            .lock()
-            .insert("f".to_owned(), vec![Bytes::from(vec![0u8; 83]); 2]);
-        let server = MuxProverServer::spawn(store, Duration::ZERO).unwrap();
-        let addr = server.addr();
-        for _ in 0..8 {
-            let mut c = TcpChallenger::connect(addr).unwrap();
-            let (seg, _) = c.challenge("f", 0).unwrap();
-            assert!(seg.is_some());
-            c.bye().unwrap();
-        }
-        // All eight connections have said Bye and no further accepts
-        // happen. A stats read — the operator's natural touchpoint — must
-        // reap the handles once their threads finish.
-        for _ in 0..300 {
-            let _ = server.stats();
-            if server.conn_handles.lock().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            server.conn_handles.lock().is_empty(),
-            "finished connection handles hoarded until the next accept"
-        );
     }
 }

@@ -132,7 +132,7 @@ fn inner_length_beyond_the_buffer_is_truncated_not_panic() {
 
 #[test]
 fn live_server_survives_hostile_prefix_and_keeps_serving() {
-    let server = MuxProverServer::spawn(store_with("f", 4), Duration::ZERO).expect("bind");
+    let server = MuxProverServer::spawn_reactor(store_with("f", 4), Duration::ZERO).expect("bind");
 
     // Hostile connection: advertise MAX_FRAME + 1 and dribble garbage.
     {
@@ -159,7 +159,7 @@ fn live_server_survives_hostile_prefix_and_keeps_serving() {
 fn boundary_sized_frame_round_trips_through_a_live_server() {
     // The reader's buffered path must accept a frame whose total length
     // sits exactly at 4 + MAX_FRAME without tripping the limit check.
-    let server = MuxProverServer::spawn(store_with("f", 2), Duration::ZERO).expect("bind");
+    let server = MuxProverServer::spawn_reactor(store_with("f", 2), Duration::ZERO).expect("bind");
     let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
     // An unknown-tag frame of maximum size: the server errors the
     // connection (decode fails), but must not panic — and a new

@@ -37,8 +37,8 @@ fn main() -> std::io::Result<()> {
     // "Local" prover: no added delay. "Relay": +25 ms service time, the
     // WAN + remote-lookup cost of a ~1000 km relay. Both serve zero-copy
     // views of the same encoded arena.
-    let local = MuxProverServer::spawn(SegmentStore::default(), Duration::ZERO)?;
-    let relay = MuxProverServer::spawn(SegmentStore::default(), Duration::from_millis(25))?;
+    let local = MuxProverServer::spawn_reactor(SegmentStore::default(), Duration::ZERO)?;
+    let relay = MuxProverServer::spawn_reactor(SegmentStore::default(), Duration::from_millis(25))?;
     for server in [&local, &relay] {
         server.put_shared("demo-file", tagged.segments());
     }

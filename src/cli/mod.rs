@@ -12,8 +12,8 @@
 //! alike), which only answers challenges: the audits come from an
 //! independent `audit` client, never from the audited party itself.
 //! Serving runs on the epoll **reactor** — every connection a
-//! non-blocking state machine on one event-loop thread — and falls back
-//! to a thread per connection only where the platform has no reactor.
+//! non-blocking state machine on one event-loop thread; on a target
+//! without it (anything but Linux x86-64 and aarch64) `serve` exits 1.
 //! `audit` runs the
 //! wall-clock timed challenge–response against a server and applies the
 //! Δt_max policy. The TPA's MAC key is derived from `--master`, so

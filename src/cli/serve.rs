@@ -34,16 +34,16 @@ pub fn serve(raw: &[String]) -> CliResult {
         None => None,
     };
 
-    // The epoll shell wherever the platform has it; the blocking
-    // thread-per-connection shell otherwise (same connection machine).
-    let empty = || -> SegmentStore { Arc::new(Mutex::new(HashMap::new())) };
-    let (server, model) = match MuxProverServer::spawn_reactor(empty(), delay) {
-        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-            (MuxProverServer::spawn(empty(), delay), "blocking")
+    let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
+    let server = MuxProverServer::spawn_reactor(store, delay).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::Unsupported {
+            "serve needs the epoll reactor (Linux x86-64 or aarch64), \
+             which this target lacks"
+                .to_owned()
+        } else {
+            format!("bind: {e}")
         }
-        spawned => (spawned, "reactor"),
-    };
-    let server = server.map_err(|e| format!("bind: {e}"))?;
+    })?;
 
     // A dynamic store dir (dyn-meta.txt present) is registered with its
     // owner's key — updates and appends arrive over the same socket
@@ -64,7 +64,7 @@ pub fn serve(raw: &[String]) -> CliResult {
     };
     let mode = if dynamic { "dynamic mode, " } else { "" };
     println!(
-        "serving {file_id} ({detail}) on {} ({mode}{model}, service delay {delay_ms} ms); \
+        "serving {file_id} ({detail}) on {} ({mode}reactor, service delay {delay_ms} ms); \
          Ctrl-C to stop",
         server.addr()
     );

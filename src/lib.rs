@@ -21,10 +21,10 @@
 //! | [`net`] | `geoproof-net` | LAN (Table II) and Internet (Table III) models |
 //! | [`geo`] | `geoproof-geo` | coordinates, GPS + spoofing, triangulation, geolocation baselines |
 //! | [`distbound`] | `geoproof-distbound` | Brands–Chaum, Hancke–Kuhn, Reid et al. + attacks |
-//! | [`por`] | `geoproof-por` | MAC-based and sentinel PORs, streaming encode, detection analysis |
+//! | [`por`] | `geoproof-por` | MAC-based POR, streaming encode, dynamic POR, detection analysis |
 //! | [`core`] | `geoproof-core` | the GeoProof protocol: owner, provider, verifier, TPA; the concurrent audit engine, deterministic fleet simulator, and continuous audit scheduler |
 //! | [`reactor`] | `geoproof-reactor` | freestanding epoll event loop: edge-triggered readiness, hashed timer wheel, cross-thread waker |
-//! | [`wire`] | `geoproof-wire` | framing codec, real-TCP challenge–response, multi-connection session-multiplexing prover server (one connection machine; epoll shell, blocking fallback) |
+//! | [`wire`] | `geoproof-wire` | framing codec, real-TCP challenge–response, multi-connection session-multiplexing prover server (one connection machine on an epoll shell) |
 //! | [`ledger`] | `geoproof-ledger` | durable evidence: append-only hash-chained audit log, Merkle checkpoints, crash recovery, offline re-verification |
 //! | [`obs`] | `geoproof-obs` | observability: lock-free counters/gauges/histograms, span journal, Prometheus text exposition |
 //!

@@ -151,7 +151,7 @@ mod tests {
 
         let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
         store.lock().insert("tf".to_owned(), tagged.segments());
-        let server = MuxProverServer::spawn(store, service_delay).expect("bind");
+        let server = MuxProverServer::spawn_reactor(store, service_delay).expect("bind");
         let addr = server.addr();
 
         let sk = signing_key();

@@ -10,11 +10,7 @@ use geoproof::core::engine::ProverId;
 use geoproof::core::fleet::{run_fleet, AdversaryProfile, FleetConfig};
 use geoproof::core::policy::{paper_relay_bound, TimingPolicy};
 use geoproof::net::wan::AccessKind;
-use geoproof::por::batch::SentinelBatch;
-use geoproof::por::keys::PorKeys;
-use geoproof::por::sentinel::SentinelEncoder;
-use geoproof::sim::simnet::SimNet;
-use geoproof::sim::time::{Km, SimDuration};
+use geoproof::sim::time::Km;
 
 /// Seed under test: `GEOPROOF_SEED` when set (the CI seed matrix), else a
 /// fixed default.
@@ -142,63 +138,6 @@ fn forged_proof_responses_are_always_caught() {
             report.violations
         );
         assert_eq!(report.segments_ok, 0);
-    }
-}
-
-/// Sentinel-POR variant under the deterministic scheduler: a fleet of
-/// provers answers sentinel probes as SimNet events; forgers return
-/// tampered blocks. Batched sentinel verification (one PRP instantiation
-/// for the whole fleet) must catch exactly the forgers.
-#[test]
-fn forged_sentinel_responses_are_caught_in_simnet() {
-    const PROVERS: usize = 24;
-    const PROBES: u64 = 12;
-    let enc = SentinelEncoder::new(40);
-    let keys = PorKeys::derive(&seed().to_be_bytes(), "sentinel-fleet");
-    let data: Vec<u8> = (0..4000).map(|i| (i * 11) as u8).collect();
-    let (stored, meta) = enc.encode(&data, &keys, "sentinel-fleet");
-    let batch = SentinelBatch::new(&keys, &meta);
-
-    // Prover i forges iff i % 3 == 0; forgers flip a bit in every
-    // response. Probe responses arrive as interleaved scheduler events.
-    let mut net: SimNet<(usize, u64)> = SimNet::new(seed());
-    for prover in 0..PROVERS {
-        for probe in 0..PROBES {
-            let jitter = SimDuration::from_micros(((prover as u64) * 37 + probe * 113) % 5000);
-            net.schedule(jitter, (prover, probe));
-        }
-    }
-    let mut responses: Vec<Vec<(u64, [u8; 16])>> = vec![Vec::new(); PROVERS];
-    net.run(|_, (prover, probe)| {
-        let j = (probe * 7 + prover as u64) % meta.sentinels;
-        let pos = batch.position(j) as usize;
-        let mut block = stored[pos];
-        if prover % 3 == 0 {
-            block[(probe % 16) as usize] ^= 0x40; // forger
-        }
-        responses[prover].push((j, block));
-    });
-
-    for (prover, resp) in responses.iter().enumerate() {
-        let verdicts = batch.verify_all(resp);
-        if prover % 3 == 0 {
-            assert!(
-                verdicts.iter().all(|ok| !ok),
-                "prover {prover}: every forged sentinel must fail"
-            );
-        } else {
-            assert!(
-                verdicts.iter().all(|ok| *ok),
-                "prover {prover}: honest sentinels must verify"
-            );
-        }
-        // Batch verdicts equal the sequential baseline.
-        for ((j, block), got) in resp.iter().zip(&verdicts) {
-            assert_eq!(
-                *got,
-                SentinelEncoder::verify_sentinel(&keys, &meta, *j, block)
-            );
-        }
     }
 }
 

@@ -172,7 +172,7 @@ fn tcp_server_survives_garbage_frames() {
     store
         .lock()
         .insert("f".into(), vec![bytes::Bytes::from(vec![1u8; 35]); 4]);
-    let server = MuxProverServer::spawn(store, Duration::ZERO).expect("bind");
+    let server = MuxProverServer::spawn_reactor(store, Duration::ZERO).expect("bind");
 
     // Throw raw garbage at the socket; the connection may drop, the
     // server must keep serving new clients.
@@ -192,7 +192,7 @@ fn tcp_server_survives_garbage_frames() {
 #[test]
 fn tcp_missing_file_yields_none_not_error() {
     let store: SegmentStore = Arc::new(Mutex::new(HashMap::new()));
-    let server = MuxProverServer::spawn(store, Duration::ZERO).expect("bind");
+    let server = MuxProverServer::spawn_reactor(store, Duration::ZERO).expect("bind");
     let mut client = TcpChallenger::connect(server.addr()).expect("connect");
     let (seg, _) = client.challenge("ghost", 0).expect("protocol ok");
     assert!(seg.is_none());
