@@ -9,14 +9,23 @@
 //! 2. the verifier's GPS position Pos_v against the SLA location,
 //! 3. `τ_cj = MAC_K′(S_cj, c_j, fid)` for every challenged segment,
 //! 4. `Δt′ = max(Δt_1 … Δt_k) ≤ Δt_max`.
+//!
+//! One [`Auditor`] serves both audit kinds: [`Auditor::issue_request`]
+//! issues a static audit and [`Auditor::issue_dynamic`] a dynamic one
+//! (§IV's DPOR extension, against an owner digest). Verification is
+//! generic over [`Audit`]: step 3 is the kind's [`Audit::tag_ok`] and
+//! [`Audit::judge`] — for a dynamic round, its Merkle proof against the
+//! digest first, then the tag.
 
+use crate::dynamic_audit::DynAuditRequest;
 use crate::evidence::EvidenceBundle;
-use crate::messages::{AuditRequest, Round, SignedTranscript, Transcript};
+use crate::messages::{AuditRequest, Round, Transcript};
 use crate::policy::TimingPolicy;
 use crate::verifier::Audit;
 use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::VerifyingKey;
 use geoproof_geo::coords::GeoPoint;
+use geoproof_por::dynamic::DynamicDigest;
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::AuditorKey;
 use geoproof_sim::time::{Km, SimDuration};
@@ -119,7 +128,9 @@ impl AuditReport {
     }
 }
 
-/// The third-party auditor for one file.
+/// The third-party auditor for one file, static or dynamic: it issues
+/// either kind of request and judges either kind of transcript through
+/// the one check sequence, [`VerifyChecks`].
 pub struct Auditor {
     file_id: String,
     n_segments: u64,
@@ -145,10 +156,12 @@ impl std::fmt::Debug for Auditor {
 impl Auditor {
     /// Creates an auditor.
     ///
-    /// `encoder` carries the POR parameters (segment layout, tag width);
-    /// `auditor_key` is the MAC key the owner shared; `device_key` is the
-    /// verifier's registered public key; `sla_location` is where the SLA
-    /// says the data lives.
+    /// `n_segments` is the static file's segment count (a dynamic
+    /// request carries its own in its digest); `encoder` carries the
+    /// static POR parameters (segment layout, tag width); `auditor_key`
+    /// is the MAC key the owner shared; `device_key` is the verifier's
+    /// registered public key; `sla_location` is where the SLA says the
+    /// data lives.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         file_id: String,
@@ -179,22 +192,36 @@ impl Auditor {
         &self.policy
     }
 
-    /// Issues a fresh audit request with `k` challenges and a random nonce.
-    pub fn issue_request(&mut self, k: u32) -> AuditRequest {
+    fn fresh_nonce(&mut self) -> [u8; 32] {
         let mut nonce = [0u8; 32];
         self.rng.fill_bytes(&mut nonce);
+        nonce
+    }
+
+    /// Issues a fresh audit request with `k` challenges and a random nonce.
+    pub fn issue_request(&mut self, k: u32) -> AuditRequest {
         AuditRequest {
             file_id: self.file_id.clone(),
             n_segments: self.n_segments,
             k,
-            nonce,
+            nonce: self.fresh_nonce(),
+        }
+    }
+
+    /// Issues a fresh dynamic audit of `k` challenges against `digest`
+    /// (the owner's current one — the digest evolves with every update),
+    /// its nonce drawn as [`Auditor::issue_request`] draws it.
+    pub fn issue_dynamic(&mut self, digest: DynamicDigest, k: u32) -> DynAuditRequest {
+        DynAuditRequest {
+            file_id: self.file_id.clone(),
+            digest,
+            k,
+            nonce: self.fresh_nonce(),
         }
     }
 
     fn checks(&self) -> VerifyChecks<'_> {
         VerifyChecks {
-            file_id: &self.file_id,
-            n_segments: self.n_segments,
             device_key: &self.device_key,
             sla_location: self.sla_location,
             location_tolerance: self.location_tolerance,
@@ -202,53 +229,46 @@ impl Auditor {
         }
     }
 
+    /// Every round's keyed tag bit ([`Audit::tag_ok`]), evaluated for all
+    /// rounds so live verification and replay record and consume
+    /// identical bits.
+    fn tag_bits<R: Audit>(&self, request: &R, transcript: &R::Transcript) -> Vec<bool> {
+        let mac_key = self.auditor_key.mac_key();
+        transcript
+            .rounds()
+            .iter()
+            .map(|round| request.tag_ok(&self.encoder, mac_key, round))
+            .collect()
+    }
+
     /// Runs the §V-B(b) verification of a transcript against the request
     /// that triggered it.
-    pub fn verify(&self, request: &AuditRequest, transcript: &SignedTranscript) -> AuditReport {
+    pub fn verify<R: Audit>(&self, request: &R, transcript: &R::Transcript) -> AuditReport {
+        let tag_ok = self.tag_bits(request, transcript);
         self.checks()
-            .verify_transcript(request, transcript, |_, round| {
-                self.encoder.verify_segment(
-                    self.auditor_key.mac_key(),
-                    &self.file_id,
-                    round.index,
-                    &round.segment,
-                )
-            })
+            .verify_transcript(request, transcript, &tag_ok)
     }
 
     /// Like [`Auditor::verify`], but also materialises the durable
     /// [`EvidenceBundle`] for this verdict: canonical transcript bytes,
-    /// per-round MAC verdicts, and the acceptance parameters the verdict
-    /// was derived under. The report inside the bundle is byte-identical
+    /// per-round tag bits, and the acceptance parameters the verdict was
+    /// derived under. The report inside the bundle is byte-identical
     /// (under [`crate::evidence::encode_report`]) to the returned one.
-    pub fn verify_evidence(
+    pub fn verify_evidence<R: Audit>(
         &self,
-        request: &AuditRequest,
-        transcript: &SignedTranscript,
+        request: &R,
+        transcript: &R::Transcript,
         prover: impl Into<String>,
         epoch: u64,
-    ) -> (AuditReport, EvidenceBundle) {
-        let mac_ok: Vec<bool> = transcript
-            .rounds
-            .iter()
-            .map(|round| {
-                self.encoder.verify_segment(
-                    self.auditor_key.mac_key(),
-                    &self.file_id,
-                    round.index,
-                    &round.segment,
-                )
-            })
-            .collect();
+    ) -> (AuditReport, EvidenceBundle<R>) {
+        let tag_ok = self.tag_bits(request, transcript);
         let checks = self.checks();
-        let report = checks.verify_transcript(request, transcript, |i, _round| {
-            mac_ok.get(i).copied().unwrap_or(false)
-        });
+        let report = checks.verify_transcript(request, transcript, &tag_ok);
         let bundle = checks.bundle(
             prover.into(),
             epoch,
             request.clone(),
-            mac_ok,
+            tag_ok,
             report.clone(),
             transcript,
         );
@@ -259,16 +279,13 @@ impl Auditor {
 /// The one §V-B(b) check sequence every audit path applies, static and
 /// dynamic, live and replayed — signature, nonce (and, for a dynamic
 /// audit, digest) freshness, GPS, round sanity, per-segment judgement,
-/// timing. The per-segment judgement is pluggable, so the sequential
-/// path ([`Auditor::verify`]), the engine's batched path, the dynamic
-/// TPA and the offline replay run *exactly the same* logic and differ
-/// only in how each round's segment is judged.
+/// timing. Each round is judged by its kind's [`Audit::judge`] from a
+/// tag bit the caller supplies, so the sequential path
+/// ([`Auditor::verify`]), the engine's batched path and the offline
+/// replay run *exactly the same* logic and differ only in where the bits
+/// come from.
 #[derive(Clone, Debug)]
 pub struct VerifyChecks<'a> {
-    /// File under audit.
-    pub file_id: &'a str,
-    /// Total segments ñ (a dynamic audit's digest carries it).
-    pub n_segments: u64,
     /// The verifier device's registered public key.
     pub device_key: &'a VerifyingKey,
     /// Where the SLA says the data lives.
@@ -279,10 +296,10 @@ pub struct VerifyChecks<'a> {
     pub policy: &'a TimingPolicy,
 }
 
-/// The outcome of judging one returned segment — the pluggable step of
-/// the shared check sequence. The static scheme only distinguishes
-/// tag success/failure; the dynamic scheme also has a Merkle membership
-/// proof that can fail independently of (and is checked before) the tag.
+/// The outcome of judging one returned segment ([`Audit::judge`]). The
+/// static scheme only distinguishes tag success/failure; the dynamic
+/// scheme also has a Merkle membership proof that can fail independently
+/// of (and is checked before) the tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SegmentVerdict {
     /// Segment authentic (proof, where applicable, and tag both hold).
@@ -293,31 +310,19 @@ pub enum SegmentVerdict {
     BadProof,
 }
 
-/// A MAC verdict: the tag held, or it did not.
-impl From<bool> for SegmentVerdict {
-    fn from(mac_ok: bool) -> Self {
-        if mac_ok {
-            SegmentVerdict::Ok
-        } else {
-            SegmentVerdict::BadTag
-        }
-    }
-}
-
 impl VerifyChecks<'_> {
-    /// Runs the full §V-B(b) check sequence; `judge(round_index, round)`
-    /// judges each returned segment — a `bool` (the MAC held) or a full
-    /// [`SegmentVerdict`].
-    pub fn verify_transcript<R: Audit, V: Into<SegmentVerdict>>(
+    /// Runs the full §V-B(b) check sequence; `tag_ok[i]` is round i's
+    /// keyed tag bit (a missing bit reads as failed).
+    pub fn verify_transcript<R: Audit>(
         &self,
         request: &R,
         transcript: &R::Transcript,
-        judge: impl FnMut(usize, &R::Round) -> V,
+        tag_ok: &[bool],
     ) -> AuditReport {
         let sig_ok = self
             .device_key
             .verify(&transcript.signing_bytes_of(), transcript.signature());
-        self.verify_transcript_presigned(request, transcript, sig_ok, judge)
+        self.verify_transcript_presigned(request, transcript, sig_ok, tag_ok)
     }
 
     /// [`VerifyChecks::verify_transcript`] with the signature verdict
@@ -327,12 +332,12 @@ impl VerifyChecks<'_> {
     /// verdict is identical to the sequential path whenever `sig_ok`
     /// equals what `device_key.verify` returns over the transcript's
     /// canonical signing bytes.
-    pub fn verify_transcript_presigned<R: Audit, V: Into<SegmentVerdict>>(
+    pub fn verify_transcript_presigned<R: Audit>(
         &self,
         request: &R,
         transcript: &R::Transcript,
         sig_ok: bool,
-        mut judge: impl FnMut(usize, &R::Round) -> V,
+        tag_ok: &[bool],
     ) -> AuditReport {
         let mut violations = Vec::new();
 
@@ -358,7 +363,7 @@ impl VerifyChecks<'_> {
 
         // Round count and challenge sanity.
         let rounds = transcript.rounds();
-        let expected = request.challenges().1;
+        let (n_segments, expected) = request.challenges();
         if rounds.len() != expected as usize {
             violations.push(Violation::WrongRoundCount {
                 expected,
@@ -367,7 +372,7 @@ impl VerifyChecks<'_> {
         }
         let mut seen = std::collections::HashSet::new();
         for (i, round) in rounds.iter().enumerate() {
-            if round.index() >= self.n_segments || !seen.insert(round.index()) {
+            if round.index() >= n_segments || !seen.insert(round.index()) {
                 violations.push(Violation::MalformedChallenge { round: i });
             }
         }
@@ -377,7 +382,7 @@ impl VerifyChecks<'_> {
         let mut segments_ok = 0;
         for (i, round) in rounds.iter().enumerate() {
             let segment = round.index();
-            match judge(i, round).into() {
+            match request.judge(round, tag_ok.get(i).copied().unwrap_or(false)) {
                 SegmentVerdict::Ok => segments_ok += 1,
                 SegmentVerdict::BadTag => {
                     violations.push(Violation::BadSegment { round: i, segment })
@@ -435,7 +440,9 @@ impl VerifyChecks<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provider::LocalProvider;
+    use crate::dynamic_audit::DynSignedTranscript;
+    use crate::messages::SignedTranscript;
+    use crate::provider::{DelayedProvider, LocalProvider};
     use crate::verifier::VerifierDevice;
     use geoproof_geo::coords::places::{BRISBANE, PERTH};
     use geoproof_geo::gps::GpsReceiver;
@@ -446,13 +453,67 @@ mod tests {
     use geoproof_storage::hdd::{HddModel, WD_2500JD};
     use geoproof_storage::server::{FileId, StorageServer};
 
-    struct Rig {
+    /// Issues a request of one kind for k challenges.
+    type Issue<R> = Box<dyn Fn(&mut Auditor, u32) -> R>;
+
+    /// An auditor, its verifier device and a prover, for one audit kind.
+    struct Rig<R: Kind> {
         auditor: Auditor,
         verifier: VerifierDevice,
-        provider: LocalProvider,
+        provider: Box<R::Provider>,
+        issue: Issue<R>,
     }
 
-    fn rig() -> Rig {
+    impl<R: Kind> Rig<R> {
+        fn issue(&mut self, k: u32) -> R {
+            (self.issue)(&mut self.auditor, k)
+        }
+
+        fn run(&mut self, request: &R) -> R::Transcript {
+            self.verifier.run_audit(request, &mut *self.provider)
+        }
+    }
+
+    /// What the table needs of an audit kind beyond [`Audit`].
+    trait Kind: Audit {
+        /// A rig whose honest prover adds `delay` to every round.
+        fn rig(delay: SimDuration) -> Rig<Self>;
+        fn set_rtt(transcript: &mut Self::Transcript, round: usize, rtt: SimDuration);
+    }
+
+    impl Kind for AuditRequest {
+        fn rig(delay: SimDuration) -> Rig<Self> {
+            let (auditor, verifier, provider) = static_rig();
+            Rig {
+                auditor,
+                verifier,
+                provider: Box::new(DelayedProvider::new(provider, delay)),
+                issue: Box::new(|auditor, k| auditor.issue_request(k)),
+            }
+        }
+        fn set_rtt(transcript: &mut SignedTranscript, round: usize, rtt: SimDuration) {
+            transcript.rounds[round].rtt = rtt;
+        }
+    }
+
+    impl Kind for DynAuditRequest {
+        fn rig(delay: SimDuration) -> Rig<Self> {
+            let r = crate::dynamic_audit::tests::rig(SimDuration::from_millis(5) + delay);
+            let digest = r.owner.digest();
+            Rig {
+                auditor: r.auditor,
+                verifier: r.verifier,
+                provider: Box::new(r.provider),
+                issue: Box::new(move |auditor, k| auditor.issue_dynamic(digest, k)),
+            }
+        }
+        fn set_rtt(transcript: &mut DynSignedTranscript, round: usize, rtt: SimDuration) {
+            transcript.rounds[round].rtt = rtt;
+        }
+    }
+
+    /// A static auditor, device and provider over one small encoded file.
+    fn static_rig() -> (Auditor, VerifierDevice, LocalProvider) {
         let params = PorParams::test_small();
         let encoder = PorEncoder::new(params);
         let keys = PorKeys::derive(b"master", "f");
@@ -480,39 +541,126 @@ mod tests {
             TimingPolicy::paper(),
             4,
         );
-        Rig {
-            auditor,
-            verifier,
-            provider,
-        }
+        (auditor, verifier, provider)
     }
 
-    #[test]
-    fn honest_audit_accepts() {
-        let mut r = rig();
-        let req = r.auditor.issue_request(20);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
+    fn rig<R: Kind>() -> Rig<R> {
+        R::rig(SimDuration::ZERO)
+    }
+
+    fn honest_audit_accepts<R: Kind>() {
+        let mut r = rig::<R>();
+        let req = r.issue(20);
+        let t = r.run(&req);
         let report = r.auditor.verify(&req, &t);
         assert!(report.accepted(), "violations: {:?}", report.violations);
         assert_eq!(report.segments_ok, 20);
         assert!(report.max_rtt <= TimingPolicy::paper().max_rtt());
     }
 
+    fn spoofed_gps_is_flagged<R: Kind>() {
+        let mut r = rig::<R>();
+        r.verifier.gps_mut().spoof(PERTH);
+        let req = r.issue(5);
+        let t = r.run(&req);
+        let report = r.auditor.verify(&req, &t);
+        assert!(report
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::WrongLocation { .. })));
+    }
+
+    fn replayed_transcript_is_flagged<R: Kind>() {
+        let mut r = rig::<R>();
+        let req1 = r.issue(5);
+        let t1 = r.run(&req1);
+        // Fresh request, old transcript.
+        let req2 = r.issue(5);
+        let report = r.auditor.verify(&req2, &t1);
+        assert!(report.violations.contains(&Violation::StaleNonce));
+    }
+
+    fn tampered_transcript_breaks_signature<R: Kind>() {
+        let mut r = rig::<R>();
+        let req = r.issue(5);
+        let mut t = r.run(&req);
+        R::set_rtt(&mut t, 0, SimDuration::from_millis(1)); // forge a faster time
+        let report = r.auditor.verify(&req, &t);
+        assert!(report.violations.contains(&Violation::BadSignature));
+    }
+
+    fn slow_rounds_are_flagged<R: Kind>() {
+        let mut r = R::rig(SimDuration::from_millis(40));
+        let req = r.issue(5);
+        let t = r.run(&req);
+        let report = r.auditor.verify(&req, &t);
+        assert!(!report.accepted());
+        assert!(report
+            .violations
+            .iter()
+            .all(|v| matches!(v, Violation::TooSlow { .. })));
+    }
+
+    fn verify_evidence_matches_verify_and_bundles_canonical_bytes<R: Kind>()
+    where
+        R::Transcript: PartialEq + std::fmt::Debug,
+    {
+        let mut r = rig::<R>();
+        let req = r.issue(8);
+        let t = r.run(&req);
+        let plain = r.auditor.verify(&req, &t);
+        let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme-cloud", 3);
+        assert_eq!(report, plain, "evidence path must not change verdicts");
+        assert_eq!(bundle.report, plain);
+        assert_eq!(bundle.prover, "acme-cloud");
+        assert_eq!(bundle.epoch, 3);
+        assert_eq!(bundle.mac_ok.len(), 8);
+        assert!(bundle.mac_ok.iter().all(|&ok| ok));
+        let parsed = R::Transcript::from_canonical(&bundle.transcript).expect("parse");
+        assert_eq!(parsed, t);
+    }
+
+    /// Each case runs once per audit kind, as `<case>::static_kind` and
+    /// `<case>::dynamic_kind`, through the one [`Auditor`].
+    macro_rules! both_kinds {
+        ($($case:ident),* $(,)?) => {$(
+            mod $case {
+                use super::*;
+                #[test]
+                fn static_kind() {
+                    super::$case::<AuditRequest>();
+                }
+                #[test]
+                fn dynamic_kind() {
+                    super::$case::<DynAuditRequest>();
+                }
+            }
+        )*};
+    }
+
+    both_kinds!(
+        honest_audit_accepts,
+        spoofed_gps_is_flagged,
+        replayed_transcript_is_flagged,
+        tampered_transcript_breaks_signature,
+        slow_rounds_are_flagged,
+        verify_evidence_matches_verify_and_bundles_canonical_bytes,
+    );
+
     #[test]
     fn corrupted_segment_is_flagged() {
-        let mut r = rig();
+        let (mut auditor, mut verifier, mut provider) = static_rig();
         // Corrupt everything so any challenge set hits corruption.
-        let n = r
-            .provider
+        let n = provider
             .storage_mut()
             .segment_count(&FileId::from("f"))
             .unwrap();
-        r.provider
+        provider
             .storage_mut()
             .corrupt_segments(&FileId::from("f"), 0..n, 0x80);
-        let req = r.auditor.issue_request(10);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let report = r.auditor.verify(&req, &t);
+        let req = auditor.issue_request(10);
+        let t = verifier.run_audit(&req, &mut provider);
+        let report = auditor.verify(&req, &t);
         assert!(!report.accepted());
         assert!(report
             .violations
@@ -522,67 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn spoofed_gps_is_flagged() {
-        let mut r = rig();
-        r.verifier.gps_mut().spoof(PERTH);
-        let req = r.auditor.issue_request(5);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let report = r.auditor.verify(&req, &t);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::WrongLocation { .. })));
-    }
-
-    #[test]
-    fn replayed_transcript_is_flagged() {
-        let mut r = rig();
-        let req1 = r.auditor.issue_request(5);
-        let t1 = r.verifier.run_audit(&req1, &mut r.provider);
-        // Fresh request, old transcript.
-        let req2 = r.auditor.issue_request(5);
-        let report = r.auditor.verify(&req2, &t1);
-        assert!(report.violations.contains(&Violation::StaleNonce));
-    }
-
-    #[test]
-    fn tampered_transcript_breaks_signature() {
-        let mut r = rig();
-        let req = r.auditor.issue_request(5);
-        let mut t = r.verifier.run_audit(&req, &mut r.provider);
-        t.rounds[0].rtt = SimDuration::from_millis(1); // forge a faster time
-        let report = r.auditor.verify(&req, &t);
-        assert!(report.violations.contains(&Violation::BadSignature));
-    }
-
-    #[test]
-    fn slow_rounds_are_flagged() {
-        let mut r = rig();
-        let req = r.auditor.issue_request(5);
-        let mut t = r.verifier.run_audit(&req, &mut r.provider);
-        // Rebuild a transcript with inflated times, signed by the device
-        // key? The auditor must reject on timing even if signed: simulate a
-        // genuinely slow provider by editing before signing is impossible
-        // here, so check the policy path directly with a forged-but-signed
-        // transcript: signature check will also fire, timing check must
-        // fire regardless.
-        for round in t.rounds.iter_mut() {
-            round.rtt = SimDuration::from_millis(50);
-        }
-        let report = r.auditor.verify(&req, &t);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::TooSlow { .. })));
-    }
-
-    #[test]
     fn wrong_round_count_is_flagged() {
-        let mut r = rig();
-        let req = r.auditor.issue_request(5);
-        let mut t = r.verifier.run_audit(&req, &mut r.provider);
+        let (mut auditor, mut verifier, mut provider) = static_rig();
+        let req = auditor.issue_request(5);
+        let mut t = verifier.run_audit(&req, &mut provider);
         t.rounds.pop();
-        let report = r.auditor.verify(&req, &t);
+        let report = auditor.verify(&req, &t);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             Violation::WrongRoundCount {
@@ -590,24 +683,6 @@ mod tests {
                 actual: 4
             }
         )));
-    }
-
-    #[test]
-    fn verify_evidence_matches_verify_and_bundles_canonical_bytes() {
-        let mut r = rig();
-        let req = r.auditor.issue_request(8);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let plain = r.auditor.verify(&req, &t);
-        let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme-cloud", 3);
-        assert_eq!(report, plain, "evidence path must not change verdicts");
-        assert_eq!(bundle.report, plain);
-        assert_eq!(bundle.prover, "acme-cloud");
-        assert_eq!(bundle.epoch, 3);
-        assert_eq!(bundle.mac_ok.len(), 8);
-        assert!(bundle.mac_ok.iter().all(|&ok| ok));
-        let parsed = crate::messages::SignedTranscript::from_canonical(&bundle.transcript)
-            .expect("canonical bytes parse");
-        assert_eq!(parsed, t);
     }
 
     #[test]

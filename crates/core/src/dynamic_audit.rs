@@ -4,44 +4,44 @@
 //!
 //! A dynamic audit is issued against a [`DynamicDigest`] — the Merkle
 //! root plus segment count the owner derived after its last
-//! update/append. Each round challenges one segment and must come back
-//! with a membership proof. Everything else is the static audit's, run
-//! through the same code: the device drives one
-//! [`crate::verifier::AuditRun`], the transcript goes through the one
-//! [`Transcript`] codec, and the TPA judges it with the one check
-//! sequence, [`VerifyChecks::verify_transcript`] — signature, nonce,
-//! GPS, round sanity, Δt_max — so dynamic verdicts replay from the
-//! evidence ledger byte-for-byte. What this module adds is only what a
-//! dynamic audit adds:
+//! update/append ([`crate::auditor::Auditor::issue_dynamic`]). Each round
+//! challenges one segment and must come back with a membership proof.
+//! Everything else is the static audit's, run through the same code: the
+//! device drives one [`crate::verifier::AuditRun`], the transcript goes
+//! through the one [`Transcript`] codec, and the one
+//! [`crate::auditor::Auditor`] judges it with the one check sequence,
+//! [`crate::auditor::VerifyChecks`] — signature, nonce, GPS, round
+//! sanity, Δt_max — so dynamic verdicts replay from the evidence ledger
+//! byte-for-byte. What this module adds is only what a dynamic audit
+//! adds:
 //!
-//! * the transcript's [`Transcript`] hooks — the digest echoed after
-//!   the nonce (checked against the request's, else
+//! * the request, round and transcript types, and the transcript's
+//!   [`Transcript`] hooks — the digest echoed after the nonce (checked
+//!   against the request's, else
 //!   [`crate::auditor::Violation::StaleDigest`]) and a Merkle proof
 //!   before each round's segment;
-//! * the per-round judgement [`judge_round`]: the proof must tie the
-//!   returned bytes to the audited digest (unkeyed — offline replay
-//!   recomputes it from the ledger alone), then the embedded tag must be
-//!   genuine for `(file_id, index)` (keyed — replay trusts the recorded
-//!   bit unless given the owner's secret).
+//! * the simulated dynamic prover ([`LocalDynProvider`]).
+//!
+//! The per-round judgement is [`DynAuditRequest`]'s
+//! [`crate::verifier::Audit::judge`]: the proof must tie the returned
+//! bytes to the audited digest (unkeyed — offline replay recomputes it
+//! from the ledger alone), then the embedded tag must be genuine for
+//! `(file_id, index)` (keyed — replay trusts the recorded bit unless
+//! given the owner's secret).
 //!
 //! A provider that keeps serving the pre-update segment (with its
 //! then-valid proof) fails the Merkle check against the fresh digest:
 //! that is the stale-copy cheat the digest chain in the ledger makes
 //! provable.
 
-use crate::auditor::{AuditReport, SegmentVerdict, VerifyChecks};
 use crate::cursor::{ByteCursor, Truncated};
-use crate::evidence::EvidenceBundle;
 use crate::messages::{take_segment, Round, Transcript, TranscriptDecodeError};
-use crate::policy::TimingPolicy;
 use bytes::Bytes;
-use geoproof_crypto::chacha::ChaChaRng;
-use geoproof_crypto::schnorr::{Signature, VerifyingKey};
+use geoproof_crypto::schnorr::Signature;
 use geoproof_geo::coords::GeoPoint;
-use geoproof_por::dynamic::{verify_tagged, DynamicDigest, ProvenSegment};
-use geoproof_por::keys::AuditorKey;
-use geoproof_por::merkle::{verify_proof, MerkleProof};
-use geoproof_sim::time::{Km, SimDuration};
+use geoproof_por::dynamic::{DynamicDigest, ProvenSegment};
+use geoproof_por::merkle::MerkleProof;
+use geoproof_sim::time::SimDuration;
 
 /// The TPA's dynamic audit trigger: digest under audit, challenge count,
 /// fresh nonce.
@@ -215,191 +215,35 @@ impl DynSegmentProvider for LocalDynProvider {
     }
 }
 
-/// The third-party auditor for dynamic files. Unlike the static
-/// [`crate::auditor::Auditor`], it is not pinned to one segment count —
-/// the audited length travels in each request's digest.
-pub struct DynAuditor {
-    file_id: String,
-    auditor_key: AuditorKey,
-    device_key: VerifyingKey,
-    sla_location: GeoPoint,
-    location_tolerance: Km,
-    policy: TimingPolicy,
-    rng: ChaChaRng,
-}
-
-impl std::fmt::Debug for DynAuditor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynAuditor")
-            .field("file_id", &self.file_id)
-            .field("sla_location", &self.sla_location)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DynAuditor {
-    /// Creates a dynamic auditor (same provisioning as the static one:
-    /// the owner's MAC key view, the registered device key, the SLA
-    /// location and the Δt_max policy).
-    pub fn new(
-        file_id: String,
-        auditor_key: AuditorKey,
-        device_key: VerifyingKey,
-        sla_location: GeoPoint,
-        location_tolerance: Km,
-        policy: TimingPolicy,
-        seed: u64,
-    ) -> Self {
-        DynAuditor {
-            file_id,
-            auditor_key,
-            device_key,
-            sla_location,
-            location_tolerance,
-            policy,
-            rng: ChaChaRng::from_u64_seed(seed),
-        }
-    }
-
-    /// The active timing policy.
-    pub fn policy(&self) -> &TimingPolicy {
-        &self.policy
-    }
-
-    /// Issues a fresh audit of `k` challenges against `digest` (the
-    /// owner's current one — the digest evolves with every update).
-    pub fn issue_request(&mut self, digest: DynamicDigest, k: u32) -> DynAuditRequest {
-        let mut nonce = [0u8; 32];
-        self.rng.fill_bytes(&mut nonce);
-        DynAuditRequest {
-            file_id: self.file_id.clone(),
-            digest,
-            k,
-            nonce,
-        }
-    }
-
-    fn checks<'a>(&'a self, request: &DynAuditRequest) -> VerifyChecks<'a> {
-        VerifyChecks {
-            file_id: &self.file_id,
-            n_segments: request.digest.segments,
-            device_key: &self.device_key,
-            sla_location: self.sla_location,
-            location_tolerance: self.location_tolerance,
-            policy: &self.policy,
-        }
-    }
-
-    /// Pre-computes the keyed tag verdict for every round (evaluated for
-    /// all rounds, not short-circuited, so live verification and replay
-    /// record/consume identical bits).
-    fn tag_bits(&self, transcript: &DynSignedTranscript) -> Vec<bool> {
-        transcript
-            .rounds
-            .iter()
-            .map(|round| {
-                verify_tagged(
-                    self.auditor_key.mac_key(),
-                    &self.file_id,
-                    round.index,
-                    &round.segment,
-                )
-            })
-            .collect()
-    }
-
-    /// Judges every round — Merkle membership, then the keyed tag —
-    /// inside the check sequence static audits use, returning the verdict
-    /// and the tag bits.
-    fn judge(
-        &self,
-        request: &DynAuditRequest,
-        transcript: &DynSignedTranscript,
-    ) -> (AuditReport, Vec<bool>) {
-        let tag_ok = self.tag_bits(transcript);
-        let report = self
-            .checks(request)
-            .verify_transcript(request, transcript, |i, round| {
-                judge_round(&request.digest.root, round, tag_ok.get(i).copied())
-            });
-        (report, tag_ok)
-    }
-
-    /// Verifies a dynamic transcript against the request that triggered
-    /// it: Merkle membership *and* keyed tag per round, inside the same
-    /// check sequence as static audits.
-    pub fn verify(
-        &self,
-        request: &DynAuditRequest,
-        transcript: &DynSignedTranscript,
-    ) -> AuditReport {
-        self.judge(request, transcript).0
-    }
-
-    /// Like [`DynAuditor::verify`], but also materialises the durable
-    /// [`EvidenceBundle`], whose `mac_ok` bits are the keyed tag
-    /// verdicts. The report inside the bundle is byte-identical (under
-    /// [`crate::evidence::encode_report`]) to the returned one.
-    pub fn verify_evidence(
-        &self,
-        request: &DynAuditRequest,
-        transcript: &DynSignedTranscript,
-        prover: impl Into<String>,
-        epoch: u64,
-    ) -> (AuditReport, EvidenceBundle<DynAuditRequest>) {
-        let (report, tag_ok) = self.judge(request, transcript);
-        let bundle = self.checks(request).bundle(
-            prover.into(),
-            epoch,
-            request.clone(),
-            tag_ok,
-            report.clone(),
-            transcript,
-        );
-        (report, bundle)
-    }
-}
-
-/// The one judgement both live TPA and offline replay apply per round:
-/// the membership proof must tie the bytes to `root` at the claimed
-/// index (unkeyed, deterministic, always recomputable), then the keyed
-/// tag bit must hold. A missing bit reads as failed, as in the static
-/// replay path.
-pub fn judge_round(
-    root: &geoproof_por::merkle::Digest,
-    round: &DynTimedRound,
-    tag_ok: Option<bool>,
-) -> SegmentVerdict {
-    if round.proof.index != round.index || !verify_proof(root, &round.segment, &round.proof) {
-        SegmentVerdict::BadProof
-    } else if !tag_ok.unwrap_or(false) {
-        SegmentVerdict::BadTag
-    } else {
-        SegmentVerdict::Ok
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! What only a dynamic audit has. The cases both kinds share run
+    //! from `crate::auditor`'s table, on this rig.
     use super::*;
-    use crate::auditor::Violation;
+    use crate::auditor::{Auditor, Violation};
+    use crate::policy::TimingPolicy;
     use crate::verifier::VerifierDevice;
+    use geoproof_crypto::chacha::ChaChaRng;
     use geoproof_crypto::schnorr::SigningKey;
-    use geoproof_geo::coords::places::{BRISBANE, PERTH};
+    use geoproof_geo::coords::places::BRISBANE;
     use geoproof_geo::gps::GpsReceiver;
     use geoproof_por::dynamic::{DynamicOwner, DynamicStore};
+    use geoproof_por::encode::PorEncoder;
     use geoproof_por::keys::PorKeys;
+    use geoproof_por::params::PorParams;
     use geoproof_sim::clock::SimClock;
+    use geoproof_sim::time::Km;
 
-    struct Rig {
-        auditor: DynAuditor,
-        verifier: VerifierDevice,
-        provider: LocalDynProvider,
-        owner: DynamicOwner,
+    pub(crate) struct Rig {
+        pub(crate) auditor: Auditor,
+        pub(crate) verifier: VerifierDevice,
+        pub(crate) provider: LocalDynProvider,
+        pub(crate) owner: DynamicOwner,
         keys: PorKeys,
     }
 
-    fn rig(latency: SimDuration) -> Rig {
+    /// A 24-segment dynamic file served after `latency` per round.
+    pub(crate) fn rig(latency: SimDuration) -> Rig {
         let keys = PorKeys::derive(b"dyn-core", "df");
         let bodies: Vec<Vec<u8>> = (0..24).map(|i| vec![i as u8; 40]).collect();
         let (store, _d0) = DynamicStore::initialise("df", &bodies, &keys);
@@ -410,8 +254,10 @@ mod tests {
         let sk = SigningKey::generate(&mut rng);
         let verifier =
             VerifierDevice::new(sk.clone(), GpsReceiver::new(BRISBANE), SimClock::new(), 7);
-        let auditor = DynAuditor::new(
+        let auditor = Auditor::new(
             "df".into(),
+            owner.digest().segments,
+            PorEncoder::new(PorParams::paper()),
             keys.auditor_view(),
             sk.verifying_key(),
             BRISBANE,
@@ -433,16 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn honest_dynamic_audit_accepts() {
-        let mut r = rig(SimDuration::from_millis(5));
-        let req = r.auditor.issue_request(r.owner.digest(), 8);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let report = r.auditor.verify(&req, &t);
-        assert!(report.accepted(), "violations: {:?}", report.violations);
-        assert_eq!(report.segments_ok, 8);
-    }
-
-    #[test]
     fn audit_follows_updates_and_appends() {
         let mut r = rig(SimDuration::from_millis(5));
         // Update and append, advancing both sides.
@@ -455,7 +291,7 @@ mod tests {
         r.provider.store.apply_append(Bytes::from(tagged));
         assert_eq!(d2.segments, 25);
         assert_ne!(d1.root, d2.root);
-        let req = r.auditor.issue_request(d2, 10);
+        let req = r.auditor.issue_dynamic(d2, 10);
         let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(report.accepted(), "violations: {:?}", report.violations);
@@ -466,7 +302,7 @@ mod tests {
         let mut r = rig(SimDuration::from_millis(5));
         // Owner updates; provider silently drops the update (stale copy).
         let (_tagged, fresh) = r.owner.tag_update(3, b"v2", &r.keys).unwrap();
-        let req = r.auditor.issue_request(fresh, 24); // all segments
+        let req = r.auditor.issue_dynamic(fresh, 24); // all segments
         let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(!report.accepted());
@@ -486,7 +322,7 @@ mod tests {
         for i in 0..24 {
             assert!(r.provider.store.corrupt_silently(i, 0x11));
         }
-        let req = r.auditor.issue_request(r.owner.digest(), 6);
+        let req = r.auditor.issue_dynamic(r.owner.digest(), 6);
         let t = r.verifier.run_audit(&req, &mut r.provider);
         let report = r.auditor.verify(&req, &t);
         assert!(!report.accepted());
@@ -494,74 +330,20 @@ mod tests {
     }
 
     #[test]
-    fn slow_provider_fails_timing() {
-        let mut r = rig(SimDuration::from_millis(40));
-        let req = r.auditor.issue_request(r.owner.digest(), 5);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let report = r.auditor.verify(&req, &t);
-        assert!(!report.accepted());
-        assert!(report
-            .violations
-            .iter()
-            .all(|v| matches!(v, Violation::TooSlow { .. })));
-    }
-
-    #[test]
     fn replayed_transcript_is_stale_on_nonce_and_digest() {
         let mut r = rig(SimDuration::from_millis(5));
-        let req1 = r.auditor.issue_request(r.owner.digest(), 5);
+        let req1 = r.auditor.issue_dynamic(r.owner.digest(), 5);
         let t1 = r.verifier.run_audit(&req1, &mut r.provider);
-        // Fresh request (new nonce, same digest): old transcript is stale.
-        let req2 = r.auditor.issue_request(r.owner.digest(), 5);
-        let report = r.auditor.verify(&req2, &t1);
-        assert!(report.violations.contains(&Violation::StaleNonce));
-        // Request against an evolved digest additionally trips
-        // StaleDigest.
+        // A request against an evolved digest trips StaleDigest on top of
+        // the stale nonce.
         let (tagged, fresh) = r.owner.tag_update(0, b"v2", &r.keys).unwrap();
         r.provider
             .store
             .apply_update(0, Bytes::from(tagged))
             .unwrap();
-        let req3 = r.auditor.issue_request(fresh, 5);
+        let req3 = r.auditor.issue_dynamic(fresh, 5);
         let report = r.auditor.verify(&req3, &t1);
+        assert!(report.violations.contains(&Violation::StaleNonce));
         assert!(report.violations.contains(&Violation::StaleDigest));
-    }
-
-    #[test]
-    fn spoofed_gps_is_flagged() {
-        let mut r = rig(SimDuration::from_millis(5));
-        r.verifier.gps_mut().spoof(PERTH);
-        let req = r.auditor.issue_request(r.owner.digest(), 4);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let report = r.auditor.verify(&req, &t);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::WrongLocation { .. })));
-    }
-
-    #[test]
-    fn tampered_transcript_breaks_signature() {
-        let mut r = rig(SimDuration::from_millis(5));
-        let req = r.auditor.issue_request(r.owner.digest(), 4);
-        let mut t = r.verifier.run_audit(&req, &mut r.provider);
-        t.rounds[0].rtt = SimDuration::from_nanos(1);
-        let report = r.auditor.verify(&req, &t);
-        assert!(report.violations.contains(&Violation::BadSignature));
-    }
-
-    #[test]
-    fn verify_evidence_matches_verify() {
-        let mut r = rig(SimDuration::from_millis(5));
-        let req = r.auditor.issue_request(r.owner.digest(), 6);
-        let t = r.verifier.run_audit(&req, &mut r.provider);
-        let plain = r.auditor.verify(&req, &t);
-        let (report, bundle) = r.auditor.verify_evidence(&req, &t, "dyn-prover", 2);
-        assert_eq!(report, plain, "evidence path must not change verdicts");
-        assert_eq!(bundle.report, plain);
-        assert_eq!(bundle.mac_ok.len(), 6);
-        assert!(bundle.mac_ok.iter().all(|&ok| ok));
-        let parsed = DynSignedTranscript::from_canonical(&bundle.transcript).expect("parse");
-        assert_eq!(parsed, t);
     }
 }

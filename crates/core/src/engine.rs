@@ -28,7 +28,7 @@ use crate::messages::{AuditRequest, SignedTranscript};
 use crate::policy::TimingPolicy;
 use crate::pool::{run_jobs, Job, PoolStats};
 use crate::provider::SegmentProvider;
-use crate::verifier::VerifierDevice;
+use crate::verifier::{Audit, VerifierDevice};
 use geoproof_crypto::schnorr::VerifyingKey;
 use geoproof_geo::coords::GeoPoint;
 use geoproof_por::batch::{session_nonce, SegmentBatchVerifier};
@@ -245,8 +245,6 @@ impl AuditEngine {
 
     fn checks_for<'a>(&'a self, spec: &'a ProverSpec) -> VerifyChecks<'a> {
         VerifyChecks {
-            file_id: &self.file_id,
-            n_segments: self.n_segments,
             device_key: &spec.device_key,
             sla_location: spec.sla_location,
             location_tolerance: self.config.location_tolerance,
@@ -254,8 +252,8 @@ impl AuditEngine {
         }
     }
 
-    /// Judges `audits` **sequentially** — the reference path, calling
-    /// [`PorEncoder::verify_segment`] per round exactly as the
+    /// Judges `audits` **sequentially** — the reference path, checking
+    /// each round's tag with [`Audit::tag_ok`] exactly as the
     /// single-prover [`crate::auditor::Auditor`] does. Results are sorted
     /// by prover id (stably, so a prover's audits keep their input
     /// order); audits of unregistered provers are skipped. Counts and
@@ -271,18 +269,14 @@ impl AuditEngine {
             .into_iter()
             .filter_map(|(issued, transcript)| {
                 let spec = self.provers.get(&issued.prover)?;
-                let report = self.checks_for(spec).verify_transcript(
-                    &issued.request,
-                    transcript,
-                    |_, round| {
-                        self.encoder.verify_segment(
-                            mac_key,
-                            &self.file_id,
-                            round.index,
-                            &round.segment,
-                        )
-                    },
-                );
+                let mac_ok: Vec<bool> = transcript
+                    .rounds
+                    .iter()
+                    .map(|round| issued.request.tag_ok(&self.encoder, mac_key, round))
+                    .collect();
+                let report =
+                    self.checks_for(spec)
+                        .verify_transcript(&issued.request, transcript, &mac_ok);
                 Some((issued.prover.clone(), report))
             })
             .collect()
@@ -312,7 +306,7 @@ impl AuditEngine {
                 .map(|round| batch.verify_one(round.index, &round.segment))
                 .collect();
             let checks = self.checks_for(spec);
-            let report = checks.verify_transcript(&issued.request, &transcript, |i, _| mac_ok[i]);
+            let report = checks.verify_transcript(&issued.request, &transcript, &mac_ok);
             let m = metrics();
             if report.accepted() {
                 m.accept.inc();

@@ -19,7 +19,6 @@
 //! installed — a bundle is only materialised once a sink asks for it.
 
 use crate::auditor::{AuditReport, Violation};
-use crate::dynamic_audit::DynAuditRequest;
 use crate::messages::AuditRequest;
 use crate::policy::TimingPolicy;
 use crate::vantage::MultiVantageEstimate;
@@ -30,11 +29,11 @@ use geoproof_sim::time::{Km, SimDuration};
 
 /// Everything needed to re-verify one audit verdict offline, for either
 /// audit kind `R` (the request type: [`AuditRequest`] or
-/// [`DynAuditRequest`]): the identity under audit, the TPA's acceptance
-/// parameters, the request, the canonical signed-transcript bytes, the
-/// per-round keyed verdicts (the only part an offline verifier must take
-/// on trust — checking them needs the owner's secret key), and the
-/// verdict itself. A dynamic transcript also carries each round's Merkle
+/// [`crate::dynamic_audit::DynAuditRequest`]): the identity under audit,
+/// the TPA's acceptance parameters, the request, the canonical
+/// signed-transcript bytes, the per-round keyed verdicts (the only part
+/// an offline verifier must take on trust — checking them needs the
+/// owner's secret key), and the verdict itself. A dynamic transcript also carries each round's Merkle
 /// proof, which replay recomputes without any key.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvidenceBundle<R = AuditRequest> {
@@ -77,36 +76,6 @@ pub trait EvidenceSink: Send + Sync {
     ///
     /// Propagates the sink's storage failure.
     fn record(&self, bundle: &EvidenceBundle) -> std::io::Result<()>;
-
-    /// Records one *dynamic* verdict's evidence. Default: refused — a
-    /// sink predating the dynamic flow fails loudly rather than dropping
-    /// evidence on the floor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's storage failure.
-    fn record_dynamic(&self, bundle: &EvidenceBundle<DynAuditRequest>) -> std::io::Result<()> {
-        let _ = bundle;
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "this evidence sink does not record dynamic audits",
-        ))
-    }
-
-    /// Records one multi-vantage position estimate. Default: refused — a
-    /// sink predating the multi-vantage flow fails loudly rather than
-    /// dropping evidence on the floor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's storage failure.
-    fn record_position(&self, bundle: &PositionBundle) -> std::io::Result<()> {
-        let _ = bundle;
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "this evidence sink does not record position estimates",
-        ))
-    }
 }
 
 /// Everything needed to re-derive one multi-vantage position verdict

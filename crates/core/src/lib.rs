@@ -17,7 +17,9 @@
 //!   and signs the transcript;
 //! * the **third-party auditor** ([`auditor::Auditor`]) checks signature,
 //!   GPS position, MACs and `max Δt_j ≤ Δt_max`
-//!   ([`policy::TimingPolicy`], ≈ 16 ms in the paper).
+//!   ([`policy::TimingPolicy`], ≈ 16 ms in the paper), for static files
+//!   and for dynamic ones ([`dynamic_audit`]) alike: what the two audit
+//!   kinds differ in is the [`verifier::Audit`] trait.
 //!
 //! Beyond the paper's single-prover protocol, [`engine`] audits many
 //! provers (issue → drive on the work-stealing [`pool`] → batched
@@ -74,8 +76,7 @@ pub use campaign::{run_campaign, CampaignResult, MisbehaviourOnset};
 pub use cost::{audit_cost, naive_download_bytes, AuditCost};
 pub use deployment::{DataOwner, Deployment, DeploymentBuilder, ProviderBehaviour};
 pub use dynamic_audit::{
-    DynAuditRequest, DynAuditor, DynSegmentProvider, DynSignedTranscript, DynTimedRound,
-    LocalDynProvider,
+    DynAuditRequest, DynSegmentProvider, DynSignedTranscript, DynTimedRound, LocalDynProvider,
 };
 pub use engine::{AuditEngine, EngineConfig, Issued, ProverId, ProverSpec};
 pub use evidence::{decode_report, encode_report, EvidenceBundle, EvidenceSink, PositionBundle};
@@ -97,4 +98,4 @@ pub use vantage::{
     aggregate_vantages, observation_range, run_vantage_sessions, MultiVantageEstimate,
     MultiVantageOutcome, VantageObservation, VantagePolicy, VantageSession,
 };
-pub use verifier::VerifierDevice;
+pub use verifier::{Audit, VerifierDevice};

@@ -10,7 +10,13 @@
 //! [`AuditRun`] over any [`Audit`] request. Its shells — the SimClock loop
 //! in [`VerifierDevice::run_audit`], the fleet simulator and the facade's
 //! TCP `WallClockVerifier` — only carry challenges and time replies.
+//!
+//! [`Audit`] is also where the TPA's side of the two kinds differs: how a
+//! round's keyed tag is checked ([`Audit::tag_ok`]) and how a round is
+//! judged from that bit ([`Audit::judge`]). The auditor, the engine and
+//! ledger replay run one generic path above these two hooks.
 
+use crate::auditor::SegmentVerdict;
 use crate::dynamic_audit::{
     DynAuditRequest, DynSegmentProvider, DynSignedTranscript, DynTimedRound,
 };
@@ -21,8 +27,9 @@ use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::gps::GpsReceiver;
-use geoproof_por::dynamic::{DynamicDigest, ProvenSegment};
-use geoproof_por::merkle::MerkleProof;
+use geoproof_por::dynamic::{verify_tagged, DynamicDigest, ProvenSegment};
+use geoproof_por::encode::PorEncoder;
+use geoproof_por::merkle::{verify_proof, MerkleProof};
 use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::SimDuration;
 use geoproof_storage::server::FileId;
@@ -32,7 +39,8 @@ use std::io;
 /// draw of k distinct indices, round order, the GPS fix and the
 /// signature — is [`AuditRun`]'s and [`VerifierDevice`]'s; the transcript
 /// codec is [`Transcript`]'s and the check sequence
-/// [`crate::auditor::VerifyChecks`]'s.
+/// [`crate::auditor::VerifyChecks`]'s, which judges each round through
+/// [`Audit::judge`].
 pub trait Audit: Clone {
     /// What the prover serves for one challenge.
     type Reply;
@@ -93,6 +101,15 @@ pub trait Audit: Clone {
         provider: &mut Self::Provider,
         index: u64,
     ) -> (Option<Self::Reply>, SimDuration);
+
+    /// Whether the round's segment carries a genuine keyed tag for
+    /// `(file_id, index)` under `mac_key` — the bit the evidence records
+    /// (and replay trusts unless given the owner's secret).
+    fn tag_ok(&self, encoder: &PorEncoder, mac_key: &[u8; 32], round: &Self::Round) -> bool;
+
+    /// Judges one round from its recorded tag bit — the per-segment step
+    /// of the shared check sequence, identical live and in replay.
+    fn judge(&self, round: &Self::Round, tag_ok: bool) -> SegmentVerdict;
 }
 
 impl Audit for AuditRequest {
@@ -125,6 +142,19 @@ impl Audit for AuditRequest {
 
     fn serve(&self, provider: &mut Self::Provider, index: u64) -> (Option<Bytes>, SimDuration) {
         provider.serve(&FileId::from(self.file_id.as_str()), index)
+    }
+
+    fn tag_ok(&self, encoder: &PorEncoder, mac_key: &[u8; 32], round: &TimedRound) -> bool {
+        encoder.verify_segment(mac_key, &self.file_id, round.index, &round.segment)
+    }
+
+    /// The static scheme has only the tag.
+    fn judge(&self, _round: &TimedRound, tag_ok: bool) -> SegmentVerdict {
+        if tag_ok {
+            SegmentVerdict::Ok
+        } else {
+            SegmentVerdict::BadTag
+        }
     }
 }
 
@@ -176,6 +206,27 @@ impl Audit for DynAuditRequest {
         index: u64,
     ) -> (Option<ProvenSegment>, SimDuration) {
         provider.serve_dyn(&self.file_id, index)
+    }
+
+    /// The dynamic tag scheme (its own MAC input encoding); the encoder's
+    /// static layout does not apply.
+    fn tag_ok(&self, _encoder: &PorEncoder, mac_key: &[u8; 32], round: &DynTimedRound) -> bool {
+        verify_tagged(mac_key, &self.file_id, round.index, &round.segment)
+    }
+
+    /// The membership proof first — it must tie the bytes to the audited
+    /// root at the challenged index (unkeyed, so replay recomputes it) —
+    /// then the tag bit.
+    fn judge(&self, round: &DynTimedRound, tag_ok: bool) -> SegmentVerdict {
+        if round.proof.index != round.index
+            || !verify_proof(&self.digest.root, &round.segment, &round.proof)
+        {
+            SegmentVerdict::BadProof
+        } else if !tag_ok {
+            SegmentVerdict::BadTag
+        } else {
+            SegmentVerdict::Ok
+        }
     }
 }
 

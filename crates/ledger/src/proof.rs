@@ -17,7 +17,7 @@ use crate::record::{
     DigestRecord, EvidenceRecord, PositionRecord, TAG_DIGEST, TAG_DYN_EVIDENCE, TAG_EVIDENCE,
     TAG_POSITION,
 };
-use crate::verify::{replay_dyn_record, replay_position_record, replay_record};
+use crate::verify::{replay_position_record, replay_record};
 use crate::LedgerError;
 use bytes::Bytes;
 use geoproof_core::dynamic_audit::DynAuditRequest;
@@ -289,7 +289,7 @@ impl InclusionProof {
             Some(&TAG_DYN_EVIDENCE) => {
                 let evidence = EvidenceRecord::decode(&self.body)
                     .map_err(|_| LedgerError::BadProof("dynamic evidence body"))?;
-                replay_dyn_record(&evidence, self.evidence_index)?;
+                replay_record(&evidence, self.evidence_index)?;
                 Entry::DynEvidence(evidence)
             }
             // A digest transition proves the owner recorded this exact

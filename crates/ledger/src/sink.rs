@@ -4,7 +4,6 @@
 
 use crate::writer::{LedgerWriter, Recovery};
 use crate::LedgerError;
-use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_core::evidence::{EvidenceBundle, EvidenceSink};
 use geoproof_crypto::schnorr::SigningKey;
 use parking_lot::Mutex;
@@ -92,16 +91,5 @@ impl LedgerSink {
 impl EvidenceSink for LedgerSink {
     fn record(&self, bundle: &EvidenceBundle) -> std::io::Result<()> {
         self.writer.lock().append_bundle(bundle)
-    }
-
-    fn record_dynamic(&self, bundle: &EvidenceBundle<DynAuditRequest>) -> std::io::Result<()> {
-        self.writer.lock().append_bundle(bundle)
-    }
-
-    fn record_position(
-        &self,
-        bundle: &geoproof_core::evidence::PositionBundle,
-    ) -> std::io::Result<()> {
-        self.writer.lock().append_position_bundle(bundle)
     }
 }

@@ -6,13 +6,15 @@
 //! 1. the embedded TPA key against the caller's trusted one;
 //! 2. every checkpoint — TPA signature, coverage count, and the Merkle
 //!    root recomputed from the evidence seals it claims to cover;
-//! 3. every evidence record — the transcript signature (under the
-//!    *recorded* device key), nonce binding, GPS offset, round sanity
-//!    and the Δt_max timing policy, all re-derived through
-//!    [`geoproof_core::auditor::VerifyChecks`] exactly as the live TPA
-//!    did, with the recorded per-round MAC bits standing in for the
-//!    keyed MAC checks; the re-derived report must **byte-compare**
-//!    equal to the recorded one.
+//! 3. every evidence record, static or dynamic, through one generic
+//!    path ([`replay_record`]) — the transcript signature (under the
+//!    *recorded* device key), nonce binding, GPS offset, round sanity,
+//!    each round's judgement and the Δt_max timing policy, all
+//!    re-derived through [`geoproof_core::auditor::VerifyChecks`] exactly
+//!    as the live TPA did, with the recorded per-round MAC bits standing
+//!    in for the keyed MAC checks (a dynamic round's Merkle proof is
+//!    recomputed, by its kind's `Audit::judge`); the re-derived report
+//!    must **byte-compare** equal to the recorded one.
 //!
 //! What the replay *trusts*: the recorded MAC bits (checking them needs
 //! the owner's secret key — pass a [`SegmentMacCheck`] to close that
@@ -44,10 +46,10 @@ use crate::reader::{checkpoint_message_for, parallelism, Entry, Header, Ledger, 
 use crate::record::{DigestOp, EvidenceKind, EvidenceRecord, PositionRecord};
 use crate::{Digest, LedgerError};
 use bytes::Bytes;
-use geoproof_core::auditor::{AuditReport, VerifyChecks};
-use geoproof_core::dynamic_audit::{judge_round, DynAuditRequest, DynSignedTranscript};
+use geoproof_core::auditor::VerifyChecks;
+use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_core::evidence::encode_report;
-use geoproof_core::messages::{AuditRequest, Round, SignedTranscript, Transcript};
+use geoproof_core::messages::{AuditRequest, Round, Transcript};
 use geoproof_core::pool::run_ordered;
 use geoproof_core::verifier::Audit;
 use geoproof_crypto::schnorr::{batch_verify_each, BatchEntry, Signature, VerifyingKey};
@@ -119,49 +121,22 @@ pub struct ReplayOutcome {
     pub head: Digest,
 }
 
-/// Replays one evidence record's verification and byte-compares the
-/// re-derived verdict against the recorded one. Returns the parsed
-/// transcript so callers needing the rounds (MAC re-derivation,
-/// display) don't decode it a second time.
+/// Replays one evidence record of either kind and byte-compares the
+/// re-derived verdict against the recorded one. A dynamic record's
+/// Merkle membership proofs are **recomputed** against its recorded
+/// digest (unkeyed — no trust involved); the keyed tag bits are read
+/// from the record. Returns the parsed transcript so callers needing the
+/// rounds (MAC re-derivation, display) don't decode it a second time.
 ///
 /// # Errors
 ///
 /// Structural failures (`BadDeviceKey`, `Transcript`) and
 /// [`LedgerError::VerdictMismatch`] when the re-derived report's
 /// canonical bytes differ.
-pub fn replay_record(
-    record: &EvidenceRecord,
-    evidence: u64,
-) -> Result<SignedTranscript, LedgerError> {
-    let (key, transcript, sig_ok) = settle_record(record, evidence)?;
-    check_evidence_verdict(record, evidence, &key, &transcript, sig_ok)?;
-    Ok(transcript)
-}
-
-/// Replays one *dynamic* evidence record: as [`replay_record`], with
-/// every Merkle membership proof **recomputed** against the recorded
-/// digest (unkeyed — no trust involved) and the recorded tag bits for
-/// the keyed half.
-///
-/// # Errors
-///
-/// As [`replay_record`].
-pub fn replay_dyn_record(
-    record: &EvidenceRecord<DynAuditRequest>,
-    evidence: u64,
-) -> Result<DynSignedTranscript, LedgerError> {
-    let (key, transcript, sig_ok) = settle_record(record, evidence)?;
-    check_dyn_verdict(record, evidence, &key, &transcript, sig_ok)?;
-    Ok(transcript)
-}
-
-/// The structural half of replaying one evidence record of either kind:
-/// its device key, its parsed transcript, and whether the signature over
-/// the recorded signed bytes holds.
-fn settle_record<R: EvidenceKind>(
+pub fn replay_record<R: EvidenceKind>(
     record: &EvidenceRecord<R>,
     evidence: u64,
-) -> Result<(VerifyingKey, R::Transcript, bool), LedgerError> {
+) -> Result<R::Transcript, LedgerError> {
     let key = VerifyingKey::from_bytes(&record.device_key)
         .ok_or(LedgerError::BadDeviceKey { evidence })?;
     let transcript = record
@@ -169,78 +144,37 @@ fn settle_record<R: EvidenceKind>(
         .map_err(|source| LedgerError::Transcript { evidence, source })?;
     let signed = R::Transcript::signed_prefix(&record.transcript);
     let sig_ok = key.verify(&signed, transcript.signature());
-    Ok((key, transcript, sig_ok))
+    check_verdict(record, evidence, &key, &transcript, sig_ok)?;
+    Ok(transcript)
 }
 
-/// The check sequence a record's verdict was derived under, rebuilt from
-/// the record: its acceptance parameters, its request's segment count,
-/// and the recorded device key.
-fn recorded_checks<'a, R: EvidenceKind>(
-    record: &'a EvidenceRecord<R>,
-    device_key: &'a VerifyingKey,
-) -> VerifyChecks<'a> {
-    VerifyChecks {
-        file_id: record.request.file_id(),
-        n_segments: record.request.challenges().0,
+/// The verdict re-derivation half of [`replay_record`], with the
+/// signature verdict supplied by the caller: the check sequence rebuilt
+/// from the record (its acceptance parameters, its request and the
+/// recorded device key), each round judged by the record's kind from its
+/// recorded tag bit. Byte-identical to the sequential path whenever
+/// `sig_ok` equals what `device_key.verify` returns over the transcript's
+/// signed bytes — which is exactly the contract [`batch_verify_each`]
+/// keeps.
+fn check_verdict<R: EvidenceKind>(
+    record: &EvidenceRecord<R>,
+    evidence: u64,
+    device_key: &VerifyingKey,
+    transcript: &R::Transcript,
+    sig_ok: bool,
+) -> Result<(), LedgerError> {
+    let checks = VerifyChecks {
         device_key,
         sla_location: record.sla_location,
         location_tolerance: record.location_tolerance,
         policy: &record.policy,
-    }
-}
-
-/// Byte-compares a re-derived report against the recorded one.
-fn verdict_matches<R>(
-    record: &EvidenceRecord<R>,
-    replayed: &AuditReport,
-    evidence: u64,
-) -> Result<(), LedgerError> {
-    if encode_report(replayed) != record.report_bytes.as_ref() {
+    };
+    let replayed =
+        checks.verify_transcript_presigned(&record.request, transcript, sig_ok, &record.mac_ok);
+    if encode_report(&replayed) != record.report_bytes.as_ref() {
         return Err(LedgerError::VerdictMismatch { evidence });
     }
     Ok(())
-}
-
-/// The verdict re-derivation half of [`replay_record`], with the
-/// signature verdict supplied by the caller. Byte-identical to the
-/// sequential path whenever `sig_ok` equals what `device_key.verify`
-/// returns over the transcript's signed bytes — which is exactly the
-/// contract [`batch_verify_each`] keeps.
-fn check_evidence_verdict(
-    record: &EvidenceRecord,
-    evidence: u64,
-    device_key: &VerifyingKey,
-    transcript: &SignedTranscript,
-    sig_ok: bool,
-) -> Result<(), LedgerError> {
-    // Same closure shape as the live engine: absent bits read as false.
-    let replayed = recorded_checks(record, device_key).verify_transcript_presigned(
-        &record.request,
-        transcript,
-        sig_ok,
-        |i, _round| record.mac_ok.get(i).copied().unwrap_or(false),
-    );
-    verdict_matches(record, &replayed, evidence)
-}
-
-/// The verdict re-derivation half of [`replay_dyn_record`] (see
-/// [`check_evidence_verdict`] for the `sig_ok` contract): each round's
-/// proof is recomputed, its tag bit read from the record.
-fn check_dyn_verdict(
-    record: &EvidenceRecord<DynAuditRequest>,
-    evidence: u64,
-    device_key: &VerifyingKey,
-    transcript: &DynSignedTranscript,
-    sig_ok: bool,
-) -> Result<(), LedgerError> {
-    let root = &record.request.digest.root;
-    let replayed = recorded_checks(record, device_key).verify_transcript_presigned(
-        &record.request,
-        transcript,
-        sig_ok,
-        |i, round| judge_round(root, round, record.mac_ok.get(i).copied()),
-    );
-    verdict_matches(record, &replayed, evidence)
 }
 
 /// Replays one position record: recomputes the aggregate estimate from
@@ -352,10 +286,10 @@ fn settle_chunk(
         .find_map(|(j, (record, prep))| {
             let verdict = match (&record.entry, prep) {
                 (Entry::Evidence(e), Prep::Evidence(p)) => {
-                    check_evidence_verdict(e, ordinal, &p.key, &p.transcript, sig_ok[p.task])
+                    check_verdict(e, ordinal, &p.key, &p.transcript, sig_ok[p.task])
                 }
                 (Entry::DynEvidence(e), Prep::Dyn(p)) => {
-                    check_dyn_verdict(e, ordinal, &p.key, &p.transcript, sig_ok[p.task])
+                    check_verdict(e, ordinal, &p.key, &p.transcript, sig_ok[p.task])
                 }
                 (Entry::Position(p), Prep::Plain) => {
                     replay_position_record(p, &record.body, record.index)

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use geoproof_core::auditor::{Auditor, Violation};
-use geoproof_core::dynamic_audit::{DynAuditor, LocalDynProvider};
+use geoproof_core::dynamic_audit::LocalDynProvider;
 use geoproof_core::policy::TimingPolicy;
 use geoproof_core::provider::LocalProvider;
 use geoproof_core::verifier::VerifierDevice;
@@ -39,7 +39,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 struct Rig {
-    auditor: DynAuditor,
+    auditor: Auditor,
     verifier: VerifierDevice,
     provider: LocalDynProvider,
     owner: DynamicOwner,
@@ -56,8 +56,10 @@ fn rig() -> Rig {
     let mut rng = ChaChaRng::from_u64_seed(31);
     let sk = SigningKey::generate(&mut rng);
     let verifier = VerifierDevice::new(sk.clone(), GpsReceiver::new(BRISBANE), SimClock::new(), 32);
-    let auditor = DynAuditor::new(
+    let auditor = Auditor::new(
         "df".into(),
+        owner.digest().segments,
+        PorEncoder::new(PorParams::paper()),
         keys.auditor_view(),
         sk.verifying_key(),
         BRISBANE,
@@ -113,7 +115,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
     // audit against the chain's current digest.
     let mut current = d0;
     for round in 0..3u64 {
-        let req = r.auditor.issue_request(current, 6);
+        let req = r.auditor.issue_dynamic(current, 6);
         let t = r.verifier.run_audit(&req, &mut r.provider);
         let epoch = w.next_epoch("acme");
         let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
@@ -160,7 +162,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
         new: fresh,
     })
     .expect("transition");
-    let req = r.auditor.issue_request(fresh, 16);
+    let req = r.auditor.issue_dynamic(fresh, 16);
     let t = r.verifier.run_audit(&req, &mut r.provider);
     let epoch = w.next_epoch("acme");
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);
@@ -251,7 +253,7 @@ fn audit_against_non_current_digest_breaks_the_chain() {
         file_id: "df".into(),
         latency: SimDuration::from_millis(5),
     };
-    let req = r.auditor.issue_request(d0, 5);
+    let req = r.auditor.issue_dynamic(d0, 5);
     let t = r.verifier.run_audit(&req, &mut stale_provider);
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
     assert!(report.accepted(), "self-consistent against the old digest");
@@ -356,13 +358,46 @@ fn writer_refuses_structurally_invalid_dynamic_records() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     // Dynamic evidence whose transcript bytes cannot replay.
     let mut r2 = rig();
-    let req = r2.auditor.issue_request(r2.owner.digest(), 2);
+    let req = r2.auditor.issue_dynamic(r2.owner.digest(), 2);
     let t = r2.verifier.run_audit(&req, &mut r2.provider);
     let (_report, mut bundle) = r2.auditor.verify_evidence(&req, &t, "p", 0);
     bundle.transcript = Bytes::from(vec![0xeeu8; 40]);
     let err = w.append_bundle(&bundle).expect_err("must refuse");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(w.record_count(), 0, "nothing was written");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A round whose Merkle proof and tag both fail is judged on the proof
+/// alone: one `BadProof`, never a `BadTag`. The live verdict and its
+/// offline replay must agree on that order.
+#[test]
+fn a_round_failing_proof_and_tag_is_one_bad_proof_live_and_replayed() {
+    let mut r = rig();
+    // Flipping every byte breaks both the leaf hash and the tag.
+    for i in 0..16 {
+        assert!(r.provider.store.corrupt_silently(i, 0x11));
+    }
+    let req = r.auditor.issue_dynamic(r.owner.digest(), 1);
+    let t = r.verifier.run_audit(&req, &mut r.provider);
+    let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
+    let segment = t.rounds[0].index;
+    assert_eq!(bundle.mac_ok, vec![false], "the tag fails too");
+    assert_eq!(
+        report.violations,
+        vec![Violation::BadProof { round: 0, segment }]
+    );
+
+    let path = tmp("proof-before-tag.log");
+    let mut w = LedgerWriter::create(&path, &r.tpa, 0, 1).expect("create");
+    w.append_bundle(&bundle).expect("append");
+    w.finish().expect("finish");
+    drop(w);
+    let ledger = Ledger::read(&path).expect("read");
+    let outcome = replay(&ledger, &r.tpa.verifying_key(), None).expect("replay");
+    assert_eq!((outcome.dynamic, outcome.rejected), (1, 1));
+    let (_, record) = ledger.dyn_evidence().next().expect("one dynamic record");
+    assert_eq!(record.report().expect("report"), report);
     std::fs::remove_file(&path).ok();
 }
 
@@ -422,7 +457,7 @@ fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
         new: d0,
     })
     .expect("init");
-    let req = r.auditor.issue_request(d0, 5);
+    let req = r.auditor.issue_dynamic(d0, 5);
     let t = r.verifier.run_audit(&req, &mut r.provider);
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 0);
     assert!(report.accepted(), "{:?}", report.violations);
@@ -438,7 +473,7 @@ fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
         new: d1,
     })
     .expect("update");
-    let req = r.auditor.issue_request(d1, 16);
+    let req = r.auditor.issue_dynamic(d1, 16);
     let t = r.verifier.run_audit(&req, &mut r.provider);
     let (report, bundle) = r.auditor.verify_evidence(&req, &t, "acme", 1);
     assert!(report

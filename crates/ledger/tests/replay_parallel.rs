@@ -11,8 +11,8 @@
 //! order must still be the one reported.
 
 use bytes::Bytes;
-use geoproof_core::auditor::VerifyChecks;
-use geoproof_core::dynamic_audit::{DynAuditor, LocalDynProvider};
+use geoproof_core::auditor::{Auditor, VerifyChecks};
+use geoproof_core::dynamic_audit::LocalDynProvider;
 use geoproof_core::evidence::encode_report;
 use geoproof_core::messages::{AuditRequest, SignedTranscript, TimedRound};
 use geoproof_core::policy::TimingPolicy;
@@ -29,7 +29,9 @@ use geoproof_ledger::{
     NO_DIGEST,
 };
 use geoproof_por::dynamic::{DynamicDigest, DynamicOwner, DynamicStore};
+use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
+use geoproof_por::params::PorParams;
 use geoproof_sim::clock::SimClock;
 use geoproof_sim::time::{Km, SimDuration};
 use std::sync::OnceLock;
@@ -89,14 +91,12 @@ fn static_record(s: u64, device: &SigningKey, rng: &mut ChaChaRng) -> EvidenceRe
     let policy = TimingPolicy::paper();
     let device_key = device.verifying_key();
     let checks = VerifyChecks {
-        file_id: &request.file_id,
-        n_segments: N_SEGMENTS,
         device_key: &device_key,
         sla_location: position,
         location_tolerance: Km(25.0),
         policy: &policy,
     };
-    let report = checks.verify_transcript_presigned(&request, &transcript, true, |_, _| true);
+    let report = checks.verify_transcript_presigned(&request, &transcript, true, &[true; K]);
     EvidenceRecord {
         prover: format!("prover-{:02}", s % 16),
         epoch: s / 16,
@@ -145,7 +145,7 @@ fn position_record(s: u64) -> PositionRecord {
 /// The dynamic-audit side: a 16-segment dynamic file, its owner, a
 /// verifier device and an auditor.
 struct DynRig {
-    auditor: DynAuditor,
+    auditor: Auditor,
     verifier: VerifierDevice,
     provider: LocalDynProvider,
     owner: DynamicOwner,
@@ -160,8 +160,10 @@ fn dyn_rig() -> DynRig {
     let owner = DynamicOwner::from_tagged("df", &tagged);
     let sk = SigningKey::generate(&mut ChaChaRng::from_u64_seed(31));
     let verifier = VerifierDevice::new(sk.clone(), GpsReceiver::new(BRISBANE), SimClock::new(), 32);
-    let auditor = DynAuditor::new(
+    let auditor = Auditor::new(
         "df".into(),
+        owner.digest().segments,
+        PorEncoder::new(PorParams::paper()),
         keys.auditor_view(),
         sk.verifying_key(),
         BRISBANE,
@@ -216,7 +218,7 @@ fn build(interval: u64) -> Vec<u8> {
             })
             .expect("init");
         } else if s % 97 == 5 {
-            let req = r.auditor.issue_request(current, 3);
+            let req = r.auditor.issue_dynamic(current, 3);
             let t = r.verifier.run_audit(&req, &mut r.provider);
             let epoch = w.next_epoch("acme");
             let (_, bundle) = r.auditor.verify_evidence(&req, &t, "acme", epoch);

@@ -12,7 +12,6 @@ use super::args::Args;
 use super::store::{dyn_owner, read_dyn_store, read_store};
 use super::{fresh_seed, fresh_seed_u64, hex, open_ledger, parse_addr, tpa_ledger_key, CliResult};
 use geoproof::core::auditor::{AuditReport, Auditor};
-use geoproof::core::dynamic_audit::DynAuditor;
 use geoproof::core::messages::Transcript;
 use geoproof::core::policy::TimingPolicy;
 use geoproof::crypto::chacha::ChaChaRng;
@@ -20,12 +19,12 @@ use geoproof::crypto::schnorr::SigningKey;
 use geoproof::geo::coords::places::BRISBANE;
 use geoproof::geo::coords::GeoPoint;
 use geoproof::geo::gps::GpsReceiver;
-use geoproof::ledger::LedgerWriter;
-use geoproof::por::encode::{FileMetadata, PorEncoder};
+use geoproof::ledger::{EvidenceKind, LedgerWriter};
+use geoproof::por::encode::PorEncoder;
 use geoproof::por::keys::PorKeys;
 use geoproof::por::params::PorParams;
 use geoproof::sim::time::{Km, SimDuration};
-use geoproof::tcp_audit::WallClockVerifier;
+use geoproof::tcp_audit::{TcpAudit, WallClockVerifier};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -51,9 +50,31 @@ pub fn run(raw: &[String]) -> CliResult {
     }
     args.forbid(VANTAGE_FLAGS, "needs --vantages")?;
     if args.has("--dynamic") {
-        dynamic(&session)
+        let (tagged, meta) = read_dyn_store(Path::new(&session.store))?;
+        let digest = dyn_owner(&tagged, &meta)?.digest();
+        session.check_k(digest.segments)?;
+        let (mut auditor, device) =
+            session.auditor(&meta.file_id, digest.segments, "device", BRISBANE);
+        let request = auditor.issue_dynamic(digest, session.k);
+        let headline = format!(
+            "dynamic audit of {} @ {}: {} challenges against digest root {} ({} segments)",
+            meta.file_id,
+            session.addr,
+            session.k,
+            hex(&digest.root[..8]),
+            digest.segments
+        );
+        audit(&session, &auditor, device, &request, "dynamic ", &headline)
     } else {
-        single(&session)
+        let (_, md) = read_store(Path::new(&session.store))?;
+        session.check_k(md.segments)?;
+        let (mut auditor, device) = session.auditor(&md.file_id, md.segments, "device", BRISBANE);
+        let request = auditor.issue_request(session.k);
+        let headline = format!(
+            "audit of {} @ {}: {} challenges",
+            md.file_id, session.addr, session.k
+        );
+        audit(&session, &auditor, device, &request, "", &headline)
     }
 }
 
@@ -123,18 +144,20 @@ impl Session {
         (verifier, fresh_seed_u64(&format!("{label}-nonce")))
     }
 
-    /// A static-file auditor paired with its own device at `position`.
+    /// An auditor of `file_id` (`segments` long) paired with its own
+    /// device at `position`.
     fn auditor(
         &self,
-        md: &FileMetadata,
+        file_id: &str,
+        segments: u64,
         label: &str,
         position: GeoPoint,
     ) -> (Auditor, WallClockVerifier) {
         let (device, nonce_seed) = self.device(label, position);
-        let keys = PorKeys::derive(self.master.as_bytes(), &md.file_id);
+        let keys = PorKeys::derive(self.master.as_bytes(), file_id);
         let auditor = Auditor::new(
-            md.file_id.clone(),
-            md.segments,
+            file_id.to_owned(),
+            segments,
             PorEncoder::new(PorParams::paper()),
             keys.auditor_view(),
             device.verifying_key(),
@@ -239,59 +262,26 @@ impl Session {
     }
 }
 
-fn single(s: &Session) -> CliResult {
-    let (_, md) = read_store(Path::new(&s.store))?;
-    s.check_k(md.segments)?;
-    let (mut auditor, mut device) = s.auditor(&md, "device", BRISBANE);
-    let request = auditor.issue_request(s.k);
+/// One issued audit of either kind, after issuance: runs it, saves the
+/// transcript, judges it into the ledger and reports. `kind` names it in
+/// the printed lines ("" or "dynamic ").
+fn audit<R: TcpAudit + EvidenceKind>(
+    s: &Session,
+    auditor: &Auditor,
+    mut device: WallClockVerifier,
+    request: &R,
+    kind: &str,
+    headline: &str,
+) -> CliResult {
     let started = Instant::now();
-    let transcript = device.run_audit(&request, s.addr).map_err(audit_io)?;
+    let transcript = device.run_audit(request, s.addr).map_err(audit_io)?;
     let latency = started.elapsed();
-    s.save_transcript("", &transcript.canonical_bytes())?;
-    let (ledger, epoch) = s.ledger(nonce_seed(&request.nonce))?;
-    let (report, bundle) = auditor.verify_evidence(&request, &transcript, &*s.prover, epoch);
-    s.seal(ledger, |w| w.append_bundle(&bundle), "record", Some(epoch))?;
-    let headline = format!("audit of {} @ {}: {} challenges", md.file_id, s.addr, s.k);
-    s.report(&headline, &report, latency)
-}
-
-fn dynamic(s: &Session) -> CliResult {
-    let (tagged, meta) = read_dyn_store(Path::new(&s.store))?;
-    let digest = dyn_owner(&tagged, &meta)?.digest();
-    s.check_k(digest.segments)?;
-    let (mut device, nonce) = s.device("device", BRISBANE);
-    let keys = PorKeys::derive(s.master.as_bytes(), &meta.file_id);
-    let mut auditor = DynAuditor::new(
-        meta.file_id.clone(),
-        keys.auditor_view(),
-        device.verifying_key(),
-        BRISBANE,
-        LOCATION_TOLERANCE,
-        s.timing,
-        nonce,
-    );
-    let request = auditor.issue_request(digest, s.k);
-    let started = Instant::now();
-    let transcript = device.run_audit(&request, s.addr).map_err(audit_io)?;
-    let latency = started.elapsed();
-    s.save_transcript("dynamic ", &transcript.canonical_bytes())?;
-    let (ledger, epoch) = s.ledger(nonce_seed(&request.nonce))?;
-    let (report, bundle) = auditor.verify_evidence(&request, &transcript, &*s.prover, epoch);
-    s.seal(
-        ledger,
-        |w| w.append_bundle(&bundle),
-        "dynamic record",
-        Some(epoch),
-    )?;
-    let headline = format!(
-        "dynamic audit of {} @ {}: {} challenges against digest root {} ({} segments)",
-        meta.file_id,
-        s.addr,
-        s.k,
-        hex(&digest.root[..8]),
-        digest.segments
-    );
-    s.report(&headline, &report, latency)
+    s.save_transcript(kind, &transcript.canonical_bytes())?;
+    let (ledger, epoch) = s.ledger(nonce_seed(request.nonce()))?;
+    let (report, bundle) = auditor.verify_evidence(request, &transcript, &*s.prover, epoch);
+    let records = format!("{kind}record");
+    s.seal(ledger, |w| w.append_bundle(&bundle), &records, Some(epoch))?;
+    s.report(headline, &report, latency)
 }
 
 fn audit_io(e: std::io::Error) -> String {
@@ -368,7 +358,7 @@ fn multi_vantage(s: &Session, args: &Args) -> CliResult {
                 let position = ring_vantage(sla, ring_km, v, n);
                 scope.spawn(move || -> Result<_, String> {
                     let (mut auditor, mut device) =
-                        s.auditor(md, &format!("vantage-{v}"), position);
+                        s.auditor(&md.file_id, md.segments, &format!("vantage-{v}"), position);
                     let request = auditor.issue_request(s.k);
                     let transcript = device
                         .run_audit(&request, s.addr)

@@ -116,7 +116,6 @@ impl WallClockVerifier {
 mod tests {
     use super::*;
     use geoproof_core::auditor::Auditor;
-    use geoproof_core::dynamic_audit::DynAuditor;
     use geoproof_core::messages::{SignedTranscript, Transcript};
     use geoproof_core::policy::TimingPolicy;
     use geoproof_crypto::chacha::ChaChaRng;
@@ -215,8 +214,10 @@ mod tests {
         let (store, _) = DynamicStore::initialise("df", &bodies, &keys);
         let tagged = (0..24u64).map(|i| store.segment(i).unwrap()).collect();
         let digest = r.server.put_dynamic("df", tagged);
-        let mut auditor = DynAuditor::new(
+        let mut auditor = Auditor::new(
             "df".into(),
+            digest.segments,
+            PorEncoder::new(PorParams::paper()),
             keys.auditor_view(),
             signing_key().verifying_key(),
             BRISBANE,
@@ -224,7 +225,7 @@ mod tests {
             TimingPolicy::paper(),
             3,
         );
-        let req = auditor.issue_request(digest, 6);
+        let req = auditor.issue_dynamic(digest, 6);
         let mut verifier = r.verifier;
         let live = verifier.run_audit(&req, r.addr).expect("audit I/O");
         let report = auditor.verify(&req, &live);

@@ -7,7 +7,7 @@
 //! protocol break, not a cleanup.
 
 use geoproof::core::auditor::Auditor;
-use geoproof::core::dynamic_audit::{DynAuditor, LocalDynProvider};
+use geoproof::core::dynamic_audit::LocalDynProvider;
 use geoproof::core::messages::{SignedTranscript, Transcript};
 use geoproof::core::policy::TimingPolicy;
 use geoproof::core::provider::LocalProvider;
@@ -194,8 +194,10 @@ fn dynamic_transcript_encoding_is_pinned() {
     let sk = SigningKey::generate(&mut rng);
     let mut verifier =
         VerifierDevice::new(sk.clone(), GpsReceiver::new(BRISBANE), SimClock::new(), 3);
-    let mut auditor = DynAuditor::new(
+    let mut auditor = Auditor::new(
         "golden-dyn".into(),
+        digest.segments,
+        PorEncoder::new(PorParams::paper()),
         keys.auditor_view(),
         sk.verifying_key(),
         BRISBANE,
@@ -204,7 +206,7 @@ fn dynamic_transcript_encoding_is_pinned() {
         4,
     );
 
-    let request = auditor.issue_request(digest, 10);
+    let request = auditor.issue_dynamic(digest, 10);
     let transcript = verifier.run_audit(&request, &mut provider);
     let report = auditor.verify(&request, &transcript);
     assert!(report.accepted(), "violations: {:?}", report.violations);
