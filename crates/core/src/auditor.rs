@@ -229,22 +229,10 @@ impl Auditor {
         }
     }
 
-    /// Every round's keyed tag bit ([`Audit::tag_ok`]), evaluated for all
-    /// rounds so live verification and replay record and consume
-    /// identical bits.
-    fn tag_bits<R: Audit>(&self, request: &R, transcript: &R::Transcript) -> Vec<bool> {
-        let mac_key = self.auditor_key.mac_key();
-        transcript
-            .rounds()
-            .iter()
-            .map(|round| request.tag_ok(&self.encoder, mac_key, round))
-            .collect()
-    }
-
     /// Runs the §V-B(b) verification of a transcript against the request
     /// that triggered it.
     pub fn verify<R: Audit>(&self, request: &R, transcript: &R::Transcript) -> AuditReport {
-        let tag_ok = self.tag_bits(request, transcript);
+        let tag_ok = request.tag_bits(&self.encoder, self.auditor_key.mac_key(), transcript);
         self.checks()
             .verify_transcript(request, transcript, &tag_ok)
     }
@@ -261,7 +249,7 @@ impl Auditor {
         prover: impl Into<String>,
         epoch: u64,
     ) -> (AuditReport, EvidenceBundle<R>) {
-        let tag_ok = self.tag_bits(request, transcript);
+        let tag_ok = request.tag_bits(&self.encoder, self.auditor_key.mac_key(), transcript);
         let checks = self.checks();
         let report = checks.verify_transcript(request, transcript, &tag_ok);
         let bundle = checks.bundle(
@@ -280,10 +268,10 @@ impl Auditor {
 /// dynamic, live and replayed — signature, nonce (and, for a dynamic
 /// audit, digest) freshness, GPS, round sanity, per-segment judgement,
 /// timing. Each round is judged by its kind's [`Audit::judge`] from a
-/// tag bit the caller supplies, so the sequential path
-/// ([`Auditor::verify`]), the engine's batched path and the offline
-/// replay run *exactly the same* logic and differ only in where the bits
-/// come from.
+/// tag bit the caller supplies, so [`Auditor::verify`], the engine and
+/// the offline replay run *exactly the same* logic and differ only in
+/// where the bits come from: [`Audit::tag_bits`] live, the record in
+/// replay.
 #[derive(Clone, Debug)]
 pub struct VerifyChecks<'a> {
     /// The verifier device's registered public key.

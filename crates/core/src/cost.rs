@@ -1,14 +1,13 @@
-//! Audit communication- and time-cost accounting.
+//! Audit communication-cost accounting.
 //!
 //! A key POS property the paper leans on (§IV): "the size of the
 //! information exchanged between client and server is very small and may
 //! even be independent of the size of stored data". This module computes
-//! exact per-audit byte and time costs so experiments can show the audit
-//! cost is flat in the file size while naive verification (download
-//! everything) is linear.
+//! exact per-audit byte costs so experiments can show the audit cost is
+//! flat in the file size while naive verification (download everything)
+//! is linear.
 
 use geoproof_por::params::PorParams;
-use geoproof_sim::time::SimDuration;
 
 /// Byte costs of one audit with `k` challenges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,12 +54,6 @@ pub fn naive_download_bytes(params: &PorParams, file_bytes: u64) -> u64 {
     ex.stored_bytes
 }
 
-/// Wall time of one sequential audit: k rounds of (LAN RTT + disk
-/// look-up), the simulated-time cost the verifier device occupies.
-pub fn audit_duration(k: u32, per_round: SimDuration) -> SimDuration {
-    per_round * u64::from(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +93,6 @@ mod tests {
         let download = naive_download_bytes(&p, 2 << 30);
         assert!(c.total_bytes() < 200_000);
         assert!(download / c.total_bytes() > 10_000);
-    }
-
-    #[test]
-    fn duration_scales_with_k() {
-        let per_round = SimDuration::from_millis_f64(13.2);
-        assert_eq!(audit_duration(10, per_round).as_millis_f64(), 132.0);
-        assert!(audit_duration(1000, per_round).as_millis_f64() < 14_000.0);
     }
 
     #[test]

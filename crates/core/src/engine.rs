@@ -4,20 +4,18 @@
 //! against one file, in the TPA's three steps:
 //!
 //! * **issue** ([`AuditEngine::issue`]) — a fresh request per audit. Its
-//!   nonce comes from `(engine seed, prover id, epoch)` via
-//!   [`geoproof_por::batch`], where the epoch counts the prover's earlier
-//!   audits — never from shared RNG state, so issuing in any order yields
-//!   identical requests, and a re-audit never reuses a nonce;
+//!   nonce comes from `(engine seed, prover id, epoch)`, where the epoch
+//!   counts the prover's earlier audits — never from shared RNG state, so
+//!   issuing in any order yields identical requests, and a re-audit never
+//!   reuses a nonce;
 //! * **drive** — the prover's verifier device runs the k timed rounds
 //!   and signs the transcript. [`AuditEngine::run_sessions`] drives many
 //!   devices at once on a [`crate::pool`] worker pool; [`crate::fleet`]
 //!   drives them on one SimNet timeline;
-//! * **judge** ([`AuditEngine::judge`]) — all transcripts in one pass
-//!   sharing the MAC parameterisation ([`SegmentBatchVerifier`]), with
-//!   verdicts *byte-identical* to the sequential reference path
-//!   ([`AuditEngine::judge_sequential`]) and to the single-prover
-//!   [`crate::auditor::Auditor`]. Only `judge` counts verdicts and records
-//!   evidence, each audit under its own issued epoch.
+//! * **judge** ([`AuditEngine::judge`]) — every transcript through the
+//!   single-prover [`crate::auditor::Auditor`]'s check sequence, its tag
+//!   bits from [`Audit::tag_bits`]; each verdict is counted and recorded
+//!   as evidence under its audit's own issued epoch.
 //!
 //! The engine owns its state (registered provers, epochs, the evidence
 //! sink) and changes it only through `&mut self`.
@@ -29,9 +27,10 @@ use crate::policy::TimingPolicy;
 use crate::pool::{run_jobs, Job, PoolStats};
 use crate::provider::SegmentProvider;
 use crate::verifier::{Audit, VerifierDevice};
+use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_crypto::schnorr::VerifyingKey;
+use geoproof_crypto::sha256::Sha256;
 use geoproof_geo::coords::GeoPoint;
-use geoproof_por::batch::{session_nonce, SegmentBatchVerifier};
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::AuditorKey;
 use geoproof_sim::time::Km;
@@ -39,9 +38,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Cached telemetry handles (see `geoproof_obs`): verdict counters move
-/// once per audit [`AuditEngine::judge`] passes — never in the
-/// sequential reference pass; the latency histogram covers the full
-/// challenge/response/sign session as run on the pool.
+/// once per audit [`AuditEngine::judge`] passes; the latency histogram
+/// covers the full challenge/response/sign session as run on the pool.
 struct EngineMetrics {
     accept: Arc<geoproof_obs::Counter>,
     reject: Arc<geoproof_obs::Counter>,
@@ -179,7 +177,6 @@ impl AuditEngine {
     /// Installs a durable-evidence sink: every verdict
     /// [`AuditEngine::judge`] reaches is recorded as an
     /// [`crate::evidence::EvidenceBundle`] under its audit's issued epoch.
-    /// [`AuditEngine::judge_sequential`] records nothing.
     pub fn set_evidence_sink(&mut self, sink: Arc<dyn EvidenceSink>) {
         self.sink = Some(sink);
     }
@@ -252,59 +249,25 @@ impl AuditEngine {
         }
     }
 
-    /// Judges `audits` **sequentially** — the reference path, checking
-    /// each round's tag with [`Audit::tag_ok`] exactly as the
-    /// single-prover [`crate::auditor::Auditor`] does. Results are sorted
-    /// by prover id (stably, so a prover's audits keep their input
-    /// order); audits of unregistered provers are skipped. Counts and
-    /// records nothing.
-    pub fn judge_sequential(
-        &self,
-        audits: &[(Issued, SignedTranscript)],
-    ) -> Vec<(ProverId, AuditReport)> {
-        let mut sorted: Vec<&(Issued, SignedTranscript)> = audits.iter().collect();
-        sorted.sort_by(|a, b| a.0.prover.cmp(&b.0.prover));
-        let mac_key = self.auditor_key.mac_key();
-        sorted
-            .into_iter()
-            .filter_map(|(issued, transcript)| {
-                let spec = self.provers.get(&issued.prover)?;
-                let mac_ok: Vec<bool> = transcript
-                    .rounds
-                    .iter()
-                    .map(|round| issued.request.tag_ok(&self.encoder, mac_key, round))
-                    .collect();
-                let report =
-                    self.checks_for(spec)
-                        .verify_transcript(&issued.request, transcript, &mac_ok);
-                Some((issued.prover.clone(), report))
-            })
-            .collect()
-    }
-
-    /// Judges `audits` in **one batched pass**: every round shares a
-    /// single [`SegmentBatchVerifier`] (one MAC parameterisation, one
-    /// message buffer). Verdicts and order are byte-identical to
-    /// [`AuditEngine::judge_sequential`]. Each verdict is counted once
-    /// and, with a sink installed, recorded as evidence under its
-    /// audit's own issued epoch, in the returned order.
+    /// Judges `audits`, sorted by prover id (stably, so a prover's
+    /// audits keep their input order); audits of unregistered provers
+    /// are skipped. Each round's tag bit is [`Audit::tag_ok`]'s, exactly
+    /// as the single-prover [`crate::auditor::Auditor`] derives it. Each
+    /// verdict is counted once and, with a sink installed, recorded as
+    /// evidence under its audit's own issued epoch, in the returned
+    /// order.
     pub fn judge(
         &mut self,
         mut audits: Vec<(Issued, SignedTranscript)>,
     ) -> Vec<(ProverId, AuditReport)> {
         audits.sort_by(|a, b| a.0.prover.cmp(&b.0.prover));
-        let mut batch =
-            SegmentBatchVerifier::new(&self.encoder, self.auditor_key.mac_key(), &self.file_id);
+        let mac_key = self.auditor_key.mac_key();
         let mut out = Vec::with_capacity(audits.len());
         for (issued, transcript) in audits {
             let Some(spec) = self.provers.get(&issued.prover) else {
                 continue;
             };
-            let mac_ok: Vec<bool> = transcript
-                .rounds
-                .iter()
-                .map(|round| batch.verify_one(round.index, &round.segment))
-                .collect();
+            let mac_ok = issued.request.tag_bits(&self.encoder, mac_key, &transcript);
             let checks = self.checks_for(spec);
             let report = checks.verify_transcript(&issued.request, &transcript, &mac_ok);
             let m = metrics();
@@ -377,11 +340,34 @@ impl AuditEngine {
     }
 }
 
+/// The seed of a session's ChaCha stream.
+fn session_seed(engine_seed: u64, session_key: &str) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(b"geoproof-plan-v1");
+    h.update(&engine_seed.to_be_bytes());
+    h.update(&(session_key.len() as u64).to_be_bytes());
+    h.update(session_key.as_bytes());
+    h.finalize()
+}
+
+/// Derives a session's audit nonce purely from `(engine seed, session
+/// key)`: the first 32 bytes of a ChaCha stream seeded with
+/// `SHA-256("geoproof-plan-v1" ‖ engine_seed ‖ len(session_key) ‖
+/// session_key)`. No shared RNG state is involved, so nonces are
+/// identical no matter how many sibling sessions exist or in which
+/// order they are issued. The verifier devices draw the challenge
+/// indices themselves, as the paper's protocol has the device do.
+fn session_nonce(engine_seed: u64, session_key: &str) -> [u8; 32] {
+    let mut rng = ChaChaRng::from_seed(session_seed(engine_seed, session_key));
+    let mut nonce = [0u8; 32];
+    rng.fill_bytes(&mut nonce);
+    nonce
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::provider::LocalProvider;
-    use geoproof_crypto::chacha::ChaChaRng;
     use geoproof_crypto::schnorr::SigningKey;
     use geoproof_geo::coords::places::BRISBANE;
     use geoproof_geo::gps::GpsReceiver;
@@ -461,11 +447,30 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
-    fn batched_equals_sequential_verdicts() {
-        let (mut engine, fleet) = rig(6, 11);
-        let (batched, audits, _) = engine.run_sessions(fleet);
-        assert_eq!(engine.judge_sequential(&audits), batched);
+    fn session_nonce_is_pinned() {
+        // Known answers: the engine's nonce derivation may not drift. The
+        // second key has the engine's `prover#epoch` shape under the
+        // fleet tests' default seed.
+        assert_eq!(
+            hex(&session_nonce(9, "p-0")),
+            "37089f31354273c0cd16f793599a48a07b15711137534555da584a6def748bbd"
+        );
+        assert_eq!(
+            hex(&session_nonce(0x6765_6f21, "prover-017#3")),
+            "8338541d0b2606a82a82aae1c8ea5edeaab77975dc218668393a3926dcdc43dc"
+        );
+    }
+
+    #[test]
+    fn session_nonces_differ_across_sessions_and_seeds() {
+        let a = session_nonce(9, "p-0");
+        assert_ne!(a, session_nonce(9, "p-1"));
+        assert_ne!(a, session_nonce(10, "p-0"));
     }
 
     #[test]

@@ -126,11 +126,8 @@ impl FleetConfig {
 /// The outcome of one fleet run.
 #[derive(Clone, Debug)]
 pub struct FleetOutcome {
-    /// Per-prover verdicts from the **batched** verification pass, sorted
-    /// by prover id.
+    /// Per-prover verdicts, sorted by prover id.
     pub reports: Vec<(ProverId, AuditReport)>,
-    /// The same sessions verified **sequentially** (the reference path).
-    pub sequential_reports: Vec<(ProverId, AuditReport)>,
     /// Each prover's profile, sorted by prover id.
     pub profiles: Vec<(ProverId, AdversaryProfile)>,
     /// Events the scheduler processed.
@@ -147,7 +144,7 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
-    /// Accepted session count (batched verdicts).
+    /// Accepted session count.
     pub fn accepted(&self) -> usize {
         self.reports.iter().filter(|(_, r)| r.accepted()).count()
     }
@@ -155,12 +152,6 @@ impl FleetOutcome {
     /// Rejected session count.
     pub fn rejected(&self) -> usize {
         self.reports.len() - self.accepted()
-    }
-
-    /// True when the batched pass agreed with the sequential pass on
-    /// every session — the engine's core equivalence claim.
-    pub fn batched_matches_sequential(&self) -> bool {
-        self.reports == self.sequential_reports
     }
 
     /// `(label, accepted, total)` per profile, sorted by label.
@@ -196,7 +187,6 @@ impl FleetOutcome {
         let mut h = Sha256::new();
         h.update(b"geoproof-fleet-v1");
         h.update(format!("{:?}", self.reports).as_bytes());
-        h.update(format!("{:?}", self.sequential_reports).as_bytes());
         h.update(&self.events.to_be_bytes());
         h.update(&self.sim_time.as_nanos().to_be_bytes());
         h.finalize()
@@ -235,9 +225,9 @@ pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
 /// Like [`run_fleet`], but records every prover's verdict into `sink` as
 /// durable evidence. The simulation itself is unchanged — outcomes (and
 /// fingerprints) are identical to [`run_fleet`] with the same config;
-/// records are written by the batched [`AuditEngine::judge`] in sorted
-/// prover order, so the ledger contents are as deterministic as the
-/// fleet itself.
+/// records are written by [`AuditEngine::judge`] in sorted prover
+/// order, so the ledger contents are as deterministic as the fleet
+/// itself.
 ///
 /// # Panics
 ///
@@ -433,8 +423,6 @@ fn run_fleet_inner(
         }
     });
 
-    // Judge the fleet: reference sequential pass, then the batched pass.
-    let sequential_reports = engine.judge_sequential(&audits);
     let reports = engine.judge(audits);
 
     let profiles = {
@@ -478,7 +466,6 @@ fn run_fleet_inner(
 
     FleetOutcome {
         reports,
-        sequential_reports,
         profiles,
         events: net.events_processed(),
         sim_time: net
@@ -497,7 +484,6 @@ mod tests {
     fn small_mixed_fleet_detects_every_adversary() {
         let outcome = run_fleet(&FleetConfig::mixed(6, 2, 2, 2, 33));
         assert_eq!(outcome.reports.len(), 12);
-        assert!(outcome.batched_matches_sequential());
         let tally = outcome.tally();
         assert_eq!(
             tally,

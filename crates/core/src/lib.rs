@@ -22,10 +22,9 @@
 //!   kinds differ in is the [`verifier::Audit`] trait.
 //!
 //! Beyond the paper's single-prover protocol, [`engine`] audits many
-//! provers (issue → drive on the work-stealing [`pool`] → batched
-//! judging), and [`fleet`] simulates whole mixed
-//! honest/adversarial prover fleets deterministically on a seeded event
-//! scheduler.
+//! provers (issue → drive on the work-stealing [`pool`] → judge), and
+//! [`fleet`] simulates whole mixed honest/adversarial prover fleets
+//! deterministically on a seeded event scheduler.
 //!
 //! # Examples
 //!

@@ -13,8 +13,10 @@
 //!
 //! [`Audit`] is also where the TPA's side of the two kinds differs: how a
 //! round's keyed tag is checked ([`Audit::tag_ok`]) and how a round is
-//! judged from that bit ([`Audit::judge`]). The auditor, the engine and
-//! ledger replay run one generic path above these two hooks.
+//! judged from that bit ([`Audit::judge`]). `tag_ok` is the only code
+//! that knows which MAC scheme a round uses: the auditor, the engine and
+//! ledger replay (given the owner's key) all take their bits from
+//! [`Audit::tag_bits`], and run one generic path above the two hooks.
 
 use crate::auditor::SegmentVerdict;
 use crate::dynamic_audit::{
@@ -106,6 +108,22 @@ pub trait Audit: Clone {
     /// `(file_id, index)` under `mac_key` — the bit the evidence records
     /// (and replay trusts unless given the owner's secret).
     fn tag_ok(&self, encoder: &PorEncoder, mac_key: &[u8; 32], round: &Self::Round) -> bool;
+
+    /// Every round's [`Audit::tag_ok`] bit, in round order: the bits the
+    /// live TPA judges and records, and the bits replay re-derives from
+    /// the owner's key.
+    fn tag_bits(
+        &self,
+        encoder: &PorEncoder,
+        mac_key: &[u8; 32],
+        transcript: &Self::Transcript,
+    ) -> Vec<bool> {
+        transcript
+            .rounds()
+            .iter()
+            .map(|round| self.tag_ok(encoder, mac_key, round))
+            .collect()
+    }
 
     /// Judges one round from its recorded tag bit — the per-segment step
     /// of the shared check sequence, identical live and in replay.

@@ -197,14 +197,6 @@ impl VoidChallengeSession {
     }
 }
 
-/// Analytic per-round adversary success with full-probability `p_f`
-/// (best of pre-ask and guess strategies; see module docs).
-pub fn per_round_mafia_success(full_prob: f64) -> f64 {
-    let pre_ask = full_prob * 0.75;
-    let guess = 1.0 - full_prob / 2.0;
-    pre_ask.max(guess)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,21 +252,6 @@ mod tests {
             assert!(!s.verify(&out, ch.max_rtt_for(Km(0.1))).is_accept());
         }
         assert!(aborted > 40, "only {aborted}/50 runs aborted");
-    }
-
-    #[test]
-    fn analytic_balance_point() {
-        // At p_f = 4/5 the two strategies tie at 3/5.
-        let p = per_round_mafia_success(BALANCED_FULL_PROB);
-        assert!((p - 0.6).abs() < 1e-12);
-        // Either side of the balance is worse for the defender.
-        assert!(per_round_mafia_success(0.95) > 0.6);
-        assert!(per_round_mafia_success(0.5) > 0.6);
-    }
-
-    #[test]
-    fn improves_on_hancke_kuhn_per_round() {
-        assert!(per_round_mafia_success(BALANCED_FULL_PROB) < 0.75);
     }
 
     #[test]

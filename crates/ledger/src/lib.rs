@@ -87,8 +87,7 @@ pub use segment::{
 };
 pub use sink::LedgerSink;
 pub use verify::{
-    replay, replay_position_record, replay_record, replay_sequential, ReplayOutcome,
-    SegmentMacCheck,
+    replay, replay_position_record, replay_record, replay_sequential, OwnerKeys, ReplayOutcome,
 };
 pub use writer::{LedgerWriter, Recovery, DEFAULT_CHECKPOINT_INTERVAL};
 

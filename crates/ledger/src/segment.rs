@@ -33,7 +33,7 @@
 use crate::chain::{forest_push, Digest, FOREST_EMPTY};
 use crate::proof::InclusionProof;
 use crate::reader::{checkpoint_message_for, Checkpoint, Continuation, Entry, Header, Ledger};
-use crate::verify::{replay, ReplayOutcome, SegmentMacCheck};
+use crate::verify::{replay, OwnerKeys, ReplayOutcome};
 use crate::writer::LedgerWriter;
 use crate::LedgerError;
 use bytes::Bytes;
@@ -444,7 +444,8 @@ fn check_continuation(
 /// the archive is still present, cross-checked against it byte-level
 /// (header, head, and every leaf seal must agree); and every segment's
 /// continuation block must agree with the heads, ordinals, and forest
-/// digest its predecessors establish.
+/// digest its predecessors establish. Given the owner's keys, every
+/// replay re-derives the recorded tag bits too.
 ///
 /// # Errors
 ///
@@ -454,7 +455,7 @@ fn check_continuation(
 pub fn verify_chain(
     path: impl AsRef<Path>,
     tpa: &VerifyingKey,
-    mac_check: Option<&dyn SegmentMacCheck>,
+    owner: Option<&OwnerKeys<'_>>,
 ) -> Result<ChainOutcome, LedgerError> {
     let path = path.as_ref();
     let sources = discover(path)?;
@@ -473,7 +474,7 @@ pub fn verify_chain(
         let (header, head, leaves, final_root) = match source {
             SegmentSource::Full(seg) => {
                 let ledger = Ledger::read(seg)?;
-                let outcome = replay(&ledger, tpa, mac_check)?;
+                let outcome = replay(&ledger, tpa, owner)?;
                 accepted += outcome.accepted;
                 rejected += outcome.rejected;
                 replayed += 1;
@@ -496,7 +497,7 @@ pub fn verify_chain(
                 compacted += 1;
                 if let Some(arc) = archive {
                     let ledger = Ledger::read(arc)?;
-                    let outcome = replay(&ledger, tpa, mac_check)?;
+                    let outcome = replay(&ledger, tpa, owner)?;
                     accepted += outcome.accepted;
                     rejected += outcome.rejected;
                     replayed += 1;
@@ -543,7 +544,7 @@ pub fn verify_chain(
         prev_head.as_ref(),
         &forest,
     )?;
-    let outcome = replay(&live, tpa, mac_check)?;
+    let outcome = replay(&live, tpa, owner)?;
     accepted += outcome.accepted;
     rejected += outcome.rejected;
     replayed += 1;

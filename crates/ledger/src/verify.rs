@@ -17,10 +17,12 @@
 //!    must **byte-compare** equal to the recorded one.
 //!
 //! What the replay *trusts*: the recorded MAC bits (checking them needs
-//! the owner's secret key — pass a [`SegmentMacCheck`] to close that
-//! gap when the secret is available), the recorded device key (a live
-//! registry can cross-check it), and the ledger being the *latest*
-//! one — a file truncated exactly at a record boundary is
+//! the owner's secret key — pass the owner's keys, [`OwnerKeys`], to
+//! close that gap when the secret is available: each record's bits are
+//! then re-derived by its own kind through `Audit::tag_bits`, the one
+//! code that knows which MAC scheme a round uses), the recorded device
+//! key (a live registry can cross-check it), and the ledger being the
+//! *latest* one — a file truncated exactly at a record boundary is
 //! indistinguishable from a crash-recovered log, so the chain head
 //! ([`Ledger::head`]) must be compared out-of-band to rule that out.
 //!
@@ -33,7 +35,7 @@
 //! every signature in one batch equation, and re-deriving each evidence
 //! verdict and position estimate. Everything that depends on chain
 //! state runs on the calling thread, chunk by chunk in record order:
-//! the `--master` MAC re-derivation (a [`SegmentMacCheck`] need not be
+//! the `--master` MAC re-derivation (the owner's key lookup need not be
 //! `Sync`), accept/reject counts, the checkpoint Merkle accumulator,
 //! coverage and root, the digest chain, and raising a chunk's failure
 //! only after every record before it walked clean. So verdicts,
@@ -49,11 +51,12 @@ use bytes::Bytes;
 use geoproof_core::auditor::VerifyChecks;
 use geoproof_core::dynamic_audit::DynAuditRequest;
 use geoproof_core::evidence::encode_report;
-use geoproof_core::messages::{AuditRequest, Round, Transcript};
+use geoproof_core::messages::{AuditRequest, Transcript};
 use geoproof_core::pool::run_ordered;
 use geoproof_core::verifier::Audit;
 use geoproof_crypto::schnorr::{batch_verify_each, BatchEntry, Signature, VerifyingKey};
 use geoproof_por::dynamic::DynamicDigest;
+use geoproof_por::encode::PorEncoder;
 use geoproof_por::merkle::MerkleAccumulator;
 use std::collections::HashMap;
 
@@ -67,27 +70,17 @@ use std::collections::HashMap;
 /// resident anyway.
 const BATCH_CHUNK: usize = 1024;
 
-/// Re-derives keyed segment MACs when the owner's secret is available —
-/// the one check a key-less replay must otherwise take on trust.
-pub trait SegmentMacCheck {
-    /// Whether `payload` (segment ‖ tag) is genuine for `segment_index`
-    /// of `file_id` under the *static* scheme.
-    fn verify(&self, file_id: &str, segment_index: u64, payload: &[u8]) -> bool;
-
-    /// The same question under the *dynamic* tag scheme
-    /// ([`geoproof_por::dynamic::verify_tagged`] — different MAC input
-    /// encoding). Defaults to the static check so existing checkers keep
-    /// compiling; a checker for a ledger holding dynamic records should
-    /// override it.
-    fn verify_dynamic(&self, file_id: &str, segment_index: u64, payload: &[u8]) -> bool {
-        self.verify(file_id, segment_index, payload)
-    }
-}
-
-impl<F: Fn(&str, u64, &[u8]) -> bool> SegmentMacCheck for F {
-    fn verify(&self, file_id: &str, segment_index: u64, payload: &[u8]) -> bool {
-        self(file_id, segment_index, payload)
-    }
+/// What the data owner holds: the static POR parameters and each file's
+/// MAC key K′. Given them, replay re-derives the keyed tag bits — the
+/// one check a key-less replay must otherwise take on trust — for every
+/// evidence record, static or dynamic, under that record's own scheme.
+pub struct OwnerKeys<'a> {
+    /// The static POR parameters (segment layout, tag width); the
+    /// dynamic tag scheme does not use them.
+    pub encoder: &'a PorEncoder,
+    /// K′ of the file with the given id.
+    #[allow(clippy::type_complexity)]
+    pub mac_key: Box<dyn Fn(&str) -> [u8; 32] + 'a>,
 }
 
 /// What a successful replay established.
@@ -114,7 +107,7 @@ pub struct ReplayOutcome {
     /// Sealed records after the last checkpoint (chain-verified but
     /// not yet Merkle-committed).
     pub uncovered: u64,
-    /// Segment MACs re-derived (0 without a [`SegmentMacCheck`]).
+    /// Segment MACs re-derived (0 without the [`OwnerKeys`]).
     pub macs_checked: u64,
     /// The chain head — compare out-of-band to rule out suffix
     /// truncation at a record boundary.
@@ -391,22 +384,27 @@ fn parse_evidence<R: EvidenceKind>(
     })
 }
 
-/// Re-derives every round's keyed bit with `derive` (the owner's secret
-/// at work) and compares it with the recorded one; returns how many it
-/// checked.
+/// Re-derives every round's tag bit under the owner's key, through the
+/// record's own kind ([`Audit::tag_bits`]), and compares it with the
+/// recorded one (a missing recorded bit reads as failed); returns how
+/// many it checked.
 fn rederive_bits<R: EvidenceKind>(
     record: &EvidenceRecord<R>,
     transcript: &R::Transcript,
     evidence: u64,
-    derive: impl Fn(&str, u64, &[u8]) -> bool,
+    owner: &OwnerKeys<'_>,
 ) -> Result<u64, LedgerError> {
-    for (i, round) in transcript.rounds().iter().enumerate() {
-        let derived = derive(record.request.file_id(), round.index(), round.segment());
-        if derived != record.mac_ok.get(i).copied().unwrap_or(false) {
-            return Err(LedgerError::MacMismatch { evidence });
-        }
+    let mac_key = (owner.mac_key)(record.request.file_id());
+    let derived = record.request.tag_bits(owner.encoder, &mac_key, transcript);
+    let recorded = record
+        .mac_ok
+        .iter()
+        .copied()
+        .chain(std::iter::repeat(false));
+    if derived.iter().zip(recorded).any(|(&d, r)| d != r) {
+        return Err(LedgerError::MacMismatch { evidence });
     }
-    Ok(transcript.rounds().len() as u64)
+    Ok(derived.len() as u64)
 }
 
 /// Replays the whole ledger (see the module docs for what is checked
@@ -421,14 +419,14 @@ fn rederive_bits<R: EvidenceKind>(
 ///
 /// The first failed check, most specific first: key mismatch, checkpoint
 /// signature/coverage/root, then per-record structural and verdict
-/// failures, then [`LedgerError::MacMismatch`] if `mac_check` disagrees
-/// with a recorded bit.
+/// failures, then [`LedgerError::MacMismatch`] if a tag bit re-derived
+/// under `owner`'s keys disagrees with a recorded one.
 pub fn replay(
     ledger: &Ledger,
     tpa: &VerifyingKey,
-    mac_check: Option<&dyn SegmentMacCheck>,
+    owner: Option<&OwnerKeys<'_>>,
 ) -> Result<ReplayOutcome, LedgerError> {
-    replay_impl(ledger, tpa, mac_check, true)
+    replay_impl(ledger, tpa, owner, true)
 }
 
 /// [`replay`] with every signature checked one at a time — the
@@ -442,15 +440,15 @@ pub fn replay(
 pub fn replay_sequential(
     ledger: &Ledger,
     tpa: &VerifyingKey,
-    mac_check: Option<&dyn SegmentMacCheck>,
+    owner: Option<&OwnerKeys<'_>>,
 ) -> Result<ReplayOutcome, LedgerError> {
-    replay_impl(ledger, tpa, mac_check, false)
+    replay_impl(ledger, tpa, owner, false)
 }
 
 fn replay_impl(
     ledger: &Ledger,
     tpa: &VerifyingKey,
-    mac_check: Option<&dyn SegmentMacCheck>,
+    owner: Option<&OwnerKeys<'_>>,
     batched: bool,
 ) -> Result<ReplayOutcome, LedgerError> {
     let _span = geoproof_obs::span("ledger_replay");
@@ -504,10 +502,8 @@ fn replay_impl(
             // the bytes the settle pass proved re-derivable.
             let verdict = match (&record.entry, prep) {
                 (Entry::Evidence(e), Prep::Evidence(p)) => {
-                    if let Some(mac) = mac_check {
-                        macs_checked += rederive_bits(e, &p.transcript, sealed, |fid, i, seg| {
-                            mac.verify(fid, i, seg)
-                        })?;
+                    if let Some(owner) = owner {
+                        macs_checked += rederive_bits(e, &p.transcript, sealed, owner)?;
                     }
                     evidence += 1;
                     Some(e.report())
@@ -526,10 +522,8 @@ fn replay_impl(
                             });
                         }
                     }
-                    if let Some(mac) = mac_check {
-                        macs_checked += rederive_bits(e, &p.transcript, sealed, |fid, i, seg| {
-                            mac.verify_dynamic(fid, i, seg)
-                        })?;
+                    if let Some(owner) = owner {
+                        macs_checked += rederive_bits(e, &p.transcript, sealed, owner)?;
                     }
                     dynamic += 1;
                     Some(e.report())

@@ -17,7 +17,7 @@ use geoproof_crypto::sha256::Sha256;
 use geoproof_geo::coords::places::BRISBANE;
 use geoproof_geo::gps::GpsReceiver;
 use geoproof_ledger::{
-    replay, DigestOp, DigestRecord, Ledger, LedgerError, LedgerWriter, SegmentMacCheck, NO_DIGEST,
+    replay, DigestOp, DigestRecord, Ledger, LedgerError, LedgerWriter, OwnerKeys, NO_DIGEST,
 };
 use geoproof_net::lan::LanPath;
 use geoproof_por::dynamic::{DynamicOwner, DynamicStore};
@@ -81,16 +81,12 @@ fn rig() -> Rig {
     }
 }
 
-/// A checker deriving both schemes from the owner's master, as the CLI
-/// does with `--master`.
-struct BothSchemes(PorKeys);
-
-impl SegmentMacCheck for BothSchemes {
-    fn verify(&self, _file_id: &str, _index: u64, _payload: &[u8]) -> bool {
-        panic!("no static records in this ledger");
-    }
-    fn verify_dynamic(&self, file_id: &str, index: u64, payload: &[u8]) -> bool {
-        geoproof_por::dynamic::verify_tagged(self.0.mac_key(), file_id, index, payload)
+/// The owner's keys for every file, derived from `master` as the CLI
+/// does with `--master`, over the static files' `encoder`.
+fn owner_keys<'a>(encoder: &'a PorEncoder, master: &'static [u8]) -> OwnerKeys<'a> {
+    OwnerKeys {
+        encoder,
+        mac_key: Box::new(move |fid: &str| *PorKeys::derive(master, fid).mac_key()),
     }
 }
 
@@ -186,10 +182,11 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
     assert_eq!(outcome.checkpoints, 1);
 
     // With the owner's master: every recorded tag bit re-derived.
+    let encoder = PorEncoder::new(PorParams::paper());
     let outcome = replay(
         &ledger,
         &r.tpa.verifying_key(),
-        Some(&BothSchemes(PorKeys::derive(b"ledger-dyn-master", "df"))),
+        Some(&owner_keys(&encoder, b"ledger-dyn-master")),
     )
     .expect("replay with keys");
     assert_eq!(outcome.macs_checked, (6 + 6 + 6 + 16) as u64);
@@ -198,7 +195,7 @@ fn dynamic_audits_and_digest_chain_replay_offline() {
     let err = replay(
         &ledger,
         &r.tpa.verifying_key(),
-        Some(&BothSchemes(PorKeys::derive(b"wrong-master", "df"))),
+        Some(&owner_keys(&encoder, b"wrong-master")),
     )
     .expect_err("wrong key must contradict recorded bits");
     assert!(matches!(err, LedgerError::MacMismatch { .. }), "{err}");
@@ -434,7 +431,8 @@ fn static_rig() -> (Auditor, VerifierDevice, LocalProvider) {
 /// digest update, a stale-copy dynamic REJECT, and the checkpoints an
 /// interval of 2 fires. Its length and SHA-256 pin every byte of the
 /// `0x01`, `0x03` and `0x04` record layouts and of both transcript
-/// encodings they carry.
+/// encodings they carry. With the owner's keys, replay re-derives every
+/// recorded tag bit, each record under its own kind's MAC scheme.
 #[test]
 fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
     let mut r = rig();
@@ -492,6 +490,21 @@ fn mixed_static_and_dynamic_ledger_is_byte_pinned() {
     );
     assert_eq!((outcome.accepted, outcome.rejected), (2, 1));
     assert_eq!(outcome.checkpoints, 3);
+    let encoder = PorEncoder::new(PorParams::test_small());
+    let tpa = r.tpa.verifying_key();
+    let outcome = replay(
+        &ledger,
+        &tpa,
+        Some(&owner_keys(&encoder, b"ledger-dyn-master")),
+    )
+    .expect("replay with the owner's keys");
+    assert_eq!(outcome.macs_checked, 6 + 5 + 16);
+    let err = replay(&ledger, &tpa, Some(&owner_keys(&encoder, b"wrong-master")))
+        .expect_err("wrong keys must contradict the recorded bits");
+    assert!(
+        matches!(err, LedgerError::MacMismatch { evidence: 0 }),
+        "{err}"
+    );
     let bytes = std::fs::read(&path).expect("read back");
     assert_eq!(
         (bytes.len(), hex(&Sha256::digest(&bytes))),

@@ -15,7 +15,7 @@ use geoproof_crypto::schnorr::SigningKey;
 use geoproof_crypto::sha256::Sha256;
 use geoproof_geo::coords::places::BRISBANE;
 use geoproof_geo::gps::GpsReceiver;
-use geoproof_ledger::{replay, InclusionProof, Ledger, LedgerError, LedgerSink};
+use geoproof_ledger::{replay, InclusionProof, Ledger, LedgerError, LedgerSink, OwnerKeys};
 use geoproof_net::lan::LanPath;
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
@@ -136,16 +136,12 @@ fn engine_run_records_every_verdict_and_replays_byte_identically() {
 
     // With the owner's secret, the MAC bits are re-derived too.
     let encoder = PorEncoder::new(PorParams::test_small());
-    let auditor_key = keys.auditor_view();
-    let mac = move |fid: &str, idx: u64, payload: &[u8]| {
-        encoder.verify_segment(auditor_key.mac_key(), fid, idx, payload)
+    let mac_key = *keys.mac_key();
+    let owner = OwnerKeys {
+        encoder: &encoder,
+        mac_key: Box::new(move |_: &str| mac_key),
     };
-    let full = replay(
-        &ledger,
-        &tpa.verifying_key(),
-        Some(&mac as &dyn geoproof_ledger::SegmentMacCheck),
-    )
-    .expect("full replay");
+    let full = replay(&ledger, &tpa.verifying_key(), Some(&owner)).expect("full replay");
     assert_eq!(full.macs_checked, 10 * 8);
 }
 
@@ -156,7 +152,7 @@ fn engine_run_records_every_verdict_and_replays_byte_identically() {
 #[test]
 fn fleet_and_engine_ledgers_are_byte_pinned() {
     let config = FleetConfig::mixed(6, 2, 2, 2, 33);
-    let fleet_fingerprint = "a4c60aa6d8a76c5abdcc31f48d403727cd7bdedd5bb84cd41a1a7e87f36205d3";
+    let fleet_fingerprint = "59fd6d59c12440e0f6505d4241d3699687e1e79ee4723944c69eb5cb796b3861";
     assert_eq!(hex(&run_fleet(&config).fingerprint()), fleet_fingerprint);
 
     let path = tmp("pin-fleet.log");
@@ -385,7 +381,7 @@ fn replay_flags_forged_mac_bits_when_secret_is_available() {
     // consistently), but with it the forgery surfaces.
     let path = tmp("forged-macs.log");
     let tpa = tpa_key(37);
-    let (mut engine, fleet, keys) = engine_rig(1, 8);
+    let (mut engine, fleet, _) = engine_rig(1, 8);
     let sink = Arc::new(LedgerSink::create(&path, &tpa, 0, 1).expect("create"));
     engine.set_evidence_sink(sink.clone());
     engine.run_sessions(fleet);
@@ -393,18 +389,15 @@ fn replay_flags_forged_mac_bits_when_secret_is_available() {
 
     let ledger = Ledger::read(&path).expect("read");
     let encoder = PorEncoder::new(PorParams::test_small());
-    let auditor_key = keys.auditor_view();
-    // An adversarial checker standing in for "the recorded bits are
-    // wrong": it inverts the truth, so recorded-vs-derived must clash.
-    let lying_mac = move |fid: &str, idx: u64, payload: &[u8]| {
-        !encoder.verify_segment(auditor_key.mac_key(), fid, idx, payload)
+    // A key other than the one the bits were recorded under stands in
+    // for "the recorded bits are wrong": every honest bit now derives
+    // false, so recorded-vs-derived must clash.
+    let wrong_key = OwnerKeys {
+        encoder: &encoder,
+        mac_key: Box::new(|fid: &str| *PorKeys::derive(b"wrong-master", fid).mac_key()),
     };
     assert!(matches!(
-        replay(
-            &ledger,
-            &tpa.verifying_key(),
-            Some(&lying_mac as &dyn geoproof_ledger::SegmentMacCheck),
-        ),
+        replay(&ledger, &tpa.verifying_key(), Some(&wrong_key)),
         Err(LedgerError::MacMismatch { evidence: 0 })
     ));
 }

@@ -25,11 +25,10 @@ use geoproof_geo::gps::GpsReceiver;
 use geoproof_geo::triangulation::RangeMeasurement;
 use geoproof_ledger::{
     genesis_hash, replay, replay_sequential, seal_hash, DigestOp, DigestRecord, Entry,
-    EvidenceRecord, Ledger, LedgerWriter, PositionRecord, ReplayOutcome, SegmentMacCheck,
-    NO_DIGEST,
+    EvidenceRecord, Ledger, LedgerWriter, OwnerKeys, PositionRecord, ReplayOutcome, NO_DIGEST,
 };
 use geoproof_por::dynamic::{DynamicDigest, DynamicOwner, DynamicStore};
-use geoproof_por::encode::PorEncoder;
+use geoproof_por::encode::{PorEncoder, TaggedFile};
 use geoproof_por::keys::PorKeys;
 use geoproof_por::params::PorParams;
 use geoproof_sim::clock::SimClock;
@@ -49,29 +48,40 @@ const SIZES: [usize; 7] = [0, 1, 1023, 1024, 1025, 2049, 3079];
 const HEADER_LEN: usize = 46;
 
 const K: usize = 4;
-const N_SEGMENTS: u64 = 4096;
+
+/// The data owner's master secret; every file's keys derive from it.
+const MASTER: &[u8] = b"replay-parallel-master";
 
 fn tpa() -> SigningKey {
     SigningKey::generate(&mut ChaChaRng::from_u64_seed(0x7e57))
 }
 
-/// The 64-byte segment every round of static record `s` returns — unique
-/// per record, so a MAC checker can single one record out.
-fn marker(s: u64) -> Bytes {
-    Bytes::from(s.to_be_bytes().repeat(8))
+/// The static file every static record audits, encoded under the
+/// owner's keys, so replay with those keys derives every recorded bit.
+fn static_file() -> &'static TaggedFile {
+    static FILE: OnceLock<TaggedFile> = OnceLock::new();
+    FILE.get_or_init(|| {
+        let data: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        PorEncoder::new(PorParams::test_small()).encode(&data, &PorKeys::derive(MASTER, "pf"), "pf")
+    })
 }
 
-/// Static evidence record `s`: a genuinely signed transcript and the
-/// report the live check sequence derives from it.
+/// Static evidence record `s`: a genuinely signed transcript of genuine
+/// segments and the report the live check sequence derives from it.
 fn static_record(s: u64, device: &SigningKey, rng: &mut ChaChaRng) -> EvidenceRecord {
     let position = GeoPoint::new(-27.47, 153.02);
     let mut nonce = [0u8; 32];
     nonce[..8].copy_from_slice(&s.to_be_bytes());
+    let file = static_file();
+    let n_segments = file.metadata.segments;
     let rounds: Vec<TimedRound> = (0..K as u64)
-        .map(|j| TimedRound {
-            index: (s * 31 + j * 7) % N_SEGMENTS,
-            segment: marker(s),
-            rtt: SimDuration::from_millis(5),
+        .map(|j| {
+            let index = (s * 31 + j * 7) % n_segments;
+            TimedRound {
+                index,
+                segment: Bytes::from(file.segments[index as usize].clone()),
+                rtt: SimDuration::from_millis(5),
+            }
         })
         .collect();
     let bytes = SignedTranscript::signing_bytes("pf", &nonce, &position, &rounds);
@@ -84,7 +94,7 @@ fn static_record(s: u64, device: &SigningKey, rng: &mut ChaChaRng) -> EvidenceRe
     };
     let request = AuditRequest {
         file_id: "pf".into(),
-        n_segments: N_SEGMENTS,
+        n_segments,
         k: K as u32,
         nonce,
     };
@@ -153,7 +163,7 @@ struct DynRig {
 }
 
 fn dyn_rig() -> DynRig {
-    let keys = PorKeys::derive(b"replay-parallel-master", "df");
+    let keys = PorKeys::derive(MASTER, "df");
     let bodies: Vec<Vec<u8>> = (0..16).map(|i| vec![i as u8; 32]).collect();
     let (store, _) = DynamicStore::initialise("df", &bodies, &keys);
     let tagged: Vec<Bytes> = (0..16u64).map(|i| store.segment(i).unwrap()).collect();
@@ -295,11 +305,19 @@ fn chain(header: &[u8], bodies: &[Vec<u8>]) -> Ledger {
     Ledger::from_bytes(Bytes::from(out)).expect("resealed ledger reads")
 }
 
-/// Replays `ledger` both ways and insists they agree exactly.
-fn both(ledger: &Ledger, mac: Option<&dyn SegmentMacCheck>) -> Result<ReplayOutcome, String> {
+/// Replays `ledger` both ways — with the owner's keys when `keyed`, so
+/// every recorded tag bit is re-derived — and insists they agree
+/// exactly.
+fn both(ledger: &Ledger, keyed: bool) -> Result<ReplayOutcome, String> {
     let tpa = tpa().verifying_key();
-    let parallel = replay(ledger, &tpa, mac).map_err(|e| format!("{e:?}"));
-    let sequential = replay_sequential(ledger, &tpa, mac).map_err(|e| format!("{e:?}"));
+    let encoder = PorEncoder::new(PorParams::test_small());
+    let owner = OwnerKeys {
+        encoder: &encoder,
+        mac_key: Box::new(|fid: &str| *PorKeys::derive(MASTER, fid).mac_key()),
+    };
+    let owner = keyed.then_some(&owner);
+    let parallel = replay(ledger, &tpa, owner).map_err(|e| format!("{e:?}"));
+    let sequential = replay_sequential(ledger, &tpa, owner).map_err(|e| format!("{e:?}"));
     assert_eq!(
         parallel, sequential,
         "replay and replay_sequential disagree"
@@ -349,6 +367,10 @@ enum Fault {
     CheckpointRoot,
     /// One round's signed Δt rewritten, the device signature kept.
     TamperedRound,
+    /// One round's recorded tag bit set false over its genuine segment,
+    /// the report re-derived from the recorded bits: only a replay with
+    /// the owner's keys can tell.
+    FalseTagBit,
 }
 
 impl Fault {
@@ -410,6 +432,26 @@ impl Fault {
                 bodies[index] = evidence_body(&bad);
                 format!("BadDeviceKey {{ evidence: {evidence} }}")
             }
+            (Fault::FalseTagBit, Entry::Evidence(e)) => {
+                let mut mac_ok = e.mac_ok.clone();
+                mac_ok[0] = false;
+                let transcript = e.parse_transcript().expect("clean transcript");
+                let device_key = VerifyingKey::from_bytes(&e.device_key).expect("clean key");
+                let checks = VerifyChecks {
+                    device_key: &device_key,
+                    sla_location: e.sla_location,
+                    location_tolerance: e.location_tolerance,
+                    policy: &e.policy,
+                };
+                let report = checks.verify_transcript(&e.request, &transcript, &mac_ok);
+                let lying = EvidenceRecord {
+                    mac_ok,
+                    report_bytes: Bytes::from(encode_report(&report)),
+                    ..e.clone()
+                };
+                bodies[index] = evidence_body(&lying);
+                format!("MacMismatch {{ evidence: {evidence} }}")
+            }
             (Fault::CheckpointSignature, Entry::Checkpoint(_)) => {
                 bodies[index][1 + 8 + 32 + 5] ^= 0x04;
                 format!("CheckpointSignature {{ index: {index} }}")
@@ -444,27 +486,18 @@ fn bodies_of(ledger: &Ledger) -> Vec<Vec<u8>> {
     ledger.records().iter().map(|r| r.body.to_vec()).collect()
 }
 
-/// A MAC checker that agrees with every recorded bit except those of
-/// static record `s`.
-fn mac_disagreeing_at(s: u64) -> impl Fn(&str, u64, &[u8]) -> bool {
-    let target = marker(s);
-    move |_file: &str, _index: u64, payload: &[u8]| payload != target.as_ref()
-}
-
 #[test]
 fn clean_ledgers_replay_identically_at_every_size() {
     for interval in [1, 64] {
         let (full, header) = clean(interval);
         let bodies = bodies_of(full);
-        // On the full ledger, the owner's side of the MAC check stands
-        // in: every recorded bit agrees, and both count the same
-        // re-derivations.
-        let agree = |_: &str, _: u64, _: &[u8]| true;
+        // On the full ledger, the owner's keys re-derive every recorded
+        // bit, and both count the same re-derivations.
         for n in SIZES {
             // A prefix of a sealed chain is a sealed chain.
             let ledger = chain(header, &bodies[..n]);
-            let mac: Option<&dyn SegmentMacCheck> = (n == MAX_RECORDS).then_some(&agree);
-            let outcome = both(&ledger, mac).unwrap_or_else(|e| panic!("{n} records: {e}"));
+            let outcome =
+                both(&ledger, n == MAX_RECORDS).unwrap_or_else(|e| panic!("{n} records: {e}"));
             assert_eq!(outcome.records, n as u64);
             if n == MAX_RECORDS {
                 assert!(outcome.evidence > 0 && outcome.dynamic > 0, "{outcome:?}");
@@ -487,17 +520,22 @@ fn a_fault_in_a_later_chunk_fails_identically() {
             let mut bodies = bodies_of(full);
             let at = fault.target(full, (1 + i % 2) * CHUNK + 3);
             let want = fault.inject(full, &mut bodies, at);
-            let err = both(&chain(header, &bodies), None).expect_err("fault must fail");
+            let err = both(&chain(header, &bodies), false).expect_err("fault must fail");
             assert!(
                 err.starts_with(&want),
                 "{fault:?} at {at}: want {want}, got {err}"
             );
         }
-        // A MAC checker that disagrees with one recorded bit.
-        let at = first_at(full, CHUNK + 3, is_static);
-        let s = ordinal(full, at);
-        let err = both(full, Some(&mac_disagreeing_at(s))).expect_err("disagreeing MAC");
-        assert_eq!(err, format!("MacMismatch {{ evidence: {s} }}"));
+        // A recorded bit the owner's keys contradict.
+        let mut bodies = bodies_of(full);
+        let at = Fault::FalseTagBit.target(full, CHUNK + 3);
+        let want = Fault::FalseTagBit.inject(full, &mut bodies, at);
+        assert_eq!(
+            want,
+            format!("MacMismatch {{ evidence: {} }}", ordinal(full, at))
+        );
+        let err = both(&chain(header, &bodies), true).expect_err("the keys contradict a bit");
+        assert_eq!(err, want);
     }
 }
 
@@ -519,7 +557,7 @@ fn the_earlier_of_two_faults_wins() {
             let late = second.target(full, 2 * CHUNK + 10);
             let want = first.inject(full, &mut bodies, early);
             second.inject(full, &mut bodies, late);
-            let err = both(&chain(header, &bodies), None).expect_err("faults must fail");
+            let err = both(&chain(header, &bodies), false).expect_err("faults must fail");
             assert!(
                 err.starts_with(&want),
                 "{first:?} then {second:?}: got {err}"
@@ -533,15 +571,15 @@ fn the_earlier_of_two_faults_wins() {
         assert_eq!(early / CHUNK, late / CHUNK, "one chunk");
         let want = Fault::CheckpointRoot.inject(full, &mut bodies, early);
         Fault::MalformedTranscript.inject(full, &mut bodies, late);
-        let err = both(&chain(header, &bodies), None).expect_err("faults must fail");
+        let err = both(&chain(header, &bodies), false).expect_err("faults must fail");
         assert!(err.starts_with(&want), "same chunk: got {err}");
         // A structural fault in chunk 1 beats a MAC disagreement in chunk 2.
         let mut bodies = bodies_of(full);
         let early = Fault::MalformedTranscript.target(full, CHUNK + 10);
         let want = Fault::MalformedTranscript.inject(full, &mut bodies, early);
-        let late = first_at(full, 2 * CHUNK + 10, is_static);
-        let mac = mac_disagreeing_at(ordinal(full, late));
-        let err = both(&chain(header, &bodies), Some(&mac)).expect_err("fault must fail");
+        let late = Fault::FalseTagBit.target(full, 2 * CHUNK + 10);
+        Fault::FalseTagBit.inject(full, &mut bodies, late);
+        let err = both(&chain(header, &bodies), true).expect_err("fault must fail");
         assert!(err.starts_with(&want), "got {err}");
     }
 }

@@ -31,6 +31,6 @@ pub mod topology;
 pub mod wan;
 
 pub use lan::{LanPath, LinkRate, Medium};
-pub use load::{max_concurrent_within_budget, mm1_mean_wait, ContentionModel};
+pub use load::{max_concurrent_within_budget, ContentionModel};
 pub use topology::{Hop, Host, Network, TopologyError};
 pub use wan::{AccessKind, Placement, WanModel};

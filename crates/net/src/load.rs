@@ -10,15 +10,9 @@
 
 use geoproof_sim::time::SimDuration;
 
-/// Queueing-delay model for a server handling concurrent sessions.
-///
-/// Two regimes are supported:
-///
-/// * a linear regime — each additional in-flight session adds a fixed
-///   service quantum (a disk head can only be in one place at a time);
-/// * an M/M/1-style regime — given per-request mean service time and an
-///   arrival rate, mean waiting time is `ρ/(1−ρ)`·service, exploding as
-///   utilisation ρ → 1.
+/// Queueing-delay model for a server handling concurrent sessions: each
+/// additional in-flight session adds a fixed service quantum (a disk
+/// head can only be in one place at a time), up to a cap.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ContentionModel {
     /// Extra delay charged per concurrent in-flight session beyond the
@@ -51,20 +45,6 @@ impl ContentionModel {
         let raw = self.per_session.as_nanos().saturating_mul(queued);
         SimDuration::from_nanos(raw.min(self.cap.as_nanos()))
     }
-}
-
-/// Mean M/M/1 waiting time (time in queue, excluding service): with
-/// utilisation `ρ = λ/μ < 1`, `W_q = ρ / (μ − λ)`.
-///
-/// Returns `None` when the queue is unstable (ρ ≥ 1).
-pub fn mm1_mean_wait(arrivals_per_sec: f64, service: SimDuration) -> Option<SimDuration> {
-    let mu = 1000.0 / service.as_millis_f64(); // services per second
-    let rho = arrivals_per_sec / mu;
-    if !(0.0..1.0).contains(&rho) {
-        return None;
-    }
-    let wait_sec = rho / (mu - arrivals_per_sec);
-    Some(SimDuration::from_secs_f64(wait_sec))
 }
 
 /// Sessions a prover can serve concurrently before an honest round's
@@ -112,22 +92,6 @@ mod tests {
     fn none_is_free_at_any_load() {
         let m = ContentionModel::none();
         assert_eq!(m.queueing_delay(10_000), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mm1_wait_grows_with_utilisation() {
-        let service = SimDuration::from_millis(10); // μ = 100/s
-        let light = mm1_mean_wait(10.0, service).unwrap();
-        let heavy = mm1_mean_wait(90.0, service).unwrap();
-        assert!(heavy > light);
-        // ρ = 0.9 → W_q = 0.9 / (100 − 90) = 90 ms.
-        assert!((heavy.as_millis_f64() - 90.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn mm1_unstable_queue_is_none() {
-        assert_eq!(mm1_mean_wait(100.0, SimDuration::from_millis(10)), None);
-        assert_eq!(mm1_mean_wait(150.0, SimDuration::from_millis(10)), None);
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! * [`merkle`] / [`dynamic`] — the dynamic-POR extension the paper names
 //!   (Wang et al. DPOR): Merkle-authenticated updates and appends;
 //! * [`analysis`] — detection-probability analysis reproducing §V-C(a)'s
-//!   "71.3 % per challenge" and "< 1 in 200,000 irretrievability" figures;
-//! * [`batch`] — what the concurrent audit engine shares across
-//!   sessions: one segment-MAC verifier per file and order-independent
-//!   session nonces.
+//!   "71.3 % per challenge" and "< 1 in 200,000 irretrievability" figures.
 //!
 //! # Examples
 //!
@@ -37,7 +34,6 @@
 //! ```
 
 pub mod analysis;
-pub mod batch;
 pub mod dynamic;
 pub mod encode;
 pub mod keys;
@@ -46,7 +42,6 @@ pub mod params;
 pub mod stream;
 
 pub use analysis::{detection_probability, irretrievability_bound};
-pub use batch::{session_nonce, SegmentBatchVerifier};
 pub use dynamic::{
     tag_segment, verify_challenge, verify_tagged, DynamicDigest, DynamicError, DynamicOwner,
     DynamicStore, ProvenSegment,

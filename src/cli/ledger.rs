@@ -6,8 +6,7 @@ use super::{fresh_seed_u64, hex, tpa_ledger_key, unhex32, CliResult};
 use geoproof::core::auditor::AuditReport;
 use geoproof::core::evidence::ReportDecodeError;
 use geoproof::crypto::schnorr::VerifyingKey;
-use geoproof::ledger::{discover, replay, Entry, Ledger, SegmentMacCheck, SegmentSource};
-use geoproof::por::dynamic::verify_tagged;
+use geoproof::ledger::{discover, replay, Entry, Ledger, OwnerKeys, SegmentSource};
 use geoproof::por::encode::PorEncoder;
 use geoproof::por::keys::PorKeys;
 use geoproof::por::params::PorParams;
@@ -27,37 +26,6 @@ pub fn run(args: &[String]) -> CliResult {
         "compact" => compact(rest),
         "prove" => prove(rest),
         other => Err(format!("unknown ledger subcommand {other:?}")),
-    }
-}
-
-/// `--master`-derived MAC checker for `ledger verify`: static records
-/// re-derive through the POR encoder's segment MAC; dynamic records
-/// through the dynamic tag scheme. One KDF per file id, memoised.
-struct CliMacCheck {
-    master: String,
-    encoder: PorEncoder,
-    mac_keys: RefCell<HashMap<String, [u8; 32]>>,
-}
-
-impl CliMacCheck {
-    fn mac_key(&self, fid: &str) -> [u8; 32] {
-        let derive = || *PorKeys::derive(self.master.as_bytes(), fid).mac_key();
-        *self
-            .mac_keys
-            .borrow_mut()
-            .entry(fid.to_owned())
-            .or_insert_with(derive)
-    }
-}
-
-impl SegmentMacCheck for CliMacCheck {
-    fn verify(&self, fid: &str, index: u64, payload: &[u8]) -> bool {
-        let key = self.mac_key(fid);
-        self.encoder.verify_segment(&key, fid, index, payload)
-    }
-
-    fn verify_dynamic(&self, fid: &str, index: u64, payload: &[u8]) -> bool {
-        verify_tagged(&self.mac_key(fid), fid, index, payload)
     }
 }
 
@@ -82,15 +50,23 @@ fn verify(raw: &[String]) -> CliResult {
     };
     let tpa = VerifyingKey::from_bytes(&tpa_bytes).ok_or("TPA key is not a valid curve point")?;
 
-    // With the owner's secret the recorded MAC bits are re-derived too —
-    // under the static scheme for static records and the dynamic tag
-    // scheme for dynamic ones. Keys are memoised per file id.
-    let mac_check = master.map(|master| CliMacCheck {
-        master: master.to_owned(),
-        encoder: PorEncoder::new(PorParams::paper()),
-        mac_keys: RefCell::new(HashMap::new()),
+    // With the owner's secret the recorded MAC bits are re-derived too,
+    // each record under its own kind's scheme. One KDF per file id,
+    // memoised.
+    let encoder = PorEncoder::new(PorParams::paper());
+    let owner = master.map(|master| {
+        let mac_keys = RefCell::new(HashMap::new());
+        OwnerKeys {
+            encoder: &encoder,
+            mac_key: Box::new(move |fid: &str| {
+                let derive = || *PorKeys::derive(master.as_bytes(), fid).mac_key();
+                *mac_keys
+                    .borrow_mut()
+                    .entry(fid.to_owned())
+                    .or_insert_with(derive)
+            }),
+        }
     });
-    let macs = mac_check.as_ref().map(|f| f as &dyn SegmentMacCheck);
 
     // A rotated chain (any `<path>.seg-*` next to the live file) is
     // verified whole: every present file fully replayed, compacted
@@ -98,7 +74,7 @@ fn verify(raw: &[String]) -> CliResult {
     // digest enforced across every segment boundary.
     let segments = discover(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
     if !segments.is_empty() {
-        let chain = geoproof::ledger::verify_chain(Path::new(path), &tpa, macs)
+        let chain = geoproof::ledger::verify_chain(Path::new(path), &tpa, owner.as_ref())
             .map_err(|e| format!("{path}: {e}"))?;
         println!(
             "{path}: chain of {} sealed segments + live file — {} sealed records total, chain OK",
@@ -117,7 +93,7 @@ fn verify(raw: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let outcome = replay(&ledger, &tpa, macs).map_err(|e| format!("{path}: {e}"))?;
+    let outcome = replay(&ledger, &tpa, owner.as_ref()).map_err(|e| format!("{path}: {e}"))?;
 
     println!(
         "{path}: {} records ({} evidence, {} dynamic, {} digest transitions, {} position \
