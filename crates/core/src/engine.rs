@@ -322,7 +322,6 @@ impl AuditEngine {
             .zip(&mut transcripts)
             .map(|((issued, (mut device, mut provider)), slot)| {
                 Box::new(move || {
-                    let _span = geoproof_obs::span("audit_session");
                     let started = std::time::Instant::now();
                     *slot = Some(device.run_audit(&issued.request, &mut *provider));
                     metrics().latency.record_duration_us(started.elapsed());

@@ -14,7 +14,7 @@ use geoproof_crypto::chacha::ChaChaRng;
 use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::gps::{verify_position_with_landmarks, GpsFix, PositionCheck};
 use geoproof_geo::schemes::rtt_to_distance;
-use geoproof_geo::triangulation::{robust_multilaterate, RangeMeasurement};
+use geoproof_geo::triangulation::RangeMeasurement;
 use geoproof_net::wan::WanModel;
 use geoproof_sim::time::{Km, SimDuration};
 
@@ -71,32 +71,6 @@ pub fn landmark_position_check(
         accuracy: Km(0.015),
     };
     verify_position_with_landmarks(&fix, &ranges, tolerance)
-}
-
-/// [`landmark_position_check`] through the outlier-robust estimator: up
-/// to f < N/2 landmarks may be compromised (lying about their RTTs, or
-/// selectively delayed by the provider) without corrupting the estimate.
-/// Returns `None` with fewer than three landmarks or degenerate geometry.
-pub fn robust_landmark_position_check(
-    claimed: GeoPoint,
-    pings: &[LandmarkPing],
-    speed: geoproof_sim::time::Speed,
-    tolerance: Km,
-) -> Option<PositionCheck> {
-    let ranges: Vec<RangeMeasurement> = pings
-        .iter()
-        .map(|p| RangeMeasurement {
-            landmark: p.landmark,
-            distance: rtt_to_distance(p.rtt, p.access_overhead, speed),
-        })
-        .collect();
-    let fit = robust_multilaterate(&ranges)?;
-    let discrepancy = claimed.distance(&fit.position);
-    Some(PositionCheck {
-        estimated: fit.position,
-        consistent: discrepancy.0 <= tolerance.0,
-        discrepancy,
-    })
 }
 
 /// Folds a landmark check into an existing audit report: an inconsistent
@@ -191,29 +165,6 @@ mod tests {
         let p = pings(BRISBANE);
         let thrice = vec![p[0]; 3];
         assert!(landmark_position_check(BRISBANE, &thrice, ranging_speed(), Km(400.0)).is_none());
-        assert!(
-            robust_landmark_position_check(BRISBANE, &thrice, ranging_speed(), Km(400.0)).is_none()
-        );
-    }
-
-    #[test]
-    fn robust_check_survives_one_lying_landmark() {
-        // One compromised landmark reports a wildly inflated RTT; the
-        // robust path trims it and the honest fix still passes, while the
-        // plain least-squares check is dragged beyond tolerance.
-        let mut p = pings(BRISBANE);
-        p[2].rtt += SimDuration::from_millis(40);
-        let robust = robust_landmark_position_check(BRISBANE, &p, ranging_speed(), Km(400.0))
-            .expect("enough landmarks");
-        assert!(robust.consistent, "discrepancy {}", robust.discrepancy);
-        let plain = landmark_position_check(BRISBANE, &p, ranging_speed(), Km(400.0))
-            .expect("enough landmarks");
-        assert!(
-            robust.discrepancy.0 < plain.discrepancy.0,
-            "robust {} should beat plain {}",
-            robust.discrepancy.0,
-            plain.discrepancy.0
-        );
     }
 
     #[test]

@@ -84,9 +84,7 @@ pub use fleet::{run_fleet, run_fleet_with_evidence, AdversaryProfile, FleetConfi
 /// encoder (below `core` in the dependency DAG) can use it too;
 /// re-exported here to keep the historical `geoproof_core::pool` path.
 pub use geoproof_pool as pool;
-pub use landmark_audit::{
-    harden_report, landmark_position_check, robust_landmark_position_check, LandmarkPing,
-};
+pub use landmark_audit::{harden_report, landmark_position_check, LandmarkPing};
 pub use messages::{AuditRequest, Round, SignedTranscript, TimedRound, Transcript};
 pub use multisite::{ReplicaSite, ReplicationAudit, ReplicationReport};
 pub use policy::{paper_relay_bound, relay_distance_bound, TimingPolicy};

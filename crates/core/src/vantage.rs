@@ -24,7 +24,7 @@ use crate::provider::SegmentProvider;
 use crate::verifier::VerifierDevice;
 use geoproof_geo::coords::GeoPoint;
 use geoproof_geo::schemes::rtt_to_distance;
-use geoproof_geo::triangulation::{robust_multilaterate_seeded, RangeMeasurement};
+use geoproof_geo::triangulation::{robust_multilaterate, RangeMeasurement};
 use geoproof_sim::time::{Km, SimDuration, Speed};
 
 /// Ranging calibration plus the two acceptance thresholds of a
@@ -104,7 +104,7 @@ pub fn aggregate_vantages(
     position_tolerance: Km,
     residual_budget: Km,
 ) -> Option<MultiVantageEstimate> {
-    let fit = robust_multilaterate_seeded(ranges, Some(sla))?;
+    let fit = robust_multilaterate(ranges, Some(sla))?;
     let discrepancy = sla.distance(&fit.position);
     let consistent =
         discrepancy.0 <= position_tolerance.0 && fit.rms_inlier_residual.0 <= residual_budget.0;

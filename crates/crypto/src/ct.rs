@@ -27,17 +27,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Constant-time conditional select: returns `a` if `choice` is 1, `b` if 0.
-///
-/// # Panics
-///
-/// Panics if `choice` is not 0 or 1.
-pub fn ct_select_u64(choice: u8, a: u64, b: u64) -> u64 {
-    assert!(choice <= 1, "choice must be a bit");
-    let mask = (choice as u64).wrapping_neg(); // 0x00..00 or 0xff..ff
-    (a & mask) | (b & !mask)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,17 +37,5 @@ mod tests {
         assert!(ct_eq(&[1, 2, 3], &[1, 2, 3]));
         assert!(!ct_eq(&[1, 2, 3], &[1, 2, 4]));
         assert!(!ct_eq(&[1, 2, 3], &[1, 2]));
-    }
-
-    #[test]
-    fn select_basic() {
-        assert_eq!(ct_select_u64(1, 7, 9), 7);
-        assert_eq!(ct_select_u64(0, 7, 9), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "choice must be a bit")]
-    fn select_rejects_non_bit() {
-        ct_select_u64(2, 0, 0);
     }
 }

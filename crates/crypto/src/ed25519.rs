@@ -37,8 +37,10 @@
 
 use crate::fe25519::Fe;
 
-/// Prime subgroup order ℓ, little-endian bytes.
-pub const L_BYTES_LE: [u8; 32] = [
+/// Prime subgroup order ℓ, little-endian bytes (tests build
+/// non-canonical scalars from it).
+#[cfg(test)]
+pub(crate) const L_BYTES_LE: [u8; 32] = [
     0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10,
 ];

@@ -164,29 +164,45 @@ impl TruncatedMac {
 
     /// Computes the truncated tag of `message` under `key`.
     pub fn mac(&self, key: &[u8], message: &[u8]) -> Vec<u8> {
-        let full = HmacSha256::mac(key, message);
-        self.truncate(&full)
+        let mut out = vec![0; self.byte_len()];
+        self.truncate(&HmacSha256::mac(key, message), &mut out);
+        out
     }
 
-    /// Truncates a full 32-byte tag to this width.
-    pub fn truncate(&self, full: &[u8; DIGEST_LEN]) -> Vec<u8> {
-        let nbytes = self.byte_len();
-        let mut out = full[..nbytes].to_vec();
-        let rem = self.bits % 8;
-        if rem != 0 {
-            let mask = 0xffu8 << (8 - rem);
-            out[nbytes - 1] &= mask;
+    /// Writes a full 32-byte tag, truncated to this width, into `out`
+    /// (exactly [`TruncatedMac::byte_len`] bytes).
+    pub fn truncate(&self, full: &[u8; DIGEST_LEN], out: &mut [u8]) {
+        out.copy_from_slice(&full[..self.byte_len()]);
+        if let Some(last) = out.last_mut() {
+            *last &= self.last_byte_mask();
         }
-        out
+    }
+
+    /// Constant-time check that `tag` is `full` truncated to this width,
+    /// comparing in place (no allocation).
+    pub fn matches(&self, full: &[u8; DIGEST_LEN], tag: &[u8]) -> bool {
+        let n = self.byte_len();
+        if tag.len() != n {
+            return false;
+        }
+        let mut diff = (full[n - 1] & self.last_byte_mask()) ^ tag[n - 1];
+        for (x, y) in full[..n - 1].iter().zip(tag) {
+            diff |= x ^ y;
+        }
+        diff == 0
     }
 
     /// Constant-time verification of a truncated tag.
     pub fn verify(&self, key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-        if tag.len() != self.byte_len() {
-            return false;
+        self.matches(&HmacSha256::mac(key, message), tag)
+    }
+
+    /// The mask that keeps the tag's bits of its last byte.
+    fn last_byte_mask(&self) -> u8 {
+        match self.bits % 8 {
+            0 => 0xff,
+            rem => 0xffu8 << (8 - rem),
         }
-        let expected = self.mac(key, message);
-        ct_eq(&expected, tag)
     }
 
     /// Probability that a single random guess passes verification: `2^-bits`.
@@ -287,6 +303,23 @@ mod tests {
         let t = TruncatedMac::new(20);
         let p = t.forgery_probability();
         assert!((p - 2f64.powi(-20)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn matches_agrees_with_comparing_truncated_tags() {
+        let full = HmacSha256::mac(b"key", b"data");
+        for bits in [1, 7, 8, 20, 24, 32, 255, 256] {
+            let t = TruncatedMac::new(bits);
+            let tag = t.mac(b"key", b"data");
+            assert!(t.matches(&full, &tag), "{bits} bits");
+            // Any flipped byte fails, including a masked-off low bit.
+            for i in 0..tag.len() {
+                let mut bad = tag.clone();
+                bad[i] ^= 1;
+                assert!(!t.matches(&full, &bad), "{bits} bits, byte {i}");
+            }
+            assert!(!t.matches(&full, &tag[1..]), "{bits} bits, short tag");
+        }
     }
 
     #[test]

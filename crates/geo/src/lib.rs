@@ -28,7 +28,4 @@ pub mod triangulation;
 pub use coords::{GeoPoint, EARTH_RADIUS_KM};
 pub use gps::{GpsFix, GpsReceiver, PositionCheck};
 pub use schemes::{ConstraintRegion, DelayObservation, GeoPingDb};
-pub use triangulation::{
-    multilaterate, robust_multilaterate, robust_multilaterate_seeded, RangeMeasurement,
-    RobustEstimate,
-};
+pub use triangulation::{multilaterate, robust_multilaterate, RangeMeasurement, RobustEstimate};

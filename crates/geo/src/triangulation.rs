@@ -240,15 +240,13 @@ const MIN_SCALE_KM: f64 = 5.0;
 /// median residual is then anchored by honest measurements, so the liars'
 /// residuals stand out and are trimmed. Validation and degeneracy rules
 /// are exactly [`multilaterate`]'s.
-pub fn robust_multilaterate(ranges: &[RangeMeasurement]) -> Option<RobustEstimate> {
-    robust_multilaterate_seeded(ranges, None)
-}
-
-/// [`robust_multilaterate`] with an explicit descent seed — multi-vantage
-/// verdicts seed at the SLA position, which both anchors the two-inlier
-/// refit (two circles intersect twice; the seed picks the claim-side root)
-/// and makes replay deterministic from recorded inputs alone.
-pub fn robust_multilaterate_seeded(
+///
+/// `seed` is the descent start (the landmarks' centroid when `None`).
+/// Multi-vantage verdicts seed at the SLA position, which both anchors the
+/// two-inlier refit (two circles intersect twice; the seed picks the
+/// claim-side root) and makes replay deterministic from recorded inputs
+/// alone.
+pub fn robust_multilaterate(
     ranges: &[RangeMeasurement],
     seed: Option<GeoPoint>,
 ) -> Option<RobustEstimate> {
@@ -450,7 +448,10 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
             ranges[1].distance = Km(bad);
             assert!(multilaterate(&ranges).is_none(), "distance {bad}");
-            assert!(robust_multilaterate(&ranges).is_none(), "distance {bad}");
+            assert!(
+                robust_multilaterate(&ranges, None).is_none(),
+                "distance {bad}"
+            );
         }
         ranges[1].distance = Km(100.0);
         ranges[1].landmark.lon = f64::INFINITY;
@@ -471,7 +472,7 @@ mod tests {
             3
         ];
         assert!(multilaterate(&ranges).is_none());
-        assert!(robust_multilaterate(&ranges).is_none());
+        assert!(robust_multilaterate(&ranges, None).is_none());
     }
 
     #[test]
@@ -484,7 +485,7 @@ mod tests {
         ];
         let ranges = exact_ranges(GeoPoint::new(-25.0, 150.0), &lms);
         assert!(multilaterate(&ranges).is_none());
-        assert!(robust_multilaterate(&ranges).is_none());
+        assert!(robust_multilaterate(&ranges, None).is_none());
     }
 
     #[test]
@@ -549,7 +550,7 @@ mod tests {
     fn robust_fit_rejects_single_adversarial_outlier() {
         let mut ranges = exact_ranges(BRISBANE, &[SYDNEY, MELBOURNE, PERTH, TOWNSVILLE, ADELAIDE]);
         ranges[2].distance = Km(ranges[2].distance.0 + 2_500.0); // liar
-        let robust = robust_multilaterate(&ranges).expect("enough landmarks");
+        let robust = robust_multilaterate(&ranges, None).expect("enough landmarks");
         assert!(!robust.inliers[2], "the inflated range must be trimmed");
         assert!(robust.inliers.iter().filter(|i| **i).count() >= 4);
         let err = robust.position.distance(&BRISBANE).0;
@@ -563,7 +564,7 @@ mod tests {
     #[test]
     fn robust_fit_agrees_with_plain_on_clean_data() {
         let ranges = exact_ranges(BRISBANE, &[SYDNEY, MELBOURNE, PERTH, TOWNSVILLE]);
-        let robust = robust_multilaterate(&ranges).expect("enough landmarks");
+        let robust = robust_multilaterate(&ranges, None).expect("enough landmarks");
         assert!(robust.inliers.iter().all(|i| *i));
         assert!(robust.position.distance(&BRISBANE).0 < 10.0);
         assert!(robust.rms_inlier_residual.0 < 10.0);
@@ -573,8 +574,8 @@ mod tests {
     fn seeded_robust_fit_is_deterministic() {
         let mut ranges = exact_ranges(BRISBANE, &[SYDNEY, MELBOURNE, PERTH, TOWNSVILLE]);
         ranges[0].distance = Km(ranges[0].distance.0 * 1.02);
-        let a = robust_multilaterate_seeded(&ranges, Some(BRISBANE)).expect("fit");
-        let b = robust_multilaterate_seeded(&ranges, Some(BRISBANE)).expect("fit");
+        let a = robust_multilaterate(&ranges, Some(BRISBANE)).expect("fit");
+        let b = robust_multilaterate(&ranges, Some(BRISBANE)).expect("fit");
         assert_eq!(a, b);
         assert_eq!(a.position.lat.to_bits(), b.position.lat.to_bits());
         assert_eq!(a.position.lon.to_bits(), b.position.lon.to_bits());

@@ -156,7 +156,7 @@ proptest! {
             .collect();
         // Must return (quickly) — any invalid field yields None.
         let plain = multilaterate(&ranges);
-        let robust = robust_multilaterate(&ranges);
+        let robust = robust_multilaterate(&ranges, None);
         let all_valid = ranges.iter().all(|r| {
             r.landmark.lat.is_finite() && (-90.0..=90.0).contains(&r.landmark.lat)
                 && r.landmark.lon.is_finite() && (-180.0..=180.0).contains(&r.landmark.lon)
@@ -185,7 +185,7 @@ proptest! {
         }
         let est = multilaterate(&ranges).expect("5 spread landmarks");
         prop_assert!(est.distance(&target).0 < 120.0);
-        let robust = robust_multilaterate(&ranges).expect("5 spread landmarks");
+        let robust = robust_multilaterate(&ranges, None).expect("5 spread landmarks");
         prop_assert!(robust.position.distance(&target).0 < 120.0);
     }
 
@@ -202,7 +202,7 @@ proptest! {
         let target = GeoPoint::new(lat, lon);
         let mut ranges = ring_ranges(target, 5, 9.0);
         ranges[liar].distance = Km(ranges[liar].distance.0 + inflation);
-        let robust = robust_multilaterate(&ranges).expect("5 spread landmarks");
+        let robust = robust_multilaterate(&ranges, None).expect("5 spread landmarks");
         prop_assert!(!robust.inliers[liar], "liar must be trimmed");
         let robust_err = robust.position.distance(&target).0;
         prop_assert!(robust_err < 60.0, "robust estimate off by {robust_err} km");
@@ -223,6 +223,6 @@ proptest! {
     fn duplicated_landmark_sets_are_rejected(p in point(), d in 10.0f64..5000.0) {
         let ranges = vec![RangeMeasurement { landmark: p, distance: Km(d) }; 3];
         prop_assert!(multilaterate(&ranges).is_none());
-        prop_assert!(robust_multilaterate(&ranges).is_none());
+        prop_assert!(robust_multilaterate(&ranges, None).is_none());
     }
 }

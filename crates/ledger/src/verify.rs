@@ -451,7 +451,6 @@ fn replay_impl(
     owner: Option<&OwnerKeys<'_>>,
     batched: bool,
 ) -> Result<ReplayOutcome, LedgerError> {
-    let _span = geoproof_obs::span("ledger_replay");
     let replay_started = std::time::Instant::now();
     if ledger.header().tpa_key != tpa.to_bytes() {
         return Err(LedgerError::TpaKeyMismatch);

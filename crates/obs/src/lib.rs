@@ -13,9 +13,6 @@
 //! * **[`Registry`]** — a sharded get-or-register name → metric table.
 //!   [`global()`] is the process-wide instance every instrumented crate
 //!   records into;
-//! * **[`span`]/[`SpanJournal`]** — enter/exit events with monotonic
-//!   timestamps and parent ids in a fixed-size lock-free ring buffer,
-//!   drainable while writers keep appending;
 //! * **[`expose`]** — Prometheus-text-format rendering, a plain-TCP
 //!   scrape listener (`GET /metrics`), and a push path
 //!   (`POST /ingest`) for short-lived processes (the `audit` CLI)
@@ -49,12 +46,10 @@ pub mod expose;
 mod histogram;
 mod metrics;
 mod registry;
-mod span;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{Counter, Gauge};
 pub use registry::{counter, gauge, global, histogram, Registry, Snapshot};
-pub use span::{journal, span, SpanEvent, SpanGuard, SpanJournal, SpanKind};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -70,28 +65,4 @@ pub fn set_enabled(on: bool) {
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Monotonic nanoseconds since the first observability call in this
-/// process — the span journal's clock.
-pub fn now_ns() -> u64 {
-    use std::sync::OnceLock;
-    static START: OnceLock<std::time::Instant> = OnceLock::new();
-    START
-        .get_or_init(std::time::Instant::now)
-        .elapsed()
-        .as_nanos() as u64
-}
-
-/// FNV-1a over a name — the deterministic shard/intern hash (std's
-/// `RandomState` would randomise layout per process, making load
-/// investigations unrepeatable; matches the session-table idiom in
-/// `geoproof-wire`).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

@@ -10,6 +10,18 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// sites) but snapshots walk every shard; 16 keeps both cheap.
 const SHARDS: usize = 16;
 
+/// FNV-1a over a name — the deterministic shard hash (std's
+/// `RandomState` would randomise layout per process, making load
+/// investigations unrepeatable).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Arc<Counter>),
@@ -46,7 +58,7 @@ impl Registry {
     }
 
     fn shard(&self, name: &str) -> &RwLock<HashMap<String, Metric>> {
-        &self.shards[(crate::fnv1a(name.as_bytes()) as usize) % SHARDS]
+        &self.shards[(fnv1a(name.as_bytes()) as usize) % SHARDS]
     }
 
     /// Validation happens **before** the shard write lock is taken: a

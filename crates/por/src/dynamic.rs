@@ -33,7 +33,8 @@
 use crate::keys::PorKeys;
 use crate::merkle::{leaf_hash, verify_proof, Digest, MerkleProof, MerkleTree};
 use bytes::Bytes;
-use geoproof_crypto::hmac::TruncatedMac;
+use geoproof_crypto::hmac::{HmacSha256, TruncatedMac};
+use geoproof_crypto::sha256::DIGEST_LEN;
 
 /// Tag width for dynamic segments (full paper tag width is fine; updates
 /// don't amortise over many tags the way audits do, so we keep 32 bits).
@@ -96,8 +97,10 @@ impl std::fmt::Display for DynamicError {
 
 impl std::error::Error for DynamicError {}
 
-/// The canonical MAC input for a dynamic tag:
-/// `domain ‖ u32 len(file_id) ‖ file_id ‖ u64 index ‖ u32 len(body) ‖ body`.
+/// The full (untruncated) dynamic tag MAC under `mac_key`, over the
+/// canonical input
+/// `domain ‖ u32 len(file_id) ‖ file_id ‖ u64 index ‖ u32 len(body) ‖ body`,
+/// fed to the HMAC part by part.
 ///
 /// Every variable-length field is length-prefixed. The previous encoding
 /// (`body ‖ index ‖ file_id`, no prefixes) let fields bleed into each
@@ -106,15 +109,15 @@ impl std::error::Error for DynamicError {}
 /// `i′ = u64(i[4..] ‖ "file")` and `b′ = b ‖ i[..4]` — a concrete
 /// cross-file forgery whenever one MAC key covers more than one file id
 /// (the regression test below constructs exactly this collision).
-fn mac_input(file_id: &str, index: u64, body: &[u8]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(TAG_DOMAIN.len() + 4 + file_id.len() + 8 + 4 + body.len());
-    msg.extend_from_slice(TAG_DOMAIN);
-    msg.extend_from_slice(&(file_id.len() as u32).to_be_bytes());
-    msg.extend_from_slice(file_id.as_bytes());
-    msg.extend_from_slice(&index.to_be_bytes());
-    msg.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    msg.extend_from_slice(body);
-    msg
+fn tag_mac(mac_key: &[u8; 32], file_id: &str, index: u64, body: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut h = HmacSha256::new(mac_key);
+    h.update(TAG_DOMAIN);
+    h.update(&(file_id.len() as u32).to_be_bytes());
+    h.update(file_id.as_bytes());
+    h.update(&index.to_be_bytes());
+    h.update(&(body.len() as u32).to_be_bytes());
+    h.update(body);
+    h.finalize()
 }
 
 /// Tags a segment body for `(file_id, index)`: returns `body ‖ τ` with
@@ -123,10 +126,10 @@ fn mac_input(file_id: &str, index: u64, body: &[u8]) -> Vec<u8> {
 /// key.
 pub fn tag_segment(keys: &PorKeys, file_id: &str, index: u64, body: &[u8]) -> Vec<u8> {
     let mac = TruncatedMac::new(DYNAMIC_TAG_BITS);
-    let tag = mac.mac(keys.mac_key(), &mac_input(file_id, index, body));
-    let mut out = Vec::with_capacity(body.len() + tag.len());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&tag);
+    let full = tag_mac(keys.mac_key(), file_id, index, body);
+    let mut out = body.to_vec();
+    out.resize(body.len() + mac.byte_len(), 0);
+    mac.truncate(&full, &mut out[body.len()..]);
     out
 }
 
@@ -146,8 +149,7 @@ pub fn verify_tagged(mac_key: &[u8; 32], file_id: &str, index: u64, tagged: &[u8
     let Some((body, tag)) = split_tagged(tagged) else {
         return false;
     };
-    let mac = TruncatedMac::new(DYNAMIC_TAG_BITS);
-    mac.verify(mac_key, &mac_input(file_id, index, body), tag)
+    TruncatedMac::new(DYNAMIC_TAG_BITS).matches(&tag_mac(mac_key, file_id, index, body), tag)
 }
 
 impl DynamicStore {
@@ -496,8 +498,8 @@ mod tests {
         // New encoding: the inputs differ, and the forged triple fails
         // end-to-end verification.
         assert_ne!(
-            mac_input("fileX", index, &body),
-            mac_input("X", forged_index, &forged_body),
+            tag_mac(shared.mac_key(), "fileX", index, &body),
+            tag_mac(shared.mac_key(), "X", forged_index, &forged_body),
             "length prefixes must separate the messages"
         );
         let tagged = tag_segment(&shared, "fileX", index, &body);

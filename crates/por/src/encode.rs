@@ -15,7 +15,8 @@
 use crate::keys::PorKeys;
 use crate::params::PorParams;
 use crate::stream::{ChunkCoder, StreamingEncoder, TaggedArena};
-use geoproof_crypto::hmac::TruncatedMac;
+use geoproof_crypto::hmac::{HmacSha256, TruncatedMac};
+use geoproof_crypto::sha256::DIGEST_LEN;
 use geoproof_ecc::block_code::{Block, BlockCode, BLOCK_BYTES};
 
 /// Metadata the owner (and TPA) retain about an encoded file.
@@ -177,7 +178,8 @@ impl PorEncoder {
             return false;
         }
         let (body, tag) = segment.split_at(p.segment_blocks * BLOCK_BYTES);
-        TruncatedMac::new(p.tag_bits).verify(mac_key, &segment_message(body, index, file_id), tag)
+        let full = segment_mac(HmacSha256::new(mac_key), body, index, file_id);
+        TruncatedMac::new(p.tag_bits).matches(&full, tag)
     }
 
     /// Recovers the original file from (possibly corrupted) segments.
@@ -243,15 +245,20 @@ impl PorEncoder {
     }
 }
 
-/// The MACed message for a segment: body ‖ index ‖ fid (the paper's
-/// `MAC_K′(S_i, i, fid)`). Shared with [`crate::batch`], which builds the
-/// same bytes into a reused buffer.
-pub(crate) fn segment_message(body: &[u8], index: u64, file_id: &str) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(body.len() + 8 + file_id.len());
-    msg.extend_from_slice(body);
-    msg.extend_from_slice(&index.to_be_bytes());
-    msg.extend_from_slice(file_id.as_bytes());
-    msg
+/// The full (untruncated) segment MAC `MAC_K′(S_i, i, fid)` over
+/// body ‖ index ‖ fid, fed from `h` (a fresh or precomputed-key HMAC) —
+/// the one owner of the static tag layout, for the tagger and the
+/// verifier alike.
+pub(crate) fn segment_mac(
+    mut h: HmacSha256,
+    body: &[u8],
+    index: u64,
+    file_id: &str,
+) -> [u8; DIGEST_LEN] {
+    h.update(body);
+    h.update(&index.to_be_bytes());
+    h.update(file_id.as_bytes());
+    h.finalize()
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@
 //! See `docs/datapath.md` for the end-to-end zero-copy story
 //! (encode → upload → disk → challenge → transcript).
 
-use crate::encode::FileMetadata;
+use crate::encode::{segment_mac, FileMetadata};
 use crate::keys::PorKeys;
 use crate::params::PorParams;
 use bytes::Bytes;
@@ -401,7 +401,7 @@ impl StreamingEncoder {
         let body_bytes = self.layout.body_bytes();
         let segments = self.layout.segments() as usize;
         let per_job = segments.div_ceil(self.threads * JOBS_PER_WORKER).max(1);
-        let (mac, mac_sched, file_id) = (&self.mac, &self.mac_sched, self.file_id.as_bytes());
+        let (mac, mac_sched, file_id) = (&self.mac, &self.mac_sched, &*self.file_id);
         let jobs: Vec<Job> = self
             .arena
             .chunks_mut(per_job * stride)
@@ -411,11 +411,7 @@ impl StreamingEncoder {
                     for (s, segment) in range.chunks_exact_mut(stride).enumerate() {
                         let index = (j * per_job + s) as u64;
                         let (body, tag) = segment.split_at_mut(body_bytes);
-                        let mut h = mac_sched.start();
-                        h.update(body);
-                        h.update(&index.to_be_bytes());
-                        h.update(file_id);
-                        tag.copy_from_slice(&mac.truncate(&h.finalize()));
+                        mac.truncate(&segment_mac(mac_sched.start(), body, index, file_id), tag);
                     }
                 }) as Job
             })

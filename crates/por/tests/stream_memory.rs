@@ -12,14 +12,18 @@
 //! ~5× the file size; a regression to that shape fails these bounds by
 //! orders of magnitude.
 //!
-//! The counter is process-global, so each measured span holds
-//! [`MEASURE`]: a sibling test's arena must not land inside it.
+//! The byte counters are process-global, so each measured span holds
+//! [`MEASURE`]: a sibling test's arena must not land inside it. The same
+//! allocator also counts allocation calls per thread, which pins that the
+//! tag checks allocate nothing without serialising against other tests.
 
+use geoproof_por::dynamic::{tag_segment, verify_tagged};
 use geoproof_por::encode::PorEncoder;
 use geoproof_por::keys::PorKeys;
 use geoproof_por::params::PorParams;
 use geoproof_por::stream::SegmentLayout;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -27,14 +31,34 @@ use std::time::{Duration, Instant};
 /// Serialises the measured spans of concurrently running tests.
 static MEASURE: Mutex<()> = Mutex::new(());
 
-/// A `System` wrapper tracking live and peak allocation in bytes.
+/// A `System` wrapper tracking live and peak allocation in bytes, and
+/// the allocation calls of each thread.
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_thread_alloc() {
+    // `try_with`: a thread's allocations after its locals are torn down
+    // go uncounted rather than panicking inside the allocator.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocation calls `f` makes on the calling thread.
+fn allocations_during(f: impl FnOnce()) -> usize {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    f();
+    THREAD_ALLOCS.with(Cell::get) - before
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_thread_alloc();
         let p = System.alloc(layout);
         if !p.is_null() {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
@@ -49,6 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_thread_alloc();
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             if new_size >= layout.size() {
@@ -130,6 +155,38 @@ fn expected_bound(threads: usize) -> usize {
     // allocator bookkeeping for the two table vectors.
     let codec_tables = (params.rs_n - params.rs_k) * (256 + 32) + 512;
     chunk_working + worker_scratch + codec_tables + 256 * 1024
+}
+
+/// Every live, engine and keyed-replay tag bit comes from one of the two
+/// tag checks, so neither may allocate: 1 000 calls of each, honest and
+/// forged, make no allocation on the calling thread.
+#[test]
+fn tag_checks_allocate_nothing() {
+    let encoder = PorEncoder::new(PorParams::test_small());
+    let keys = PorKeys::derive(b"alloc-pin", "pin");
+    let arena = encoder.encode_arena(&[7u8; 4096], &keys, "pin");
+    let segment = arena.segment(3);
+    let mut forged = segment.to_vec();
+    forged[0] ^= 1;
+    let tagged = tag_segment(&keys, "pin", 3, &[9u8; 64]);
+    let mac_key = keys.mac_key();
+    let mut accepted = 0;
+    let allocations = allocations_during(|| {
+        for _ in 0..500 {
+            accepted += usize::from(encoder.verify_segment(mac_key, "pin", 3, &segment));
+            accepted += usize::from(encoder.verify_segment(mac_key, "pin", 3, &forged));
+        }
+    });
+    assert_eq!(allocations, 0, "verify_segment allocated");
+    assert_eq!(accepted, 500, "only the honest segment verifies");
+    let mut accepted = 0;
+    let allocations = allocations_during(|| {
+        for index in 0..1_000u64 {
+            accepted += usize::from(verify_tagged(mac_key, "pin", index % 4, &tagged));
+        }
+    });
+    assert_eq!(allocations, 0, "verify_tagged allocated");
+    assert_eq!(accepted, 250, "only index 3 verifies");
 }
 
 #[test]

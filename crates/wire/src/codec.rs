@@ -417,6 +417,13 @@ fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
 /// I/O errors pass through; malformed frames become
 /// `io::ErrorKind::InvalidData`.
 pub fn read_frame<R: std::io::Read>(reader: &mut R) -> std::io::Result<WireMessage> {
+    decode_payload(&read_payload(reader)?)
+}
+
+/// Reads one frame's payload (the bytes after its length prefix) from a
+/// blocking reader, without decoding it — the timing client stops its
+/// clock between the read and [`decode_payload`].
+pub(crate) fn read_payload<R: std::io::Read>(reader: &mut R) -> std::io::Result<Bytes> {
     let mut len_bytes = [0u8; 4];
     reader.read_exact(&mut len_bytes)?;
     let len = u32::from_be_bytes(len_bytes) as usize;
@@ -428,7 +435,13 @@ pub fn read_frame<R: std::io::Read>(reader: &mut R) -> std::io::Result<WireMessa
     }
     let mut payload = vec![0u8; len];
     reader.read_exact(&mut payload)?;
-    WireMessage::decode_shared(&Bytes::from(payload))
+    Ok(Bytes::from(payload))
+}
+
+/// Decodes a payload from [`read_payload`]; a malformed one is
+/// `io::ErrorKind::InvalidData`.
+pub(crate) fn decode_payload(payload: &Bytes) -> std::io::Result<WireMessage> {
+    WireMessage::decode_shared(payload)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 

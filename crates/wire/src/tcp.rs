@@ -8,12 +8,12 @@
 //! segment store type it serves and the blocking [`TcpChallenger`] that
 //! times each round.
 
-use crate::codec::{read_frame, write_frame, WireMessage};
+use crate::codec::{decode_payload, read_payload, write_frame, WireMessage};
 use bytes::Bytes;
 use geoproof_por::dynamic::DynamicDigest;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,11 +66,11 @@ impl TcpChallenger {
         file_id: &str,
         index: u64,
     ) -> io::Result<(Option<Bytes>, Duration)> {
-        let frame = || WireMessage::Challenge {
+        let frame = WireMessage::Challenge {
             file_id: file_id.to_owned(),
             index,
         };
-        match self.timed(frame)? {
+        match self.timed(&frame.encode())? {
             (WireMessage::Response { segment }, rtt) => Ok((segment, rtt)),
             (other, _) => Err(unexpected(&other)),
         }
@@ -89,34 +89,33 @@ impl TcpChallenger {
         file_id: &str,
         index: u64,
     ) -> io::Result<(Option<(Bytes, geoproof_por::merkle::MerkleProof)>, Duration)> {
-        let frame = || WireMessage::DynChallenge {
+        let frame = WireMessage::DynChallenge {
             file_id: file_id.to_owned(),
             index,
         };
-        match self.timed(frame)? {
+        match self.timed(&frame.encode())? {
             (WireMessage::DynResponse { segment }, rtt) => Ok((segment, rtt)),
             (other, _) => Err(unexpected(&other)),
         }
     }
 
-    /// The one write → read sequence, timed: the clock starts before the
-    /// frame is built and written, and stops once the reply is read and
-    /// decoded. A reply that outlasts the read timeout is `TimedOut`
+    /// The one write → read sequence, timed: the clock covers only the
+    /// write of the already-encoded `frame` and the read of the reply up
+    /// to its last payload byte; the reply is decoded after the clock
+    /// stops. A reply that outlasts the read timeout is `TimedOut`
     /// (Linux reports it as `WouldBlock`).
-    fn timed(
-        &mut self,
-        frame: impl FnOnce() -> WireMessage,
-    ) -> io::Result<(WireMessage, Duration)> {
+    fn timed(&mut self, frame: &[u8]) -> io::Result<(WireMessage, Duration)> {
         let start = Instant::now();
-        write_frame(&mut self.stream, &frame())?;
-        let reply = read_frame(&mut self.stream).map_err(|e| match e.kind() {
+        self.stream.write_all(frame)?;
+        let payload = read_payload(&mut self.stream).map_err(|e| match e.kind() {
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
                 io::ErrorKind::TimedOut,
                 format!("no reply within {} s", REPLY_TIMEOUT.as_secs()),
             ),
             _ => e,
         })?;
-        Ok((reply, start.elapsed()))
+        let rtt = start.elapsed();
+        Ok((decode_payload(&payload)?, rtt))
     }
 
     /// Ships an owner-tagged replacement for segment `index`, with the
@@ -165,7 +164,7 @@ impl TcpChallenger {
     }
 
     fn ack(&mut self, frame: WireMessage) -> io::Result<Option<DynamicDigest>> {
-        match self.timed(|| frame)? {
+        match self.timed(&frame.encode())? {
             (WireMessage::UpdateAck { new_digest }, _) => Ok(new_digest),
             (other, _) => Err(unexpected(&other)),
         }

@@ -3,7 +3,8 @@
 //! Every connection is a socket-free machine driven by the epoll shell
 //! ([`MuxProverServer::spawn_reactor`], one event thread); every
 //! scenario here runs against a fresh server from [`spawn`], and the
-//! reply frames are held to exact bytes.
+//! reply frames are held to exact bytes. The timing client's Δt is
+//! pinned here too, against a hand-written prover.
 
 use bytes::Bytes;
 use geoproof_wire::codec::{read_frame, write_frame, WireMessage};
@@ -148,6 +149,31 @@ fn service_delay_shows_up_in_rtt() {
         rs >= rf + Duration::from_millis(20),
         "fast {rf:?}, slow {rs:?}"
     );
+}
+
+/// Δt ends only when the reply's last payload byte is read: a prover
+/// that writes the first 10 bytes of its reply at once and the rest
+/// 30 ms later is measured at ≥ 30 ms.
+#[test]
+fn rtt_waits_for_the_last_reply_byte() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let prover = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        read_frame(&mut conn).expect("challenge");
+        let reply = WireMessage::Response {
+            segment: Some(Bytes::from(vec![5u8; 64])),
+        }
+        .encode();
+        conn.write_all(&reply[..10]).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        conn.write_all(&reply[10..]).unwrap();
+    });
+    let mut client = TcpChallenger::connect(addr).unwrap();
+    let (segment, rtt) = client.challenge("f", 0).unwrap();
+    prover.join().unwrap();
+    assert_eq!(segment.as_deref(), Some(&[5u8; 64][..]));
+    assert!(rtt >= Duration::from_millis(30), "rtt {rtt:?}");
 }
 
 #[test]
